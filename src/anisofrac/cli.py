@@ -32,7 +32,14 @@ from .limits import (
     default_ms_s_list,
     ms_sweep,
 )
-from .variational import LocalProblem, NonlocalProblem, localization_sweep, solve_local, solve_nonlocal
+from .variational import (
+    LocalProblem,
+    NonlocalProblem,
+    NotConvergedError,
+    localization_sweep,
+    solve_local,
+    solve_nonlocal,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -316,6 +323,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
+    except NotConvergedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

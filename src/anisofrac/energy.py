@@ -38,6 +38,7 @@ N^2 * rungs * angles, which is why 2D grids are capped at N <= 48.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -573,10 +574,26 @@ def _scheme(kern: Optional[Kernel], grid: Grid, settings: QuadratureSettings) ->
     return EnergyScheme(kern, grid, settings)
 
 
+# one lock per scheme being built, so that threads missing the cache
+# together build it once; entries live only while a build is in flight
+_building: dict[tuple, threading.Lock] = {}
+_building_guard = threading.Lock()
+
+
 def get_scheme(
     kern: Optional[Kernel], grid: Grid, settings: Optional[QuadratureSettings] = None
 ) -> EnergyScheme:
-    return _scheme(kern, grid, settings or QuadratureSettings())
+    """The cached scheme of (kernel, grid, settings), built once per key."""
+    key = (kern, grid, settings or QuadratureSettings())
+    with _building_guard:
+        lock = _building.setdefault(key, threading.Lock())
+    try:
+        with lock:
+            return _scheme(*key)
+    finally:
+        with _building_guard:
+            if _building.get(key) is lock:
+                del _building[key]
 
 
 def _check_admissible(u: GridFunction):

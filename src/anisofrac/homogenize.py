@@ -25,15 +25,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._parallel import pmap
-from .energy import QuadratureSettings
+from .energy import AtomSet, QuadratureSettings
 from .gridfn import FractionalParams, Grid, GridFunction, lp_norm
 from .kernel import Kernel
 from .limits import ConvergenceTable, LimitDensity
 from .variational import (
     LocalProblem,
     NonlocalProblem,
+    NotConvergedError,
+    _solve_atoms,
     localization_sweep,
-    minimize_descent,
     solve_local,
     solve_nonlocal,
 )
@@ -129,45 +130,43 @@ def cell_problem_1d(
     tol: float = 1e-10,
     max_iter: int = 20_000,
 ) -> float:
-    """min over periodic zero-mean v of int_0^1 A(y) |xi + v'(y)|^p dy.
+    """min over periodic v of int_0^1 A(y) |xi + v'(y)|^p dy.
 
-    Midpoint coefficients on a uniform cell grid with wraparound; solved
-    by the shared descent engine.  The gradient has zero sum, so the
-    zero-mean constraint is preserved from the zero start.
+    Midpoint coefficients on a uniform cell grid with wraparound, written
+    as one atom A_i dy |v[i+1]/dy - v[i]/dy + xi v[n]|^p per cell on
+    n_cells + 1 nodes: the last node is a constant node fixed at 1 that
+    carries xi, and v[0] is pinned to 0 in place of a zero-mean
+    constraint (only differences enter, so the minimum is the same).
+    The shared reweighted-Newton engine of :mod:`anisofrac.variational`
+    solves it: one direct solve at p = 2, lagged-weight Newton steps
+    otherwise.  Raises :class:`NotConvergedError` when the gradient over
+    all cell nodes, the pinned one included, stays above the tolerance.
     """
     if xi == 0.0:
         return 0.0
     p = c.p
-    dy = 1.0 / n_cells
-    A = c.sample((np.arange(n_cells) + 0.5) * dy)
+    n = n_cells
+    dy = 1.0 / n
+    A = c.sample((np.arange(n) + 0.5) * dy)
+    i = np.arange(n)
+    idx = np.column_stack([(i + 1) % n, i, np.full(n, n)])
+    coef = np.tile([1.0 / dy, -1.0 / dy, float(xi)], (n, 1))
+    atoms = AtomSet(A * dy, idx, coef, n + 1, p)
+    free = np.ones(n + 1, dtype=bool)
+    free[[0, n]] = False
+    fixed = np.zeros(n + 1)
+    fixed[n] = 1.0
 
-    from ._accel import power_delta_numpy
-
-    def slopes(v):
-        return xi + (np.roll(v, -1) - v) / dy
-
-    def fun(v):
-        return float(np.dot(A, np.abs(slopes(v)) ** p) * dy)
-
-    def grad(v):
-        g = slopes(v)
-        ag = np.abs(g)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi = A * p * np.where(ag > 0.0, ag ** (p - 2.0) * g, 0.0)
-        return np.roll(phi, 1) - phi
-
-    def delta(v, d, t):
-        g = slopes(v)
-        e = t * (np.roll(d, -1) - d) / dy
-        return float(np.dot(A, power_delta_numpy(g, e, p)) * dy)
-
-    v0 = np.zeros(n_cells)
     scale = abs(xi) ** (p - 1.0) * max(float(A.max()), 1.0)
-    _, f, res, it, conv, _ = minimize_descent(
-        fun, grad, v0, tol * scale, max_iter, delta=delta
+    v, f, _, it, _, _ = _solve_atoms(
+        atoms, 1.0, np.zeros(n + 1), free, fixed, p, tol * scale, max_iter, "auto"
     )
-    if not conv and res > 1e-6 * scale:
-        raise RuntimeError(
+    # the engine's residual covers the free nodes only; the pinned node's
+    # gradient is minus the sum of the others
+    res = float(np.abs(atoms.gradient(v)[:n]).max())
+    converged = res <= tol * scale
+    if not converged and res > 1e-6 * scale:
+        raise NotConvergedError(
             f"cell problem did not converge (residual {res:g} after {it} iterations)"
         )
     return f

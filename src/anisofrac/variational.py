@@ -10,10 +10,14 @@ density integral, so the minimizers converge to the minimizer of
 
     int A(x, grad v) dx - int f v
 
-as s -> 1.  Both problems are solved by damped gradient descent with a
-backtracking (Armijo) line search on the exact discrete objective; the
-p = 2 problems also assemble the dense symmetric system and solve it
-directly, and the two paths agree to solver tolerance.
+as s -> 1.  One reweighted-Newton engine, ``_solve_atoms``, minimizes
+every discrete energy of the package written as an ``AtomSet``: the
+nonlocal and local problems here and the periodic cell problem of
+:mod:`anisofrac.homogenize`.  It works on a free-node mask with fixed
+values on the other nodes.  For p = 2 it assembles the dense symmetric
+system and solves it directly; otherwise it takes Newton steps on the
+lagged-weight (IRLS) Hessian with a backtracking (Armijo) line search
+on the exact objective, evaluated as a cancellation-free difference.
 
 The nonlocal discrete gradient is the derivative of the quadrature
 itself: the principal-value singularity never appears because the
@@ -41,11 +45,15 @@ __all__ = [
     "solve_nonlocal",
     "solve_local",
     "localization_sweep",
-    "minimize_descent",
+    "NotConvergedError",
 ]
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
+
+
+class NotConvergedError(RuntimeError):
+    """A solve stopped short of its tolerance (CLI exit status 3)."""
 
 
 @dataclass(frozen=True)
@@ -112,60 +120,6 @@ class SolveResult:
                 raise AssertionError("descent produced an increasing objective")
 
 
-def minimize_descent(
-    fun: Callable[[np.ndarray], float],
-    grad: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    tol: float,
-    max_iter: int,
-    delta: Optional[Callable[[np.ndarray, np.ndarray, float], float]] = None,
-) -> tuple[np.ndarray, float, float, int, bool, list[float]]:
-    """Gradient descent, Barzilai-Borwein step, Armijo backtracking.
-
-    When ``delta(x, d, t) = fun(x + t d) - fun(x)`` is supplied, the
-    line search certifies decrease on the difference directly, which
-    resolves steps far below the floating-point granularity of the full
-    objective.  The recorded objective sequence is strictly
-    non-increasing; the loop stops on a sup-norm gradient below ``tol``,
-    a dead line search, or the iteration cap.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    f = fun(x)
-    g = grad(x)
-    trace = [f]
-    if delta is None:
-        delta = lambda x_, d_, t_: fun(x_ + t_ * d_) - f  # noqa: E731
-    step = 1.0 / max(float(np.linalg.norm(g)), 1e-30)
-    it = 0
-    converged = float(np.max(np.abs(g), initial=0.0)) <= tol
-    while not converged and it < max_iter:
-        it += 1
-        d = -g
-        gd = float(np.dot(g, d))
-        t = step
-        accepted = False
-        for _ in range(60):
-            df = delta(x, d, t)
-            if df <= 1e-4 * t * gd:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted or df > 0.0:
-            break  # line search exhausted: float-level stationarity
-        xn = x + t * d
-        gn = grad(xn)
-        dx = xn - x
-        dg = gn - g
-        sy = float(np.dot(dx, dg))
-        step = float(np.dot(dx, dx)) / sy if sy > 1e-300 else t * 2.0
-        x, g = xn, gn
-        f = f + df
-        trace.append(f)
-        converged = float(np.max(np.abs(g), initial=0.0)) <= tol
-    res = float(np.max(np.abs(g), initial=0.0))
-    return x, f, res, it, converged, trace
-
-
 def _free_mask(grid: Grid) -> np.ndarray:
     N = grid.nodes_per_axis
     if grid.dimension == 1:
@@ -181,20 +135,33 @@ def _solve_atoms(
     atoms: AtomSet,
     scale: float,
     b: np.ndarray,
-    grid: Grid,
+    free: np.ndarray,
+    fixed: np.ndarray,
     p: float,
     tol: float,
     max_iter: int,
     method: str,
-) -> SolveResult:
-    """Minimize scale * sum W |ell(v)|^p - b . v over the free nodes."""
-    free = _free_mask(grid)
-    n_nodes = free.size
+    z0: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, float, float, int, bool, tuple[float, ...]]:
+    """Minimize scale * sum W |ell(v)|^p - b . v over the free nodes.
+
+    Nodes outside the boolean mask ``free`` keep their values from
+    ``fixed``; the search starts from ``z0`` on the free nodes (zero by
+    default).  Returns the full node vector of the minimizer, the
+    objective, the sup-norm of the gradient over the free nodes, the
+    iteration count, the convergence flag and the objective trace.
+    """
+    base = np.where(free, 0.0, fixed)
 
     def embed(z):
-        v = np.zeros(n_nodes)
+        v = base.copy()
         v[free] = z
         return v
+
+    def embed_dir(dz):
+        dv = np.zeros(base.size)
+        dv[free] = dz
+        return dv
 
     def fun(z):
         v = embed(z)
@@ -205,9 +172,8 @@ def _solve_atoms(
         return (scale * atoms.gradient(v) - b)[free]
 
     def delta(z, dz, t):
-        v = embed(z)
-        dv = embed(dz)
-        return scale * atoms.delta(v, dv, t) - t * float(np.dot(b, dv))
+        dv = embed_dir(dz)
+        return scale * atoms.delta(embed(z), dv, t) - t * float(np.dot(b, dv))
 
     if method == "auto":
         method = "direct" if p == 2.0 else "descent"
@@ -215,25 +181,17 @@ def _solve_atoms(
         if p != 2.0:
             raise ValueError("direct solve is the p = 2 path")
         H = scale * atoms.hessian_dense()
-        z = np.linalg.solve(H[np.ix_(free, free)], b[free])
+        z = np.linalg.solve(H[np.ix_(free, free)], b[free] - (H @ base)[free])
         f = fun(z)
         res = float(np.max(np.abs(grad(z)), initial=0.0))
-        v = embed(z)
-        return SolveResult(
-            minimizer=GridFunction(grid, v.reshape(grid.shape)),
-            objective=f,
-            residual=res,
-            iterations=1,
-            converged=res <= tol,
-            objective_trace=(f,),
-        )
+        return embed(z), f, res, 1, res <= tol, (f,)
     if method != "descent":
         raise ValueError(f"unknown method {method!r}")
 
-    # damped descent: quasi-Newton direction from the reweighted form
-    # sum W |ell|^{p-2} (exact Hessian at p = 2), Armijo backtracking on
-    # the exact objective evaluated as a cancellation-free difference
-    z = np.zeros(int(free.sum()))
+    # damped Newton: direction from the reweighted form sum W |ell|^{p-2}
+    # (exact Hessian at p = 2), Armijo backtracking on the exact
+    # objective evaluated as a cancellation-free difference
+    z = np.zeros(int(free.sum())) if z0 is None else np.asarray(z0, dtype=float)
     f = fun(z)
     trace = [f]
     it = 0
@@ -270,15 +228,25 @@ def _solve_atoms(
         g = grad(z)
         converged = float(np.max(np.abs(g), initial=0.0)) <= tol
     res = float(np.max(np.abs(g), initial=0.0))
-    v = embed(z)
-    return SolveResult(
-        minimizer=GridFunction(grid, v.reshape(grid.shape)),
-        objective=f,
-        residual=res,
-        iterations=it,
-        converged=converged,
-        objective_trace=tuple(trace),
+    return embed(z), f, res, it, converged, tuple(trace)
+
+
+def _solve_dirichlet(
+    atoms: AtomSet,
+    scale: float,
+    b: np.ndarray,
+    grid: Grid,
+    p: float,
+    tol: float,
+    max_iter: int,
+    method: str,
+) -> SolveResult:
+    """Engine run with every boundary node of ``grid`` pinned to zero."""
+    free = _free_mask(grid)
+    v, *rest = _solve_atoms(
+        atoms, scale, b, free, np.zeros(free.size), p, tol, max_iter, method
     )
+    return SolveResult(GridFunction(grid, v.reshape(grid.shape)), *rest)
 
 
 def solve_nonlocal(prob: NonlocalProblem, method: str = "auto") -> SolveResult:
@@ -292,7 +260,7 @@ def solve_nonlocal(prob: NonlocalProblem, method: str = "auto") -> SolveResult:
     atoms = scheme.atoms(prob.fp)
     b = prob.grid.trapezoid_weights() * prob.source.values.ravel()
     tol = prob.tolerance * (1.0 + float(np.abs(prob.source.values).max()))
-    return _solve_atoms(
+    return _solve_dirichlet(
         atoms,
         1.0 - prob.fp.s,
         b,
@@ -404,7 +372,7 @@ def solve_local(prob: LocalProblem, method: str = "auto") -> SolveResult:
     atoms = _local_atoms(prob)
     b = prob.grid.trapezoid_weights() * prob.source.values.ravel()
     tol = prob.tolerance * (1.0 + float(np.abs(prob.source.values).max()))
-    return _solve_atoms(
+    return _solve_dirichlet(
         atoms, 1.0, b, prob.grid, prob.p, tol, prob.max_iterations, method
     )
 

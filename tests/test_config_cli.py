@@ -140,6 +140,26 @@ def test_cli_solve_nonconvergence_exit_3(tmp_path, monkeypatch):
     assert rc == 3
 
 
+@pytest.mark.parametrize("subcommand", ["homogenize", "commute"])
+def test_cli_cell_problem_nonconvergence_exit_3(tmp_path, monkeypatch, subcommand):
+    from anisofrac import homogenize
+    from anisofrac.variational import NotConvergedError
+
+    def fake_cell(c, xi, n_cells=512, tol=1e-10, max_iter=20_000):
+        raise NotConvergedError("cell problem did not converge")
+
+    monkeypatch.setattr(homogenize, "cell_problem_1d", fake_cell)
+    cfg = _write(
+        tmp_path, "h.ini",
+        "[kernel]\nname = periodic-1d\nA0 = 2.0\nA1 = 1.0\n\n[grid]\nN = 33\n\n"
+        "[params]\ns = 0.5\n",
+    )
+    out = tmp_path / "h.csv"
+    rc = cli.main([subcommand, "--config", cfg, "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
+
+
 def test_cli_solve_writes_grid_csv(tmp_path):
     from anisofrac.gridfn import read_csv
 

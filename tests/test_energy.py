@@ -1,8 +1,13 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from anisofrac.energy import (
+    EnergyScheme,
     QuadratureSettings,
     anisotropic_energy,
     bbm_upper_bound_check,
@@ -235,3 +240,37 @@ def test_2d_grid_cap():
     u = GridFunction(g, np.zeros((49, 49)))
     with pytest.raises(ValueError, match="capped"):
         gagliardo(u, FractionalParams(0.5, 2.0))
+
+
+def test_get_scheme_builds_once_across_threads(monkeypatch):
+    calls = []
+    init = EnergyScheme.__init__
+
+    def counting_init(self, *args):
+        calls.append(1)
+        time.sleep(0.2)  # hold the build open while the other thread misses the cache
+        init(self, *args)
+
+    monkeypatch.setattr(EnergyScheme, "__init__", counting_init)
+    grid = Grid(1, ((0.0, 1.7),), 23)  # a key no other test builds
+    kern = builtin("constant", {"c": 1.3})
+    barrier = threading.Barrier(2)
+    schemes = []
+
+    def worker():
+        barrier.wait(timeout=10)
+        schemes.append(get_scheme(kern, grid))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1
+    assert len(schemes) == 2 and schemes[0] is schemes[1]

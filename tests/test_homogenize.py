@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from anisofrac import homogenize
 from anisofrac.gridfn import Grid, GridFunction, lp_norm
 from anisofrac.kernel import builtin
+from anisofrac.variational import NotConvergedError
 from anisofrac.homogenize import (
     EffectiveCoefficients,
     PeriodicCoefficient,
@@ -57,6 +59,35 @@ def test_cell_problem_homogeneity():
     v1 = cell_problem_1d(c, 1.0, n_cells=128)
     v2 = cell_problem_1d(c, 2.0, n_cells=128)
     assert v2 == pytest.approx(2.0 ** 3.0 * v1, rel=1e-6)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_cell_problem_full_gradient_converges(model_kernel, monkeypatch, p):
+    # the engine checks only the free nodes; the pinned node counts too
+    runs = []
+    engine = homogenize._solve_atoms
+
+    def spy(atoms, *args, **kwargs):
+        out = engine(atoms, *args, **kwargs)
+        runs.append((atoms, out))
+        return out
+
+    monkeypatch.setattr(homogenize, "_solve_atoms", spy)
+    c = coefficient_from_kernel(model_kernel, p)
+    n, tol = 512, 1e-10
+    cell_problem_1d(c, 1.0, n_cells=n, tol=tol)
+    (atoms, (v, _, _, iterations, _, _)), = runs
+    A = c.sample((np.arange(n) + 0.5) / n)
+    scale = max(float(A.max()), 1.0)
+    assert np.abs(atoms.gradient(v)[:n]).max() <= tol * scale
+    if p == 2.0:
+        assert iterations == 1
+
+
+def test_cell_problem_nonconvergence_raises(model_kernel):
+    c = coefficient_from_kernel(model_kernel, 3.0)
+    with pytest.raises(NotConvergedError):
+        cell_problem_1d(c, 1.0, n_cells=64, max_iter=0)
 
 
 def test_effective_star_closed_form_p2(model_kernel):

@@ -8,8 +8,9 @@ from anisofrac.limits import LimitDensity
 from anisofrac.variational import (
     LocalProblem,
     NonlocalProblem,
+    _free_mask,
+    _solve_atoms,
     localization_sweep,
-    minimize_descent,
     solve_local,
     solve_nonlocal,
 )
@@ -162,31 +163,22 @@ def test_uniqueness_proxy_random_inits():
     g = Grid(1, ((-1.0, 1.0),), 33)
     one = GridFunction(g, np.ones(33), boundary_flag=False)
     k = builtin("constant", {"c": 1.0})
-    fp = FractionalParams(0.5, 2.0)
-    scheme = get_scheme(k, g, None)
-    atoms = scheme.atoms(fp)
     b = g.trapezoid_weights() * one.values.ravel()
-    free = np.ones(33, dtype=bool)
-    free[0] = free[-1] = False
-
-    def embed(z):
-        v = np.zeros(33)
-        v[free] = z
-        return v
-
-    def fun(z):
-        return (1.0 - fp.s) * atoms.objective(embed(z)) - float(b @ embed(z))
-
-    def grad(z):
-        return ((1.0 - fp.s) * atoms.gradient(embed(z)) - b)[free]
-
+    free = _free_mask(g)
     rng = np.random.default_rng(42)
-    sols = []
-    for _ in range(2):
-        z0 = rng.standard_normal(31)
-        z, *_ = minimize_descent(fun, grad, z0, tol=1e-12, max_iter=50_000)
-        sols.append(z)
-    assert np.abs(sols[0] - sols[1]).max() <= 1e-6
+    for p in (2.0, 3.0):
+        fp = FractionalParams(0.5, p)
+        atoms = get_scheme(k, g, None).atoms(fp)
+        sols = []
+        for _ in range(2):
+            z0 = rng.standard_normal(31)
+            v, _, _, _, converged, _ = _solve_atoms(
+                atoms, 1.0 - fp.s, b, free, np.zeros(33), p, 1e-12, 200,
+                "descent", z0=z0,
+            )
+            assert converged
+            sols.append(v)
+        assert np.abs(sols[0] - sols[1]).max() <= 1e-6
 
 
 def test_energy_comparison_sandwich(grid129, one129):
