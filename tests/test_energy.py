@@ -17,7 +17,7 @@ from anisofrac.energy import (
 )
 from anisofrac.gridfn import FractionalParams, Grid, GridFunction
 from anisofrac.kernel import builtin
-from conftest import hat_profile
+from conftest import bump_profile, hat_profile
 
 
 def brute_force_seminorm(u_vals, xs_u, s, p, M=2001, L=4.0, m_fn=None):
@@ -185,6 +185,47 @@ def test_atoms_agree_with_report(hat129):
     assert atoms.objective(hat129.values.ravel()) == pytest.approx(
         near + bulk + tail, rel=1e-12
     )
+
+
+# Reports pinned before the quadrature was rewritten as one operator;
+# error_bound is pinned two-sided, which no inequality test does.
+_GOLDEN = {
+    "periodic-1d N=257 hat": dict(
+        value=1.3729222994567973,
+        near_diagonal=0.00124755859375,
+        bulk=1.3106338749247612,
+        tail=0.06104086593828613,
+        error_bound=0.0010131064732353658,
+    ),
+    "separable-angular N=17 bump": dict(
+        value=0.8356884624032442,
+        near_diagonal=0.01270711257646517,
+        bulk=0.7705623546013332,
+        tail=0.05241899522544592,
+        error_bound=0.002699846636266216,
+    ),
+}
+
+
+def _golden_case(name):
+    if name.startswith("periodic-1d"):
+        g = Grid(1, ((-1.0, 1.0),), 257)
+        u = GridFunction.from_callable(g, hat_profile)
+        k = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
+        return k, u, FractionalParams(0.6, 2.5)
+    g = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), 17)
+    u = GridFunction.from_callable(
+        g, lambda x, y: bump_profile(np.hypot(x - 0.1, y) / 0.8)
+    )
+    k = builtin("separable-angular", {"c0": 1.0, "c1": 0.5})
+    return k, u, FractionalParams(0.5, 2.0)
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_report_golden(name):
+    rep = anisotropic_energy(*_golden_case(name))
+    for field, want in _GOLDEN[name].items():
+        assert getattr(rep, field) == pytest.approx(want, rel=1e-10), field
 
 
 def test_bbm_upper_bound_check(hat129):
