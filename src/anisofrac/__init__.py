@@ -7,7 +7,6 @@ the one-dimensional homogenization experiments showing that averaging
 and localization do not commute.
 """
 
-from ._accel import USING_NUMBA, backend_name
 from .gridfn import FractionalParams, Grid, GridFunction, gradient_lp, lp_norm
 from .kernel import Kernel, builtin, matrix_kernel, symmetrize, verify_hypotheses
 from .energy import (
@@ -22,8 +21,6 @@ from .energy import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "USING_NUMBA",
-    "backend_name",
     "FractionalParams",
     "Grid",
     "GridFunction",

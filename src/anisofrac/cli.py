@@ -4,7 +4,8 @@ One config file describes one experiment; the subcommand picks what to
 run.  Tables land in CSV files (written atomically: temp file in the
 target directory, then rename), and every run prints a one-line
 summary.  Exit status: 0 on success, 2 on validation failure, 3 when a
-solver stopped without reaching its tolerance.
+solver stopped without reaching its tolerance (inside a sweep or the
+commute experiment too; the table is still written).
 
 Identical config + seed gives byte-identical CSV output regardless of
 --threads.
@@ -20,7 +21,7 @@ from typing import Optional
 
 from ._parallel import resolve_threads
 from .config import ConfigError, ExperimentConfig, parse_config
-from .energy import anisotropic_energy
+from .energy import _scheme, anisotropic_energy
 from .gridfn import FractionalParams, write_csv
 from .homogenize import coefficient_from_kernel, commute_experiment, effective_star
 from .kernel import verify_hypotheses
@@ -199,9 +200,10 @@ def _run_localize(cfg: ExperimentConfig, threads: int) -> int:
     table = localization_sweep(kern, cfg.p, f, s_list, threads=threads)
     _emit(cfg, _table_csv(table), "distance table")
     print(
-        f"localize: {len(table.rows)} rows, final distance={table.final.value:.8g}"
+        f"localize: {len(table.rows)} rows, final distance={table.final.value:.8g} "
+        f"converged={table.converged}"
     )
-    return EXIT_OK
+    return EXIT_OK if table.converged else EXIT_NO_CONVERGENCE
 
 
 def _run_homogenize(cfg: ExperimentConfig, threads: int) -> int:
@@ -232,18 +234,18 @@ def _run_commute(cfg: ExperimentConfig, threads: int) -> int:
         kern, cfg.p, f, cfg.eps_list, s_list, threads=threads
     )
     lines = ["path,param,value"]
-    for eps, rel in res.eps_path:
-        lines.append(f"eps,{_fmt(eps)},{_fmt(rel)}")
-    for s, rel in res.s_path:
-        lines.append(f"s,{_fmt(s)},{_fmt(rel)}")
+    for e in res.eps_path:
+        lines.append(f"eps,{_fmt(e.param)},{_fmt(e.value)}")
+    for e in res.s_path:
+        lines.append(f"s,{_fmt(e.param)},{_fmt(e.value)}")
     lines.append(f"summary,distance,{_fmt(res.distance)}")
     _emit(cfg, "\n".join(lines) + "\n", "commute table")
     print(
         f"commute p={cfg.p:g}: |u*-ubar|={res.distance:.8g} "
         f"gap={res.coefficients.gap:.8g} eps-path rel={res.eps_final_rel:.3g} "
-        f"s-path rel={res.s_final_rel:.3g}"
+        f"s-path rel={res.s_final_rel:.3g} converged={res.converged}"
     )
-    return EXIT_OK
+    return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
 def _run_verify_kernel(cfg: ExperimentConfig, threads: int) -> int:
@@ -283,7 +285,12 @@ _RUNNERS = {
 
 def run(cfg: ExperimentConfig, subcommand: str, threads: Optional[int] = None) -> int:
     """Execute one experiment; returns the process exit status."""
-    return _RUNNERS[subcommand](cfg, resolve_threads(threads))
+    try:
+        return _RUNNERS[subcommand](cfg, resolve_threads(threads))
+    finally:
+        # each experiment builds its own kernel, so its schemes (~150 MB
+        # of form matrix at 2D N=33) can never be hit again
+        _scheme.cache_clear()
 
 
 def main(argv: Optional[list[str]] = None) -> int:

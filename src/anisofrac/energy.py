@@ -25,14 +25,30 @@ summation order).  ``error_bound`` collects the surrogate remainder, the
 ladder second-difference estimates, the angular-rule residual and the
 far bracket width.
 
-The same weights drive the solvers: :meth:`EnergyScheme.atoms`
-materializes the discrete energy as a flat list of powered linear forms
-(see :mod:`anisofrac._accel`), so minimization and reporting share one
-quadrature.
+The discrete energy is written down once, as one sparse operator that
+does not depend on (s, p).  :class:`EnergyScheme` builds a CSR matrix
+``L`` with one column per node and one row per linear form of the node
+values:
 
-Cost model: plans sample kernel values on a (nodes x rungs x angles)
-lattice.  In 1D this is ~1e5 points for N = 257; in 2D it grows like
-N^2 * rungs * angles, which is why 2D grids are capped at N <= 48.
+    near rows   D_w v(x)            one-sided slope, per (angle, node)
+    bulk rows   v(x) - v(x - r w)   multilinear interpolation, per
+                                    (node, rung, angle); v(x) alone
+                                    (weight doubled) once x - r w has
+                                    left the box
+    tail rows   v(x)                per node
+
+Each row carries a base weight and a label (the bulk rung and the
+parity of the angle), and the weight of a row at (s, p) is its base
+times a factor of its label; only the tail rows also need their node's
+far-ladder sum.  A report is one product ``L v`` and a bincount by
+label; :meth:`EnergyScheme.atoms` hands the same ``L`` with the weights
+of one (s, p) to the solvers, whose gradient is ``L^T (...)`` and whose
+Hessian is the Gram matrix ``L^T diag(2 w) L``.
+
+Cost model: the scheme samples the kernel on a (nodes x rungs x angles)
+lattice and ``L`` has one bulk row per lattice point.  In 1D this is
+~1e5 rows for N = 257; in 2D it grows like N^2 * rungs * angles (9.8M
+nonzeros at N = 33), which is why 2D grids are capped at N <= 48.
 """
 
 from __future__ import annotations
@@ -44,8 +60,8 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
-from . import _accel
 from ._sphere import sphere_measure, sphere_rule
 from .gridfn import FractionalParams, Grid, GridFunction, gradient_lp, lp_norm
 from .kernel import Kernel
@@ -107,54 +123,93 @@ class EnergyReport:
             raise ValueError("error_bound must be nonnegative")
 
 
-class AtomSet:
-    """The discrete energy sum W_a * |sum_k C_ak v_(I_ak)|^p."""
+def power_delta(a, e, p):
+    """|a + e|^p - |a|^p elementwise, cancellation-free for small e.
 
-    def __init__(self, weights, idx, coef, n_nodes, p):
+    This is what lets the line search certify decreases far below
+    eps * |objective|.
+    """
+    a = np.asarray(a, dtype=float)
+    e = np.asarray(e, dtype=float)
+    out = np.empty(np.broadcast_shapes(a.shape, e.shape))
+    a, e = np.broadcast_arrays(a, e)
+    zero_a = a == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(zero_a, 0.0, e / np.where(zero_a, 1.0, a))
+    small = (~zero_a) & (np.abs(r) < 0.5)
+    out[small] = np.abs(a[small]) ** p * np.expm1(p * np.log1p(r[small]))
+    rest = ~small
+    out[rest] = np.abs(a[rest] + e[rest]) ** p - np.abs(a[rest]) ** p
+    return out
+
+
+class AtomSet:
+    """The discrete energy sum_a W_a |(L v)_a|^p of a CSR form matrix L."""
+
+    def __init__(self, weights, L: sparse.csr_matrix, p):
         self.W = np.ascontiguousarray(weights, dtype=float)
-        self.I = np.ascontiguousarray(idx, dtype=np.int64)
-        self.C = np.ascontiguousarray(coef, dtype=float)
-        self.n_nodes = n_nodes
+        if self.W.shape != (L.shape[0],):
+            raise ValueError("need one weight per row of the form matrix")
+        self.L = L
         self.p = float(p)
+
+    @classmethod
+    def from_stencil(cls, weights, idx, coef, n_nodes: int, p) -> "AtomSet":
+        """Atoms W_a |sum_k coef[a, k] v[idx[a, k]]|^p; zero slots are dropped."""
+        coef = np.asarray(coef, dtype=float)
+        keep = coef != 0.0
+        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+        L = sparse.csr_matrix(
+            (coef[keep], np.asarray(idx)[keep], indptr), shape=(coef.shape[0], n_nodes)
+        )
+        return cls(weights, L, p)
 
     def __len__(self):
         return self.W.shape[0]
 
+    def forms(self, v: np.ndarray) -> np.ndarray:
+        """The linear forms ell_a(v), one per atom."""
+        return self.L @ v
+
     def objective(self, v: np.ndarray) -> float:
-        return float(_accel.atom_objective(self.W, self.I, self.C, v, self.p))
+        return float(np.dot(self.W, np.abs(self.forms(v)) ** self.p))
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
-        grad = np.zeros(self.n_nodes)
-        _accel.atom_gradient(self.W, self.I, self.C, v, self.p, grad)
-        return grad
+        ell = self.forms(v)
+        absell = np.abs(ell)
+        # |ell|^(p-2) * ell is 0 at ell = 0 for p > 1; guard the 0**negative case
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coeff = self.W * self.p * np.where(absell > 0.0, absell ** (self.p - 2.0) * ell, 0.0)
+        return self.L.T @ coeff
 
     def delta(self, v: np.ndarray, d: np.ndarray, t: float) -> float:
         """objective(v + t d) - objective(v), cancellation-free."""
-        return float(_accel.atom_delta(self.W, self.I, self.C, v, d, t, self.p))
-
-    def forms(self, v: np.ndarray) -> np.ndarray:
-        """The linear forms ell_a(v), one per atom."""
-        return np.einsum("ak,ak->a", self.C, v[self.I])
+        return float(
+            np.dot(self.W, power_delta(self.forms(v), t * self.forms(d), self.p))
+        )
 
     def reweighted_hessian(self, v: np.ndarray, floor: float) -> np.ndarray:
-        """Dense SPD model (p/2) sum W max(|ell|, floor)^{p-2} * 2 C C^T.
+        """Dense SPD model (p/2) sum W max(|ell|, floor)^{p-2} * 2 ell ell^T.
 
         Exact Hessian for p = 2; for other p the classical secant
         (lagged-weight) approximation, positive definite thanks to the
         floor on |ell|.
         """
         absell = np.maximum(np.abs(self.forms(v)), floor)
-        W_eff = self.W * (self.p / 2.0) * absell ** (self.p - 2.0)
-        H = np.zeros((self.n_nodes, self.n_nodes))
-        _accel.atom_hessian_dense(W_eff, self.I, self.C, H)
-        return H
+        return self._gram(self.W * (self.p / 2.0) * absell ** (self.p - 2.0))
 
     def hessian_dense(self) -> np.ndarray:
         if self.p != 2.0:
             raise ValueError("dense assembly is the p = 2 path")
-        H = np.zeros((self.n_nodes, self.n_nodes))
-        _accel.atom_hessian_dense(self.W, self.I, self.C, H)
-        return H
+        return self._gram(self.W)
+
+    def _gram(self, w: np.ndarray) -> np.ndarray:
+        """Dense L^T diag(2 w) L."""
+        L = self.L
+        data = np.repeat(2.0 * w, np.diff(L.indptr))
+        data *= L.data
+        scaled = sparse.csr_matrix((data, L.indices, L.indptr), shape=L.shape)
+        return (L.T @ scaled).toarray()
 
 
 def _resolve_geometry(grid: Grid, settings: QuadratureSettings):
@@ -179,12 +234,12 @@ def _trapz_factors(n: int) -> np.ndarray:
 
 
 class EnergyScheme:
-    """s-independent quadrature geometry plus kernel samples.
+    """s-independent quadrature: the form matrix ``L`` and its row weights.
 
     Built once per (kernel, grid, settings); reports and atom sets for
-    any (s, p) reuse the sampled kernel values, which is what makes the
-    parameter sweeps affordable.  ``kern=None`` means the unit weight
-    (plain Gagliardo seminorm).
+    any (s, p) reuse ``L``, its base weights and labels, which is what
+    makes the parameter sweeps affordable.  ``kern=None`` means the unit
+    weight (plain Gagliardo seminorm).
     """
 
     def __init__(self, kern: Optional[Kernel], grid: Grid, settings: QuadratureSettings):
@@ -207,8 +262,6 @@ class EnergyScheme:
         self.dirs, self.w_dirs = sphere_rule(n, ang if n == 2 else None)
         self.nodes = grid.nodes()
         self.w_x = grid.trapezoid_weights()
-        self.box_lo = np.array([a for a, _ in grid.box])
-        self.box_hi = np.array([b for _, b in grid.box])
 
         # radial limit at the nodes (near surrogate weight)
         if kern is None:
@@ -220,9 +273,7 @@ class EnergyScheme:
             )
 
         self._build_far()
-        self._bulk_cache = None
-        if self.nodes.shape[0] * self.r_bulk.shape[0] * self.dirs.shape[0] <= 4_000_000:
-            self._bulk_cache = self._bulk_msym(np.arange(self.nodes.shape[0]))
+        self._build_operator()
 
     # -- kernel sampling ---------------------------------------------------
 
@@ -235,14 +286,6 @@ class EnergyScheme:
             np.asarray(ev(x, h), dtype=float)
             + np.asarray(ev(x - h, -h), dtype=float)
         )
-
-    def _bulk_msym(self, idx: np.ndarray) -> np.ndarray:
-        """msym on the (chunk, bulk rung, angle) lattice."""
-        if self._bulk_cache is not None:
-            return self._bulk_cache[idx]
-        x = self.nodes[idx][:, None, None, :]
-        h = self.r_bulk[None, :, None, None] * self.dirs[None, None, :, :]
-        return self._msym(x, h)
 
     def _build_far(self):
         """Far-ladder weights and the beyond-ladder bracket, per node.
@@ -286,6 +329,134 @@ class EnergyScheme:
         self.rem_mu = mu_dir @ self.w_dirs
         self.rem_hw = hw_dir @ self.w_dirs
 
+    # -- the form matrix ----------------------------------------------------
+
+    def _build_operator(self):
+        """Assemble L, its base weights and its row labels.
+
+        Rows: near (angle-major), then one block per (node chunk, bulk
+        rung) with rows in (node, angle) order, then tail.  Labels are
+        2 * rung + angle parity for bulk rows, ``2 * n_bulk`` for near
+        rows and ``2 * n_bulk + 1`` for tail rows.  The nonzeros of each
+        block are written straight into arrays sized by a first counting
+        pass, so the matrix is never held twice.
+        """
+        grid = self.grid
+        n_nodes = self.nodes.shape[0]
+        n_ang = self.dirs.shape[0]
+        n_bulk = self.r_bulk.shape[0]
+        width = 1 + 2 ** grid.dimension  # v(x) and the interpolation corners
+        chunks = [
+            np.arange(start, min(start + _CHUNK, n_nodes))
+            for start in range(0, n_nodes, _CHUNK)
+        ]
+
+        def shifted(sel, j):
+            """The points x - r_j w for the nodes ``sel``, in (node, angle) order."""
+            P = self.nodes[sel][:, None, :] - self.r_bulk[j] * self.dirs[None, :, :]
+            return P.reshape(-1, grid.dimension)
+
+        near_idx, near_coef = self._gradient_stencil()
+        near_keep = near_coef != 0.0
+        n_inside = sum(
+            int(np.count_nonzero(grid.contains(shifted(sel, j))))
+            for sel in chunks
+            for j in range(n_bulk)
+        )
+        n_near = n_ang * n_nodes
+        n_rows = n_near + n_bulk * n_ang * n_nodes + n_nodes
+        nnz = (
+            int(near_keep.sum())
+            + n_bulk * n_ang * n_nodes + (width - 1) * n_inside
+            + n_nodes
+        )
+        data = np.empty(nnz)
+        indices = np.empty(nnz, dtype=np.int32)
+        indptr = np.empty(n_rows + 1, dtype=np.int32)
+        base = np.empty(n_rows)
+        label = np.empty(n_rows, dtype=np.int32)
+
+        # near rows: a(x, w) |D_w v(x)|^p
+        row_nnz = near_keep.sum(axis=1)
+        indptr[:n_near] = np.cumsum(row_nnz) - row_nnz
+        pos = int(row_nnz.sum())
+        data[:pos] = near_coef[near_keep]
+        indices[:pos] = near_idx[near_keep]
+        base[:n_near] = (self.w_dirs[:, None] * self.a_vals.T * self.w_x[None, :]).ravel()
+        label[:n_near] = 2 * n_bulk
+
+        # bulk rows: msym |v(x) - v(x - r w)|^p, or 2 msym |v(x)|^p once the
+        # shifted point has left the box (v vanishes there, and the pair
+        # swap counts the mirrored pair a second time)
+        row = n_near
+        parity = np.tile(np.arange(n_ang) % 2, _CHUNK)
+        for sel in chunks:
+            ms = self._msym(
+                self.nodes[sel][:, None, None, :],
+                self.r_bulk[None, :, None, None] * self.dirs[None, None, :, :],
+            )
+            block = sel.size * n_ang
+            for j in range(n_bulk):
+                cols, weights, ins = grid.interpolation_stencil(shifted(sel, j))
+                row_nnz = np.where(ins, width, 1)
+                starts = pos + np.cumsum(row_nnz) - row_nnz
+                indptr[row:row + block] = starts
+                data[starts] = 1.0
+                indices[starts] = np.repeat(sel, n_ang)
+                corners = starts[ins, None] + np.arange(1, width)
+                data[corners] = -weights[ins]
+                indices[corners] = cols[ins]
+                base[row:row + block] = (
+                    self.w_x[sel][:, None] * self.w_dirs[None, :] * ms[:, j, :]
+                ).ravel() * np.where(ins, 1.0, 2.0)
+                label[row:row + block] = 2 * j + parity[:block]
+                pos += int(row_nnz.sum())
+                row += block
+
+        # tail rows: v(x), weighted by the far ladder at report time
+        indptr[row:n_rows] = pos + np.arange(n_nodes)
+        indptr[n_rows] = nnz
+        data[pos:] = 1.0
+        indices[pos:] = np.arange(n_nodes)
+        base[row:] = 2.0 * self.w_x
+        label[row:] = 2 * n_bulk + 1
+
+        self.L = sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_nodes))
+        self.base = base
+        self.label = label
+        self.near_rows = slice(0, n_near)
+        self.tail_rows = slice(row, n_rows)
+
+    def _gradient_stencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of D_w v(x_i), angle-major: one-sided slopes toward -w.
+
+        Returns node indices and coefficients, shape (n_ang * n_nodes,
+        1 + n); slots of neighbors outside the grid (zero ghosts) and of
+        zero direction components carry coefficient 0.
+        """
+        N = self.grid.nodes_per_axis
+        n_nodes = self.nodes.shape[0]
+        n = self.grid.dimension
+        axis_index = np.divmod(np.arange(n_nodes), N) if n == 2 else (np.arange(n_nodes),)
+        idx = np.zeros((self.dirs.shape[0], n_nodes, 1 + n), dtype=np.int64)
+        coef = np.zeros((self.dirs.shape[0], n_nodes, 1 + n))
+        idx[:, :, 0] = np.arange(n_nodes)
+        # per axis the limit is exactly |w_axis|/h * (v_center - v_neighbor)
+        # with the neighbor on the -sign(w_axis) side: flipping the
+        # direction component also flips which neighbor enters
+        for k, w in enumerate(self.dirs):
+            for axis, h in enumerate(self.grid.spacing):
+                if w[axis] == 0.0:
+                    continue
+                nb = list(axis_index)
+                nb[axis] = nb[axis] + (-1 if w[axis] > 0 else 1)
+                ok = (nb[axis] >= 0) & (nb[axis] < N)
+                flat = nb[0] * N + nb[1] if n == 2 else nb[0]
+                coef[k, :, 0] += abs(w[axis]) / h
+                idx[k, ok, 1 + axis] = flat[ok]
+                coef[k, ok, 1 + axis] = -abs(w[axis]) / h
+        return idx.reshape(-1, 1 + n), coef.reshape(-1, 1 + n)
+
     # -- reporting ----------------------------------------------------------
 
     def raw_components(self, u: GridFunction, fp: FractionalParams):
@@ -305,43 +476,31 @@ class EnergyScheme:
                     f"diameter {supp_diam:g}; enlarge h_split"
                 )
         s, p = fp.s, fp.p
-        n_nodes = self.nodes.shape[0]
-        upow = np.abs(uflat) ** p
+        n_ang = self.dirs.shape[0]
+        n_bulk = self.r_bulk.shape[0]
+        ell = self.L @ uflat
+        sums = np.bincount(
+            self.label, self.base * np.abs(ell) ** p, minlength=2 * n_bulk + 2
+        )
 
         # near: a(x,w) |D_w u(x)|^p integrated in r over [0, h_min); the
         # one-sided slopes D_w are the exact small-offset limit of the
         # piecewise-linear difference quotient
         c_near = self.h_min ** (p * (1.0 - s)) / (p * (1.0 - s))
-        slopes = u.directional_slopes(self.dirs)
-        gdotw = np.abs(slopes) ** p
-        near_x = c_near * np.einsum("bk,bk,k->b", self.a_vals, gdotw, self.w_dirs)
-        near = float(np.dot(self.w_x, near_x))
+        slopes = ell[self.near_rows].reshape(n_ang, -1)
+        near = c_near * float(sums[2 * n_bulk])
 
-        # bulk ladder
-        n_bulk = self.r_bulk.shape[0]
-        S = np.zeros(n_bulk)
-        S_half = np.zeros(n_bulk)
-        half = slice(0, None, 2) if self.dirs.shape[0] >= 4 else slice(None)
+        # bulk ladder: per-rung sums, and the same over the even angles
+        # (rescaled to the full rule) for the angular residual
         rpow = self.r_bulk ** (-s * p)
-        for start in range(0, n_nodes, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, n_nodes))
-            xB = self.nodes[idx]
-            P = xB[:, None, None, :] - self.r_bulk[None, :, None, None] * self.dirs[None, None, :, :]
-            uP = u.eval(P)
-            outside = np.any((P < self.box_lo) | (P > self.box_hi), axis=-1)
-            ms = self._bulk_msym(idx)
-            uB = uflat[idx][:, None, None]
-            integ = ms * (np.abs(uB - uP) ** p + outside * (np.abs(uB) ** p))
-            wB = self.w_x[idx]
-            S += rpow * np.einsum("bjk,k,b->j", integ, self.w_dirs, wB)
-            S_half += rpow * np.einsum(
-                "bjk,k,b->j", integ[:, :, half], self.w_dirs[half], wB
-            ) * (self.dirs.shape[0] / max(len(self.w_dirs[half]), 1))
+        S_even = rpow * sums[0:2 * n_bulk:2]
+        S = S_even + rpow * sums[1:2 * n_bulk:2]
+        S_half = S_even * (n_ang / len(range(0, n_ang, 2)))
         cb = _trapz_factors(n_bulk)
         bulk = float(self.dt * np.dot(cb, S))
 
         # tail: far ladder (disjoint supports -> 2 |u(x)|^p) + remainder
-        wu = self.w_x * upow
+        wu = self.w_x * np.abs(ell[self.tail_rows]) ** p
         rpow_far = self.r_far ** (-s * p)
         T = 2.0 * rpow_far * (wu @ self.far_mw)
         cf = _trapz_factors(self.r_far.shape[0])
@@ -355,7 +514,7 @@ class EnergyScheme:
         # near surrogate: in 2D the bilinear cross term leaves an O(r)
         # residue in the difference quotient; in 1D the slopes are exact
         # and only the kernel deviation below remains
-        gmax = np.abs(slopes).max(axis=1)
+        gmax = np.abs(slopes).max(axis=0)
         if self.grid.dimension == 2:
             d2 = self._second_difference_scale(u)
             surro = (
@@ -373,7 +532,7 @@ class EnergyScheme:
         err += self.dt / 12.0 * float(np.abs(np.diff(S, 2)).sum()) if n_bulk > 2 else 0.0
         err += self.dt_far / 12.0 * float(np.abs(np.diff(T, 2)).sum()) if T.size > 2 else 0.0
         # angular residual
-        if self.dirs.shape[0] >= 4:
+        if n_ang >= 4:
             err += abs(self.dt * float(np.dot(cb, S - S_half)))
         # far bracket width
         err += float(2.0 * np.dot(wu, self.rem_hw) * rem_factor)
@@ -424,149 +583,23 @@ class EnergyScheme:
     # -- atoms for the solvers ----------------------------------------------
 
     def atoms(self, fp: FractionalParams) -> AtomSet:
-        """Materialize the quadrature as powered linear forms in the node values."""
-        n = self.grid.dimension
-        n_nodes = self.nodes.shape[0]
-        n_ang = self.dirs.shape[0]
-        n_bulk = self.r_bulk.shape[0]
-        if n_nodes * n_bulk * n_ang > 6_000_000:
-            raise ValueError(
-                "atom set too large; reduce N or the angular rule for solves"
-            )
+        """The quadrature at (s, p) as powered linear forms over ``L``."""
         s, p = fp.s, fp.p
-        K = 3 if n == 1 else 5
-        rows_w, rows_i, rows_c = [], [], []
-
-        # near atoms: one-sided directional derivative
-        c_near = self.h_min ** (p * (1.0 - s)) / (p * (1.0 - s))
-        for k in range(n_ang):
-            w = self.w_dirs[k] * c_near * self.a_vals[:, k] * self.w_x
-            idx = np.zeros((n_nodes, K), dtype=np.int64)
-            coef = np.zeros((n_nodes, K))
-            self._gradient_stencil(self.dirs[k], idx, coef)
-            rows_w.append(w)
-            rows_i.append(idx)
-            rows_c.append(coef)
-
-        # bulk atoms
-        cb = _trapz_factors(n_bulk)
-        rpow = self.r_bulk ** (-s * p)
-        for start in range(0, n_nodes, _CHUNK):
-            sel = np.arange(start, min(start + _CHUNK, n_nodes))
-            xB = self.nodes[sel]
-            ms = self._bulk_msym(sel)
-            for j in range(n_bulk):
-                P = xB[:, None, :] - self.r_bulk[j] * self.dirs[None, :, :]
-                outside = np.any((P < self.box_lo) | (P > self.box_hi), axis=-1)
-                Wbase = (
-                    self.w_x[sel][:, None]
-                    * (self.dt * cb[j] * rpow[j])
-                    * self.w_dirs[None, :]
-                    * ms[:, j, :]
-                )
-                idx = np.zeros((sel.size, n_ang, K), dtype=np.int64)
-                coef = np.zeros((sel.size, n_ang, K))
-                idx[:, :, 0] = sel[:, None]
-                coef[:, :, 0] = 1.0
-                self._interp_stencil(P, outside, idx, coef)
-                W = np.where(outside, 2.0 * Wbase, Wbase)
-                rows_w.append(W.ravel())
-                rows_i.append(idx.reshape(-1, K))
-                rows_c.append(coef.reshape(-1, K))
-
+        n_bulk = self.r_bulk.shape[0]
+        factor = np.empty(2 * n_bulk + 2)
+        rung = self.dt * _trapz_factors(n_bulk) * self.r_bulk ** (-s * p)
+        factor[0:2 * n_bulk:2] = rung
+        factor[1:2 * n_bulk:2] = rung
+        factor[2 * n_bulk] = self.h_min ** (p * (1.0 - s)) / (p * (1.0 - s))
+        factor[2 * n_bulk + 1] = 1.0
+        W = self.base * factor[self.label]
         # tail ladder and remainder collapse to |v(x)|^p atoms
         cf = _trapz_factors(self.r_far.shape[0])
-        rpow_far = self.r_far ** (-s * p)
-        tail_coeff = 2.0 * self.w_x * (
-            self.far_mw @ (self.dt_far * cf * rpow_far)
+        W[self.tail_rows] *= (
+            self.far_mw @ (self.dt_far * cf * self.r_far ** (-s * p))
             + self.rem_mu * (self.h_max ** (-s * p) / (s * p))
         )
-        idx = np.zeros((n_nodes, K), dtype=np.int64)
-        coef = np.zeros((n_nodes, K))
-        idx[:, 0] = np.arange(n_nodes)
-        coef[:, 0] = 1.0
-        rows_w.append(tail_coeff)
-        rows_i.append(idx)
-        rows_c.append(coef)
-
-        W = np.concatenate(rows_w)
-        I = np.concatenate(rows_i, axis=0)
-        C = np.concatenate(rows_c, axis=0)
-        keep = W > 0.0
-        return AtomSet(W[keep], I[keep], C[keep], n_nodes, p)
-
-    def _gradient_stencil(self, w, idx, coef):
-        """Rows of D_w v(x_i): one-sided slopes toward -w (ghosts are 0)."""
-        N = self.grid.nodes_per_axis
-        n_nodes = self.nodes.shape[0]
-        # per axis the limit is exactly |w_axis|/h * (v_center - v_neighbor)
-        # with the neighbor on the -sign(w_axis) side: flipping the
-        # direction component also flips which neighbor enters
-        if self.grid.dimension == 1:
-            h, = self.grid.spacing
-            i = np.arange(n_nodes)
-            shift = -1 if w[0] > 0 else 1
-            coef[:, 0] = abs(w[0]) / h
-            idx[:, 0] = i
-            j = i + shift
-            ok = (j >= 0) & (j < N)
-            idx[ok, 1] = j[ok]
-            coef[ok, 1] = -abs(w[0]) / h
-            return
-        hx, hy = self.grid.spacing
-        ii, jj = np.divmod(np.arange(n_nodes), N)
-        center = np.zeros(n_nodes)
-        slot = 1
-        for axis, (comp, h) in enumerate(((w[0], hx), (w[1], hy))):
-            if comp == 0.0:
-                continue
-            shift = -1 if comp > 0 else 1
-            ni = ii + (shift if axis == 0 else 0)
-            nj = jj + (shift if axis == 1 else 0)
-            center += abs(comp) / h
-            ok = (ni >= 0) & (ni < N) & (nj >= 0) & (nj < N)
-            idx[ok, slot] = (ni * N + nj)[ok]
-            coef[ok, slot] = -abs(comp) / h
-            slot += 1
-        idx[:, 0] = np.arange(n_nodes)
-        coef[:, 0] = center
-
-    def _interp_stencil(self, P, outside, idx, coef):
-        """Append -u(P) interpolation entries to atoms (slots 1..)."""
-        N = self.grid.nodes_per_axis
-        if self.grid.dimension == 1:
-            (a, _), = self.grid.box
-            h, = self.grid.spacing
-            q = (P[..., 0] - a) / h
-            j = np.clip(np.floor(q).astype(np.int64), 0, N - 2)
-            t = np.clip(q - j, 0.0, 1.0)
-            inside = ~outside
-            idx[..., 1] = np.where(inside, j, 0)
-            coef[..., 1] = np.where(inside, -(1.0 - t), 0.0)
-            idx[..., 2] = np.where(inside, j + 1, 0)
-            coef[..., 2] = np.where(inside, -t, 0.0)
-            return
-        (ax, _), (ay, _) = self.grid.box
-        hx, hy = self.grid.spacing
-        qx = (P[..., 0] - ax) / hx
-        qy = (P[..., 1] - ay) / hy
-        jx = np.clip(np.floor(qx).astype(np.int64), 0, N - 2)
-        jy = np.clip(np.floor(qy).astype(np.int64), 0, N - 2)
-        tx = np.clip(qx - jx, 0.0, 1.0)
-        ty = np.clip(qy - jy, 0.0, 1.0)
-        inside = ~outside
-        base = jx * N + jy
-        for slot, (off, cc) in enumerate(
-            (
-                (0, (1.0 - tx) * (1.0 - ty)),
-                (N, tx * (1.0 - ty)),
-                (1, (1.0 - tx) * ty),
-                (N + 1, tx * ty),
-            ),
-            start=1,
-        ):
-            idx[..., slot] = np.where(inside, base + off, 0)
-            coef[..., slot] = np.where(inside, -cc, 0.0)
+        return AtomSet(W, self.L, p)
 
 
 @lru_cache(maxsize=8)

@@ -19,8 +19,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _accel
-
 __all__ = [
     "Grid",
     "GridFunction",
@@ -83,6 +81,35 @@ class Grid:
             return out
         w2 = w1 * self.spacing[1]
         return np.outer(out, w2).ravel()
+
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Whether each of the points, shape (m, n), lies in the closed box."""
+        inside = np.ones(points.shape[0], dtype=bool)
+        for axis, (a, b) in enumerate(self.box):
+            inside &= (points[:, axis] >= a) & (points[:, axis] <= b)
+        return inside
+
+    def interpolation_stencil(
+        self, points: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Multilinear interpolation at points of shape (m, n).
+
+        Returns the flat indices and weights of the 2**n corner nodes of
+        each point's cell, both (m, 2**n), and the :meth:`contains` mask.
+        Points outside the box get the weights of the nearest cell; the
+        zero extension is the caller's business.
+        """
+        N = self.nodes_per_axis
+        cols = np.zeros((points.shape[0], 1), dtype=np.int64)
+        weights = np.ones((points.shape[0], 1))
+        for axis, ((a, _), h) in enumerate(zip(self.box, self.spacing)):
+            q = np.clip((points[:, axis] - a) / h, 0.0, N - 1.0)
+            j = np.minimum(q.astype(np.int64), N - 2)
+            t = (q - j)[:, None]
+            lower = N * cols + j[:, None]
+            cols = np.concatenate([lower, lower + 1], axis=1)
+            weights = np.concatenate([weights * (1.0 - t), weights * t], axis=1)
+        return cols, weights, self.contains(points)
 
     @property
     def diameter(self) -> float:
@@ -154,71 +181,11 @@ class GridFunction:
         if pts.ndim == 0 or (self.grid.dimension == 1 and pts.shape[-1] != 1):
             pts = pts.reshape(pts.shape + (1,))
         lead = pts.shape[:-1]
-        flat = pts.reshape(-1, self.grid.dimension)
-        if self.grid.dimension == 1:
-            (a, b), = self.grid.box
-            xs = np.linspace(a, b, self.grid.nodes_per_axis)
-            out = np.interp(flat[:, 0], xs, self.values, left=0.0, right=0.0)
-            # np.interp clamps; kill anything strictly outside
-            out = np.where((flat[:, 0] < a) | (flat[:, 0] > b), 0.0, out)
-        else:
-            (ax, _), (ay, _) = self.grid.box
-            hx, hy = self.grid.spacing
-            out = np.empty(flat.shape[0])
-            _accel.interp_bilinear(
-                self.values, ax, ay, hx, hy,
-                np.ascontiguousarray(flat[:, 0]),
-                np.ascontiguousarray(flat[:, 1]),
-                out,
-            )
-        return out.reshape(lead)
-
-    def node_gradient(self) -> np.ndarray:
-        """Gradient at the nodes by central differences, shape (n_nodes, n).
-
-        Uses the zero extension as ghost values outside the box, which is
-        the right one-sided behavior for pinned-boundary functions.
-        """
-        v = self.values
-        if self.grid.dimension == 1:
-            h, = self.grid.spacing
-            padded = np.concatenate([[0.0], v, [0.0]])
-            g = (padded[2:] - padded[:-2]) / (2.0 * h)
-            return g[:, None]
-        hx, hy = self.grid.spacing
-        px = np.pad(v, ((1, 1), (0, 0)))
-        py = np.pad(v, ((0, 0), (1, 1)))
-        gx = (px[2:, :] - px[:-2, :]) / (2.0 * hx)
-        gy = (py[:, 2:] - py[:, :-2]) / (2.0 * hy)
-        return np.column_stack([gx.ravel(), gy.ravel()])
-
-    def directional_slopes(self, dirs: np.ndarray) -> np.ndarray:
-        """lim_{r->0+} [u(x) - u(x - r w)]/r at every node, shape (nodes, M).
-
-        Exact for the piecewise-multilinear interpolant: the offset lands
-        in the cell on the -w side of the node, so one-sided differences
-        (with zero ghosts outside the box) give the limit directly.
-        """
-        v = self.values
-        dirs = np.asarray(dirs, dtype=float)
-        if self.grid.dimension == 1:
-            h, = self.grid.spacing
-            padded = np.concatenate([[0.0], v, [0.0]])
-            back = (padded[1:-1] - padded[:-2]) / h   # slope on the left cell
-            fwd = (padded[2:] - padded[1:-1]) / h     # slope on the right cell
-            w = dirs[:, 0]
-            return np.where(w[None, :] > 0, back[:, None], fwd[:, None]) * w[None, :]
-        hx, hy = self.grid.spacing
-        px = np.pad(v, ((1, 1), (0, 0)))
-        py = np.pad(v, ((0, 0), (1, 1)))
-        back_x = ((px[1:-1, :] - px[:-2, :]) / hx).ravel()
-        fwd_x = ((px[2:, :] - px[1:-1, :]) / hx).ravel()
-        back_y = ((py[:, 1:-1] - py[:, :-2]) / hy).ravel()
-        fwd_y = ((py[:, 2:] - py[:, 1:-1]) / hy).ravel()
-        wx, wy = dirs[:, 0], dirs[:, 1]
-        sx = np.where(wx[None, :] > 0, back_x[:, None], fwd_x[:, None])
-        sy = np.where(wy[None, :] > 0, back_y[:, None], fwd_y[:, None])
-        return sx * wx[None, :] + sy * wy[None, :]
+        cols, weights, inside = self.grid.interpolation_stencil(
+            pts.reshape(-1, self.grid.dimension)
+        )
+        vals = np.einsum("mk,mk->m", weights, self.values.ravel()[cols])
+        return np.where(inside, vals, 0.0).reshape(lead)
 
     def cell_gradients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cell-centered gradients: (centers, gradients, cell volumes)."""

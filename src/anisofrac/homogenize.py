@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "EffectiveCoefficients",
     "EffectiveStarResult",
     "CommuteResult",
+    "PathEntry",
     "coefficient_from_kernel",
     "effective_star",
     "effective_bar",
@@ -151,7 +152,7 @@ def cell_problem_1d(
     i = np.arange(n)
     idx = np.column_stack([(i + 1) % n, i, np.full(n, n)])
     coef = np.tile([1.0 / dy, -1.0 / dy, float(xi)], (n, 1))
-    atoms = AtomSet(A * dy, idx, coef, n + 1, p)
+    atoms = AtomSet.from_stencil(A * dy, idx, coef, n + 1, p)
     free = np.ones(n + 1, dtype=bool)
     free[[0, n]] = False
     fixed = np.zeros(n + 1)
@@ -262,6 +263,14 @@ def rescaled_kernel(k: Kernel, eps: float) -> Kernel:
     )
 
 
+class PathEntry(NamedTuple):
+    """One point of a finite-parameter path of the commute experiment."""
+
+    param: float
+    value: float
+    converged: bool  # False when a solve behind the point stopped short
+
+
 @dataclass(frozen=True)
 class CommuteResult:
     """Outputs of the order-of-limits experiment."""
@@ -271,17 +280,24 @@ class CommuteResult:
     distance: float
     coefficients: EffectiveCoefficients
     star_report: EffectiveStarResult
-    eps_path: tuple[tuple[float, float], ...]   # (eps, rel distance to u_star)
-    s_path: tuple[tuple[float, float], ...]     # (s, rel distance to u_bar)
+    eps_path: tuple[PathEntry, ...]   # (eps, rel distance to u_star)
+    s_path: tuple[PathEntry, ...]     # (s, rel distance to u_bar)
     localization_tables: tuple[ConvergenceTable, ...]
+    limits_converged: bool            # the solves for u_star and u_bar
 
     @property
     def eps_final_rel(self) -> float:
-        return self.eps_path[-1][1]
+        return self.eps_path[-1].value
 
     @property
     def s_final_rel(self) -> float:
-        return self.s_path[-1][1]
+        return self.s_path[-1].value
+
+    @property
+    def converged(self) -> bool:
+        return self.limits_converged and all(
+            e.converged for e in self.eps_path + self.s_path
+        )
 
 
 def _resample(u: GridFunction, grid: Grid) -> GridFunction:
@@ -331,12 +347,13 @@ def commute_experiment(
     a_bar = effective_bar(k, p)
     coeffs = EffectiveCoefficients(A_star=star.value, A_bar=a_bar)
 
-    u_star = solve_local(
+    res_star = solve_local(
         LocalProblem(grid=grid, p=p, source=f, coefficient=star.value)
-    ).minimizer
-    u_bar = solve_local(
+    )
+    res_bar = solve_local(
         LocalProblem(grid=grid, p=p, source=f, coefficient=a_bar)
-    ).minimizer
+    )
+    u_star, u_bar = res_star.minimizer, res_bar.minimizer
     diff = GridFunction(grid, u_star.values - u_bar.values, boundary_flag=False)
     distance = lp_norm(diff, p)
     norm_star = lp_norm(u_star, p)
@@ -348,9 +365,10 @@ def commute_experiment(
         k_eps = rescaled_kernel(k, eps)
         f_eps = _resample(f, g_eps)
         ld = LimitDensity(k_eps, p)
-        u_eps = solve_local(
+        res_eps = solve_local(
             LocalProblem(grid=g_eps, p=p, source=f_eps, density=ld)
-        ).minimizer
+        )
+        u_eps = res_eps.minimizer
         table = localization_sweep(
             k_eps, p, f_eps, list(s_list), settings=settings,
             local_solution=u_eps,
@@ -359,13 +377,12 @@ def commute_experiment(
             g_eps, u_eps.values - _resample(u_star, g_eps).values,
             boundary_flag=False,
         )
-        return lp_norm(d, p) / norm_star, table
+        entry = PathEntry(eps, lp_norm(d, p) / norm_star,
+                          res_eps.converged and table.converged)
+        return entry, table
 
-    eps_sorted = sorted(eps_list, reverse=True)
-    eps_results = pmap(eps_case, eps_sorted, threads)
-    eps_path = tuple(
-        (eps, rel) for eps, (rel, _) in zip(eps_sorted, eps_results)
-    )
+    eps_results = pmap(eps_case, sorted(eps_list, reverse=True), threads)
+    eps_path = tuple(e for e, _ in eps_results)
     tables = tuple(t for _, t in eps_results)
 
     # path (ii): average the kernel first, then localize
@@ -381,11 +398,9 @@ def commute_experiment(
         d = GridFunction(
             grid, res.minimizer.values - u_bar.values, boundary_flag=False
         )
-        return lp_norm(d, p) / norm_bar
+        return PathEntry(s, lp_norm(d, p) / norm_bar, res.converged)
 
-    s_sorted = sorted(s_list)
-    s_rels = pmap(s_case, s_sorted, threads)
-    s_path = tuple(zip(s_sorted, s_rels))
+    s_path = tuple(pmap(s_case, sorted(s_list), threads))
 
     return CommuteResult(
         u_star=u_star,
@@ -396,4 +411,5 @@ def commute_experiment(
         eps_path=eps_path,
         s_path=s_path,
         localization_tables=tables,
+        limits_converged=res_star.converged and res_bar.converged,
     )

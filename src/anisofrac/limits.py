@@ -216,11 +216,14 @@ def ms_weight_extrapolated(
 
 @dataclass(frozen=True)
 class TableRow:
+    """One sweep row; ``converged`` is False when a solve behind it stopped short."""
+
     param: float
     value: float
     extrapolated: Optional[float]
     reference: Optional[float]
     rel_error: Optional[float]
+    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -240,6 +243,10 @@ class ConvergenceTable:
     @property
     def final(self) -> TableRow:
         return self.rows[-1]
+
+    @property
+    def converged(self) -> bool:
+        return all(r.converged for r in self.rows)
 
     def best_estimate(self) -> float:
         last = self.rows[-1]

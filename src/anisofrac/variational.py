@@ -300,7 +300,7 @@ def _local_atoms(prob: LocalProblem) -> AtomSet:
             coefs = np.zeros((N - 1, 3))
             idx[:, 0], coefs[:, 0] = i + 1, 1.0 / h
             idx[:, 1], coefs[:, 1] = i, -1.0 / h
-            return AtomSet(W, idx, coefs, N, p)
+            return AtomSet.from_stencil(W, idx, coefs, N, p)
         ld = prob.density
         dirs, w_dirs = ld._dirs, ld._weights
         a_vals = np.asarray(
@@ -315,7 +315,9 @@ def _local_atoms(prob: LocalProblem) -> AtomSet:
         coefs[:, :, 0] = dirs[None, :, 0] / h
         idx[:, :, 1] = i[:, None]
         coefs[:, :, 1] = -dirs[None, :, 0] / h
-        return AtomSet(W.ravel(), idx.reshape(-1, 3), coefs.reshape(-1, 3), N, p)
+        return AtomSet.from_stencil(
+            W.ravel(), idx.reshape(-1, 3), coefs.reshape(-1, 3), N, p
+        )
 
     # n = 2, density-driven
     ld = prob.density
@@ -358,7 +360,7 @@ def _local_atoms(prob: LocalProblem) -> AtomSet:
         all_w.append(W.ravel())
         all_i.append(idx.reshape(-1, 5))
         all_c.append(coefs.reshape(-1, 5))
-    return AtomSet(
+    return AtomSet.from_stencil(
         np.concatenate(all_w),
         np.concatenate(all_i, axis=0),
         np.concatenate(all_c, axis=0),
@@ -389,21 +391,22 @@ def localization_sweep(
     """Distance of the nonlocal minimizers to the local one as s -> 1.
 
     Rows hold (s, ||u_s - u||_p) with reference 0; the tail of the table
-    should trend down.  ``local_solution`` overrides the local solve
-    (used by the homogenization experiment to compare against effective
-    problems).
+    should trend down.  A row's ``converged`` flag is False when its
+    nonlocal solve, or the local solve, stopped short of its tolerance.
+    ``local_solution`` overrides the local solve (used by the
+    homogenization experiment to compare against effective problems).
     """
     s_list = list(s_list)
     if s_list != sorted(s_list):
         raise ValueError("s_list must increase toward 1")
     grid = f.grid
+    local_converged = True
     if local_solution is None:
         ld = LimitDensity(k, p)
-        local_solution = solve_local(
-            LocalProblem(grid=grid, p=p, source=f, density=ld)
-        ).minimizer
+        local = solve_local(LocalProblem(grid=grid, p=p, source=f, density=ld))
+        local_solution, local_converged = local.minimizer, local.converged
 
-    def distance(s: float) -> float:
+    def distance(s: float) -> tuple[float, bool]:
         res = solve_nonlocal(
             NonlocalProblem(kern=k, fp=FractionalParams(s, p), grid=grid, source=f,
                             settings=settings)
@@ -411,11 +414,12 @@ def localization_sweep(
         diff = GridFunction(
             grid, res.minimizer.values - local_solution.values, boundary_flag=False
         )
-        return lp_norm(diff, p)
+        return lp_norm(diff, p), res.converged
 
-    values = pmap(distance, s_list, threads)
+    results = pmap(distance, s_list, threads)
     rows = tuple(
-        TableRow(param=s, value=v, extrapolated=None, reference=0.0, rel_error=None)
-        for s, v in zip(s_list, values)
+        TableRow(param=s, value=v, extrapolated=None, reference=0.0, rel_error=None,
+                 converged=ok and local_converged)
+        for s, (v, ok) in zip(s_list, results)
     )
     return ConvergenceTable(rows, method="monotone-tail")

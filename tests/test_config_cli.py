@@ -160,6 +160,57 @@ def test_cli_cell_problem_nonconvergence_exit_3(tmp_path, monkeypatch, subcomman
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "subcommand, module",
+    [("localize", "variational"), ("commute", "variational"), ("commute", "homogenize")],
+)
+def test_cli_inner_solve_nonconvergence_exit_3(tmp_path, monkeypatch, subcommand, module):
+    # commute reaches variational.solve_nonlocal through the localization
+    # sweeps of its eps path and homogenize.solve_nonlocal on its s path
+    from anisofrac import variational
+    from anisofrac.gridfn import GridFunction
+    from anisofrac.variational import SolveResult
+
+    real_solve = variational.solve_nonlocal
+    stopped = []
+
+    def short_solve(prob, method="auto"):
+        res = real_solve(prob, method)
+        if stopped:
+            return res
+        stopped.append(prob.fp.s)
+        return SolveResult(minimizer=res.minimizer, objective=res.objective,
+                           residual=1.0, iterations=prob.max_iterations,
+                           converged=False, objective_trace=res.objective_trace)
+
+    monkeypatch.setattr(f"anisofrac.{module}.solve_nonlocal", short_solve)
+    cfg = _write(
+        tmp_path, "c.ini",
+        "[kernel]\nname = periodic-1d\nA0 = 2.0\nA1 = 1.0\n\n[grid]\nN = 33\n\n"
+        "[params]\ns_list = 0.75, 0.875, 0.9375\neps_list = 0.25\n",
+    )
+    out = tmp_path / "c.csv"
+    rc = cli.main([subcommand, "--config", cfg, "--out", str(out)])
+    assert len(stopped) == 1
+    assert rc == 3
+    # the table is still written, with the CSV header unchanged
+    header = "param,value,extrapolated,reference,rel_error" if subcommand == "localize" \
+        else "path,param,value"
+    assert out.read_text().splitlines()[0] == header
+
+
+def test_cli_solve_nonlocal_2d_at_the_grid_cap(tmp_path):
+    cfg = _write(
+        tmp_path, "cap.ini",
+        "[kernel]\nname = separable-angular\nn = 2\n\n"
+        "[grid]\nn = 2\nbox = -1:1;-1:1\nN = 48\n\n"
+        "[params]\ns = 0.5\nf = bump(0, 0, 0.6)\n",
+    )
+    out = tmp_path / "u.csv"
+    assert cli.main(["solve-nonlocal", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_text().startswith("# grid n=2 box=-1:1;-1:1 N=48\n")
+
+
 def test_cli_solve_writes_grid_csv(tmp_path):
     from anisofrac.gridfn import read_csv
 

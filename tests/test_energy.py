@@ -177,14 +177,62 @@ def test_boundary_values_must_vanish(grid129):
         gagliardo(u, FractionalParams(0.5, 2.0))
 
 
-def test_atoms_agree_with_report(hat129):
+@pytest.mark.parametrize("case", ["gagliardo-1d", "separable-angular-2d"])
+def test_atoms_agree_with_report(hat129, case):
     fp = FractionalParams(0.45, 2.5)
-    scheme = get_scheme(None, hat129.grid, None)
-    near, bulk, tail, _, _ = scheme.raw_components(hat129, fp)
+    if case == "gagliardo-1d":
+        kern, u = None, hat129
+    else:
+        kern, u, _ = _golden_case("separable-angular N=17 bump")
+    scheme = get_scheme(kern, u.grid, None)
+    near, bulk, tail, _, _ = scheme.raw_components(u, fp)
     atoms = scheme.atoms(fp)
-    assert atoms.objective(hat129.values.ravel()) == pytest.approx(
+    assert atoms.objective(u.values.ravel()) == pytest.approx(
         near + bulk + tail, rel=1e-12
     )
+    # one s-independent operator: atom sets at any s share the scheme's L
+    assert scheme.atoms(FractionalParams(0.8, 2.5)).L is atoms.L is scheme.L
+
+
+def test_bulk_rows_are_shifted_differences():
+    # every bulk row of L against an independent bilinear interpolant:
+    # v(x) - v(x - r w) inside the box, v(x) once x - r w has left it
+    from scipy.interpolate import RegularGridInterpolator
+
+    g = Grid(2, ((-1.0, 1.0), (-0.5, 1.5)), 9)
+    rng = np.random.default_rng(7)
+    u = GridFunction(g, rng.standard_normal(g.shape))
+    scheme = get_scheme(None, g, QuadratureSettings(angular_points=8))
+    ell = scheme.L @ u.values.ravel()
+    n_nodes, n_ang, n_bulk = 81, 8, scheme.r_bulk.shape[0]
+    bulk = ell[scheme.near_rows.stop:scheme.tail_rows.start]
+    bulk = bulk.reshape(n_bulk, n_nodes, n_ang)  # one node chunk: (rung, node, angle)
+    P = scheme.nodes[None, :, None, :] - (
+        scheme.r_bulk[:, None, None, None] * scheme.dirs[None, None, :, :]
+    )
+    interp = RegularGridInterpolator(g.axes(), u.values, bounds_error=False, fill_value=0.0)
+    expected = u.values.ravel()[None, :, None] - interp(P)
+    assert np.abs(bulk - expected).max() <= 1e-13 * np.abs(u.values).max()
+    # labels: rung and angle parity, in the same layout
+    labels = scheme.label[scheme.near_rows.stop:scheme.tail_rows.start]
+    rung = np.arange(n_bulk)[:, None, None]
+    parity = np.arange(n_ang)[None, None, :] % 2
+    assert np.array_equal(labels.reshape(n_bulk, n_nodes, n_ang),
+                          np.broadcast_to(2 * rung + parity, (n_bulk, n_nodes, n_ang)))
+
+
+def test_near_rows_are_one_sided_slopes_hat(grid129, hat129):
+    scheme = get_scheme(None, grid129, None)
+    slopes = (scheme.L @ hat129.values.ravel())[scheme.near_rows].reshape(2, -1)
+    plus = int(np.flatnonzero(scheme.dirs[:, 0] > 0)[0])
+    minus = 1 - plus
+    i_peak = 64
+    # toward +1 the offset lands on the rising cell: slope +1 then w=+1
+    assert slopes[plus, i_peak] == pytest.approx(1.0)
+    assert slopes[minus, i_peak] == pytest.approx(1.0)
+    i_mid = 32  # x = -0.5, both sides slope +1
+    assert slopes[plus, i_mid] == pytest.approx(1.0)
+    assert slopes[minus, i_mid] == pytest.approx(-1.0)
 
 
 # Reports pinned before the quadrature was rewritten as one operator;

@@ -122,18 +122,6 @@ def test_boundary_flag_pins_and_subspace(grid129):
     assert np.allclose(w.values, 2.0 * u.values + 3.0 * v.values)
 
 
-def test_directional_slopes_hat(grid129, hat129):
-    dirs = np.array([[1.0], [-1.0]])
-    slopes = hat129.directional_slopes(dirs)
-    i_peak = 64
-    # toward +1 the offset lands on the rising cell: slope +1 then w=+1
-    assert slopes[i_peak, 0] == pytest.approx(1.0)
-    assert slopes[i_peak, 1] == pytest.approx(1.0)
-    i_mid = 32  # x = -0.5, both sides slope +1
-    assert slopes[i_mid, 0] == pytest.approx(1.0)
-    assert slopes[i_mid, 1] == pytest.approx(-1.0)
-
-
 def test_csv_roundtrip(tmp_path, hat129):
     path = tmp_path / "u.csv"
     write_csv(hat129, path)

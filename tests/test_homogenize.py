@@ -178,7 +178,7 @@ def test_commute_model_kernel_closed_form(model_kernel):
     # finite-parameter paths land on their respective limits
     assert res.eps_final_rel <= 0.10
     assert res.s_final_rel <= 0.10
-    eps_rels = [rel for _, rel in res.eps_path]
+    eps_rels = [e.value for e in res.eps_path]
     assert eps_rels == sorted(eps_rels, reverse=True)
     # non-commutation is strict and resolved beyond both path errors
     assert res.distance > 0.05 * lp_norm(res.u_bar, 2.0)
