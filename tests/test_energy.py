@@ -252,6 +252,21 @@ _GOLDEN = {
         tail=0.05241899522544592,
         error_bound=0.002699846636266216,
     ),
+    # the sweep extremes, pinned before the sweeps shared one product
+    "separable-angular N=17 bump s=0.9921875": dict(
+        value=0.8077861030819473,
+        near_diagonal=0.762088291641822,
+        bulk=0.04562270699110109,
+        tail=7.510444902421227e-05,
+        error_bound=0.08183071788605746,
+    ),
+    "separable-angular N=17 bump s=0.0078125": dict(
+        value=38.077793327117824,
+        near_diagonal=0.00021187926884835202,
+        bulk=1.447564584132365,
+        tail=36.63001686371661,
+        error_bound=0.0023655402805304987,
+    ),
 }
 
 
@@ -266,7 +281,8 @@ def _golden_case(name):
         g, lambda x, y: bump_profile(np.hypot(x - 0.1, y) / 0.8)
     )
     k = builtin("separable-angular", {"c0": 1.0, "c1": 0.5})
-    return k, u, FractionalParams(0.5, 2.0)
+    s = float(name.split(" s=")[1]) if " s=" in name else 0.5
+    return k, u, FractionalParams(s, 2.0)
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN))

@@ -20,7 +20,7 @@ from anisofrac.limits import (
     ms_weight_extrapolated,
     ms_weight_limit,
 )
-from conftest import bump_profile
+from conftest import bump_profile, hat_profile
 
 
 def _angular_kernel_2d(fn, bounds, name="angular"):
@@ -293,3 +293,41 @@ def test_sweep_extrapolated_from_third_row(bump129):
     assert table.rows[0].extrapolated is None
     assert table.rows[1].extrapolated is None
     assert table.rows[2].extrapolated is not None
+
+
+# (param, value, extrapolated, rel_error) of the default sweeps, pinned
+# before the sweeps shared one operator product
+_SWEEP_GOLDEN = {
+    "bbm": [
+        (0.75, 3.062863335599927, None, 0.042855207625022845),
+        (0.875, 3.004453217525993, None, 0.06110836952312723),
+        (0.9375, 3.062690555577199, 3.1209278936284046, 0.024710033241123613),
+        (0.96875, 3.117968397041846, 3.173246238506493, 0.00836055046672099),
+        (0.984375, 3.153113748463965, 3.188259099886084, 0.003669031285598867),
+        (0.9921875, 3.1727198527542018, 3.1923259570444387, 0.002398138423612972),
+    ],
+    "ms": [
+        (0.25, 2.447256847269782, None, 0.3382840266498621),
+        (0.125, 2.080161724458933, None, 0.13753781577832672),
+        (0.0625, 1.9430675340486523, 1.8059733436383714, 0.012402281745362488),
+        (0.03125, 1.8833210735020285, 1.8235746129554047, 0.0027770159699179973),
+        (0.015625, 1.855385121638495, 1.8274491697749613, 0.0006582120087625875),
+        (0.0078125, 1.8418724425570834, 1.8283597634756719, 0.00016025324085129782),
+    ],
+}
+
+
+def test_sweep_golden():
+    g = Grid(1, ((-1.0, 1.0),), 257)
+    u = GridFunction.from_callable(g, hat_profile)
+    k = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
+    for name, sweep in (("bbm", bbm_sweep), ("ms", ms_sweep)):
+        rows = sweep(k, u, 2.5).rows
+        assert [r.param for r in rows] == [want[0] for want in _SWEEP_GOLDEN[name]]
+        for r, (_, value, extrap, rel) in zip(rows, _SWEEP_GOLDEN[name]):
+            assert r.value == pytest.approx(value, rel=1e-12), (name, r.param)
+            if extrap is None:
+                assert r.extrapolated is None
+            else:
+                assert r.extrapolated == pytest.approx(extrap, rel=1e-12), (name, r.param)
+            assert r.rel_error == pytest.approx(rel, rel=1e-12), (name, r.param)
