@@ -7,19 +7,19 @@ summary.  Exit status: 0 on success, 2 on validation failure, 3 when a
 solver stopped without reaching its tolerance (inside a sweep or the
 commute experiment too; the table is still written).
 
-Identical config + seed gives byte-identical CSV output regardless of
---threads.
+Every experiment runs on one thread; ``--threads`` is accepted for
+compatibility with older scripts and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 import tempfile
 from typing import Optional
 
-from ._parallel import resolve_threads
 from .config import ConfigError, ExperimentConfig, parse_config
 from .energy import _scheme, anisotropic_energy
 from .gridfn import FractionalParams, write_csv
@@ -96,7 +96,7 @@ def _emit(cfg: ExperimentConfig, text: str, what: str) -> None:
         print(f"{what} -> {cfg.out_path}")
 
 
-def _run_energy(cfg: ExperimentConfig, threads: int) -> int:
+def _run_energy(cfg: ExperimentConfig) -> int:
     kern = cfg.make_kernel()
     u = cfg.sample_u()
     if cfg.s is None:
@@ -117,11 +117,11 @@ def _run_energy(cfg: ExperimentConfig, threads: int) -> int:
     return EXIT_OK
 
 
-def _run_bbm_sweep(cfg: ExperimentConfig, threads: int) -> int:
+def _run_bbm_sweep(cfg: ExperimentConfig) -> int:
     kern = cfg.make_kernel()
     u = cfg.sample_u()
     s_list = cfg.s_list or default_bbm_s_list()
-    table = bbm_sweep(kern, u, cfg.p, s_list, threads=threads)
+    table = bbm_sweep(kern, u, cfg.p, s_list)
     _emit(cfg, _table_csv(table), "sweep table")
     last = table.final
     print(
@@ -131,11 +131,11 @@ def _run_bbm_sweep(cfg: ExperimentConfig, threads: int) -> int:
     return EXIT_OK
 
 
-def _run_ms_sweep(cfg: ExperimentConfig, threads: int) -> int:
+def _run_ms_sweep(cfg: ExperimentConfig) -> int:
     kern = cfg.make_kernel()
     u = cfg.sample_u()
     s_list = cfg.s_list or default_ms_s_list()
-    table = ms_sweep(kern, u, cfg.p, s_list, threads=threads)
+    table = ms_sweep(kern, u, cfg.p, s_list)
     _emit(cfg, _table_csv(table), "sweep table")
     last = table.final
     print(
@@ -145,7 +145,7 @@ def _run_ms_sweep(cfg: ExperimentConfig, threads: int) -> int:
     return EXIT_OK
 
 
-def _run_solve_nonlocal(cfg: ExperimentConfig, threads: int) -> int:
+def _run_solve_nonlocal(cfg: ExperimentConfig) -> int:
     kern = cfg.make_kernel()
     f = cfg.sample_f()
     if cfg.s is None:
@@ -155,13 +155,9 @@ def _run_solve_nonlocal(cfg: ExperimentConfig, threads: int) -> int:
             kern=kern, fp=FractionalParams(cfg.s, cfg.p), grid=cfg.grid, source=f
         )
     )
-    if cfg.out_path:
-        import io
-
-        buf = io.StringIO()
-        write_csv(res.minimizer, buf)
-        _atomic_write(cfg.out_path, buf.getvalue())
-        print(f"minimizer -> {cfg.out_path}")
+    buf = io.StringIO()
+    write_csv(res.minimizer, buf)
+    _emit(cfg, buf.getvalue(), "minimizer")
     print(
         f"solve-nonlocal s={cfg.s:g} p={cfg.p:g}: objective={res.objective:.8g} "
         f"residual={res.residual:.2g} iterations={res.iterations} "
@@ -170,7 +166,7 @@ def _run_solve_nonlocal(cfg: ExperimentConfig, threads: int) -> int:
     return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
-def _run_solve_local(cfg: ExperimentConfig, threads: int) -> int:
+def _run_solve_local(cfg: ExperimentConfig) -> int:
     kern = cfg.make_kernel()
     f = cfg.sample_f()
     res = solve_local(
@@ -178,13 +174,9 @@ def _run_solve_local(cfg: ExperimentConfig, threads: int) -> int:
             grid=cfg.grid, p=cfg.p, source=f, density=LimitDensity(kern, cfg.p)
         )
     )
-    if cfg.out_path:
-        import io
-
-        buf = io.StringIO()
-        write_csv(res.minimizer, buf)
-        _atomic_write(cfg.out_path, buf.getvalue())
-        print(f"minimizer -> {cfg.out_path}")
+    buf = io.StringIO()
+    write_csv(res.minimizer, buf)
+    _emit(cfg, buf.getvalue(), "minimizer")
     print(
         f"solve-local p={cfg.p:g}: objective={res.objective:.8g} "
         f"residual={res.residual:.2g} iterations={res.iterations} "
@@ -193,11 +185,11 @@ def _run_solve_local(cfg: ExperimentConfig, threads: int) -> int:
     return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
-def _run_localize(cfg: ExperimentConfig, threads: int) -> int:
+def _run_localize(cfg: ExperimentConfig) -> int:
     kern = cfg.make_kernel()
     f = cfg.sample_f()
     s_list = cfg.s_list or default_bbm_s_list()
-    table = localization_sweep(kern, cfg.p, f, s_list, threads=threads)
+    table = localization_sweep(kern, cfg.p, f, s_list)
     _emit(cfg, _table_csv(table), "distance table")
     print(
         f"localize: {len(table.rows)} rows, final distance={table.final.value:.8g} "
@@ -206,7 +198,7 @@ def _run_localize(cfg: ExperimentConfig, threads: int) -> int:
     return EXIT_OK if table.converged else EXIT_NO_CONVERGENCE
 
 
-def _run_homogenize(cfg: ExperimentConfig, threads: int) -> int:
+def _run_homogenize(cfg: ExperimentConfig) -> int:
     kern = cfg.make_kernel()
     coeff = coefficient_from_kernel(kern, cfg.p)
     star = effective_star(coeff)
@@ -226,13 +218,11 @@ def _run_homogenize(cfg: ExperimentConfig, threads: int) -> int:
     return EXIT_OK
 
 
-def _run_commute(cfg: ExperimentConfig, threads: int) -> int:
+def _run_commute(cfg: ExperimentConfig) -> int:
     kern = cfg.make_kernel()
     f = cfg.sample_f()
     s_list = cfg.s_list or default_bbm_s_list()
-    res = commute_experiment(
-        kern, cfg.p, f, cfg.eps_list, s_list, threads=threads
-    )
+    res = commute_experiment(kern, cfg.p, f, cfg.eps_list, s_list)
     lines = ["path,param,value"]
     for e in res.eps_path:
         lines.append(f"eps,{_fmt(e.param)},{_fmt(e.value)}")
@@ -248,7 +238,7 @@ def _run_commute(cfg: ExperimentConfig, threads: int) -> int:
     return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
-def _run_verify_kernel(cfg: ExperimentConfig, threads: int) -> int:
+def _run_verify_kernel(cfg: ExperimentConfig) -> int:
     kern = cfg.make_kernel()
     rep = verify_hypotheses(kern, cfg.samples, seed=cfg.seed)
     text = (
@@ -283,10 +273,10 @@ _RUNNERS = {
 }
 
 
-def run(cfg: ExperimentConfig, subcommand: str, threads: Optional[int] = None) -> int:
+def run(cfg: ExperimentConfig, subcommand: str) -> int:
     """Execute one experiment; returns the process exit status."""
     try:
-        return _RUNNERS[subcommand](cfg, resolve_threads(threads))
+        return _RUNNERS[subcommand](cfg)
     finally:
         # each experiment builds its own kernel, so its schemes (~150 MB
         # of form matrix at 2D N=33) can never be hit again
@@ -304,7 +294,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         sp.add_argument("--config", required=True, help="experiment config file")
         sp.add_argument("--out", help="override output.path")
         sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (or ANISOFRAC_THREADS)")
+                        help="ignored; every experiment runs on one thread")
         sp.add_argument("--seed", type=int, default=None,
                         help="override params.seed")
         if name == "energy":
@@ -326,7 +316,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             cfg.seed = args.seed
         if getattr(args, "breakdown", False):
             cfg.breakdown = True
-        return run(cfg, args.subcommand, threads=args.threads)
+        return run(cfg, args.subcommand)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG

@@ -54,7 +54,6 @@ nonzeros at N = 33), which is why 2D grids are capped at N <= 48.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -459,8 +458,13 @@ class EnergyScheme:
 
     # -- reporting ----------------------------------------------------------
 
-    def raw_components(self, u: GridFunction, fp: FractionalParams):
-        """Near/bulk/tail of the unprefactored double integral, with errors."""
+    def raw_components(self, u: GridFunction, p: float, s_values):
+        """Near/bulk/tail of the unprefactored double integral, with errors.
+
+        One ``(near, bulk, tail, err)`` tuple per order in ``s_values``.
+        ``L u`` and every sum over rows or nodes are formed once; only
+        their scalar factors depend on s.
+        """
         if u.grid != self.grid:
             raise ValueError("grid function does not live on the scheme grid")
         uflat = u.values.ravel()
@@ -475,75 +479,72 @@ class EnergyScheme:
                     f"h_split={self.h_split:g} is below twice the support "
                     f"diameter {supp_diam:g}; enlarge h_split"
                 )
-        s, p = fp.s, fp.p
         n_ang = self.dirs.shape[0]
         n_bulk = self.r_bulk.shape[0]
         ell = self.L @ uflat
         sums = np.bincount(
             self.label, self.base * np.abs(ell) ** p, minlength=2 * n_bulk + 2
         )
-
-        # near: a(x,w) |D_w u(x)|^p integrated in r over [0, h_min); the
-        # one-sided slopes D_w are the exact small-offset limit of the
-        # piecewise-linear difference quotient
-        c_near = self.h_min ** (p * (1.0 - s)) / (p * (1.0 - s))
-        slopes = ell[self.near_rows].reshape(n_ang, -1)
-        near = c_near * float(sums[2 * n_bulk])
-
-        # bulk ladder: per-rung sums, and the same over the even angles
-        # (rescaled to the full rule) for the angular residual
-        rpow = self.r_bulk ** (-s * p)
-        S_even = rpow * sums[0:2 * n_bulk:2]
-        S = S_even + rpow * sums[1:2 * n_bulk:2]
-        S_half = S_even * (n_ang / len(range(0, n_ang, 2)))
         cb = _trapz_factors(n_bulk)
-        bulk = float(self.dt * np.dot(cb, S))
-
-        # tail: far ladder (disjoint supports -> 2 |u(x)|^p) + remainder
-        wu = self.w_x * np.abs(ell[self.tail_rows]) ** p
-        rpow_far = self.r_far ** (-s * p)
-        T = 2.0 * rpow_far * (wu @ self.far_mw)
         cf = _trapz_factors(self.r_far.shape[0])
-        far_val = float(self.dt_far * np.dot(cf, T))
-        rem_factor = self.h_max ** (-s * p) / (s * p)
-        rem_val = float(2.0 * np.dot(wu, self.rem_mu) * rem_factor)
-        tail = far_val + rem_val
-
-        # ---- error terms ----
-        err = 0.0
+        # tail: |u(x)|^p against the far ladder and the beyond-ladder limit
+        wu = self.w_x * np.abs(ell[self.tail_rows]) ** p
+        far_sums = wu @ self.far_mw
+        rem_mu_sum = float(np.dot(wu, self.rem_mu))
+        rem_hw_sum = float(np.dot(wu, self.rem_hw))
         # near surrogate: in 2D the bilinear cross term leaves an O(r)
-        # residue in the difference quotient; in 1D the slopes are exact
-        # and only the kernel deviation below remains
-        gmax = np.abs(slopes).max(axis=0)
+        # residue in the difference quotient; in 1D the one-sided slopes
+        # are the exact small-offset limit and only the kernel deviation
+        # remains
+        gmax = np.abs(ell[self.near_rows].reshape(n_ang, -1)).max(axis=0)
+        surro_sum = 0.0
         if self.grid.dimension == 2:
             d2 = self._second_difference_scale(u)
-            surro = (
-                p * (gmax + d2) ** (p - 1.0) * d2
-                * self.h_min ** (p * (1.0 - s) + 1.0) / (p * (1.0 - s))
-            )
             m_plus = 1.0 if self.kern is None else self.kern.m_plus
-            err += m_plus * sphere_measure(2) * float(np.dot(self.w_x, surro))
+            surro_sum = m_plus * sphere_measure(2) * float(
+                np.dot(self.w_x, p * (gmax + d2) ** (p - 1.0) * d2)
+            )
+        # kernel deviation from its radial limit (H3) below h_min
+        dev_sum = 0.0
         if self.kern is not None:
-            kappa = self._h3_deviation_rate()
-            err += kappa * sphere_measure(self.grid.dimension) * float(
-                np.dot(self.w_x, gmax ** p)
-            ) * self.h_min ** (p * (1.0 - s) + 1.0) / (p * (1.0 - s) + 1.0)
-        # ladder trapezoid: second differences in log r
-        err += self.dt / 12.0 * float(np.abs(np.diff(S, 2)).sum()) if n_bulk > 2 else 0.0
-        err += self.dt_far / 12.0 * float(np.abs(np.diff(T, 2)).sum()) if T.size > 2 else 0.0
-        # angular residual
-        if n_ang >= 4:
-            err += abs(self.dt * float(np.dot(cb, S - S_half)))
-        # far bracket width
-        err += float(2.0 * np.dot(wu, self.rem_hw) * rem_factor)
+            dev_sum = self._h3_deviation_rate() * sphere_measure(
+                self.grid.dimension
+            ) * float(np.dot(self.w_x, gmax ** p))
 
-        record = QuadratureRecord(
-            h_min=self.h_min,
-            h_split=self.h_split,
-            h_max=self.h_max,
-            points=(n_bulk + self.r_far.shape[0]) * self.dirs.shape[0],
-        )
-        return near, bulk, tail, err, record
+        out = []
+        for s in s_values:
+            # near: a(x,w) |D_w u(x)|^p integrated in r over [0, h_min)
+            c_near = self.h_min ** (p * (1.0 - s)) / (p * (1.0 - s))
+            near = c_near * float(sums[2 * n_bulk])
+
+            # bulk ladder: per-rung sums, and the same over the even angles
+            # (rescaled to the full rule) for the angular residual
+            rpow = self.r_bulk ** (-s * p)
+            S_even = rpow * sums[0:2 * n_bulk:2]
+            S = S_even + rpow * sums[1:2 * n_bulk:2]
+            S_half = S_even * (n_ang / len(range(0, n_ang, 2)))
+            bulk = float(self.dt * np.dot(cb, S))
+
+            # tail: far ladder (disjoint supports -> 2 |u(x)|^p) + remainder
+            T = 2.0 * self.r_far ** (-s * p) * far_sums
+            far_val = float(self.dt_far * np.dot(cf, T))
+            rem_factor = self.h_max ** (-s * p) / (s * p)
+            tail = far_val + 2.0 * rem_mu_sum * rem_factor
+
+            # ---- error terms ----
+            h_pow = self.h_min ** (p * (1.0 - s) + 1.0)
+            err = surro_sum * h_pow / (p * (1.0 - s))
+            err += dev_sum * h_pow / (p * (1.0 - s) + 1.0)
+            # ladder trapezoid: second differences in log r
+            err += self.dt / 12.0 * float(np.abs(np.diff(S, 2)).sum()) if n_bulk > 2 else 0.0
+            err += self.dt_far / 12.0 * float(np.abs(np.diff(T, 2)).sum()) if T.size > 2 else 0.0
+            # angular residual
+            if n_ang >= 4:
+                err += abs(self.dt * float(np.dot(cb, S - S_half)))
+            # far bracket width
+            err += 2.0 * rem_hw_sum * rem_factor
+            out.append((near, bulk, tail, err))
+        return out
 
     def _second_difference_scale(self, u: GridFunction) -> np.ndarray:
         """Per-node |second difference| / spacing: gradient-jump scale."""
@@ -567,7 +568,7 @@ class EnergyScheme:
         return float(np.abs(m - self.a_vals).max() / self.h_min)
 
     def report(self, u: GridFunction, fp: FractionalParams, prefactor: float) -> EnergyReport:
-        near_raw, bulk_raw, tail_raw, err, record = self.raw_components(u, fp)
+        (near_raw, bulk_raw, tail_raw, err), = self.raw_components(u, fp.p, [fp.s])
         near = prefactor * near_raw
         bulk = prefactor * bulk_raw
         tail = prefactor * tail_raw
@@ -577,7 +578,12 @@ class EnergyScheme:
             bulk=bulk,
             tail=tail,
             error_bound=abs(prefactor) * err,
-            quadrature_settings=record,
+            quadrature_settings=QuadratureRecord(
+                h_min=self.h_min,
+                h_split=self.h_split,
+                h_max=self.h_max,
+                points=(self.r_bulk.shape[0] + self.r_far.shape[0]) * self.dirs.shape[0],
+            ),
         )
 
     # -- atoms for the solvers ----------------------------------------------
@@ -607,26 +613,15 @@ def _scheme(kern: Optional[Kernel], grid: Grid, settings: QuadratureSettings) ->
     return EnergyScheme(kern, grid, settings)
 
 
-# one lock per scheme being built, so that threads missing the cache
-# together build it once; entries live only while a build is in flight
-_building: dict[tuple, threading.Lock] = {}
-_building_guard = threading.Lock()
-
-
 def get_scheme(
     kern: Optional[Kernel], grid: Grid, settings: Optional[QuadratureSettings] = None
 ) -> EnergyScheme:
-    """The cached scheme of (kernel, grid, settings), built once per key."""
-    key = (kern, grid, settings or QuadratureSettings())
-    with _building_guard:
-        lock = _building.setdefault(key, threading.Lock())
-    try:
-        with lock:
-            return _scheme(*key)
-    finally:
-        with _building_guard:
-            if _building.get(key) is lock:
-                del _building[key]
+    """The scheme of (kernel, grid, settings), built on the first call.
+
+    Later calls with equal keys share it until the cache evicts it or
+    ``cli.run`` clears it at the end of an experiment.
+    """
+    return _scheme(kern, grid, settings or QuadratureSettings())
 
 
 def _check_admissible(u: GridFunction):

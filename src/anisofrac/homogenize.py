@@ -24,7 +24,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._parallel import pmap
 from .energy import AtomSet, QuadratureSettings
 from .gridfn import FractionalParams, Grid, GridFunction, lp_norm
 from .kernel import Kernel
@@ -323,7 +322,6 @@ def commute_experiment(
     eps_list: Sequence[float],
     s_list: Sequence[float],
     settings: Optional[QuadratureSettings] = None,
-    threads: Optional[int] = None,
 ) -> CommuteResult:
     """Compare the two iterated limits of the oscillating nonlocal problems.
 
@@ -333,7 +331,10 @@ def commute_experiment(
     parameter paths are also run: for each eps a localization sweep of
     the oscillating kernel, whose local solution trends to u_star as
     eps -> 0, and for each s a nonlocal solve with the period-averaged
-    kernel, trending to u_bar as s -> 1.
+    kernel, trending to u_bar as s -> 1.  The cases run one after
+    another, from the largest eps and from the smallest s; each eps
+    builds the scheme of its own rescaled kernel, and the s path shares
+    one scheme of the averaged kernel.
     """
     if k.dimension != 1:
         raise ValueError("the experiment is 1D")
@@ -381,7 +382,7 @@ def commute_experiment(
                           res_eps.converged and table.converged)
         return entry, table
 
-    eps_results = pmap(eps_case, sorted(eps_list, reverse=True), threads)
+    eps_results = [eps_case(eps) for eps in sorted(eps_list, reverse=True)]
     eps_path = tuple(e for e, _ in eps_results)
     tables = tuple(t for _, t in eps_results)
 
@@ -400,7 +401,7 @@ def commute_experiment(
         )
         return PathEntry(s, lp_norm(d, p) / norm_bar, res.converged)
 
-    s_path = tuple(pmap(s_case, sorted(s_list), threads))
+    s_path = tuple(s_case(s) for s in sorted(s_list))
 
     return CommuteResult(
         u_star=u_star,

@@ -446,13 +446,25 @@ def _tabulated(params):
     if path is None:
         raise ValueError("tabulated kernel needs a 'table' CSV path")
     xs, hs, vs = [], [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ValueError(f"tabulated kernel: cannot read {path}: {exc.strerror}") from None
+    with fh:
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].lstrip().startswith("#"):
                 continue
-            xs.append(float(row[0]))
-            hs.append(float(row[1]))
-            vs.append(float(row[2]))
+            try:
+                x, h, v = map(float, row[:3])
+            except ValueError:
+                raise ValueError(
+                    f"tabulated kernel: {path} line {reader.line_num}: "
+                    f"{','.join(row)!r} is not an x,h,value triple"
+                ) from None
+            xs.append(x)
+            hs.append(h)
+            vs.append(v)
     xg = np.unique(np.asarray(xs))
     hg = np.unique(np.asarray(hs))
     table = np.full((xg.size, hg.size), np.nan)

@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._parallel import pmap
 from ._sphere import sphere_measure, sphere_rule
 from .energy import QuadratureSettings, get_scheme
 from .gridfn import FractionalParams, GridFunction
@@ -292,7 +291,6 @@ def bbm_sweep(
     p: float,
     s_list: Optional[Sequence[float]] = None,
     settings: Optional[QuadratureSettings] = None,
-    threads: Optional[int] = None,
 ) -> ConvergenceTable:
     """Sweep of (1-s) times the weighted double integral as s -> 1.
 
@@ -305,13 +303,9 @@ def bbm_sweep(
         raise ValueError("s values must lie in (0,1)")
     if s_list != sorted(s_list):
         raise ValueError("s_list must increase toward 1")
-    scheme = get_scheme(k, u.grid, settings)
-
-    def measure(s: float) -> float:
-        near, bulk, tail, _, _ = scheme.raw_components(u, FractionalParams(s, p))
-        return (1.0 - s) * (near + bulk + tail)
-
-    values = pmap(measure, s_list, threads)
+    parts = get_scheme(k, u.grid, settings).raw_components(u, p, s_list)
+    values = [(1.0 - s) * (near + bulk + tail)
+              for s, (near, bulk, tail, _) in zip(s_list, parts)]
     ld = LimitDensity(k, p)
     centers, grads, vols = u.cell_gradients()
     dens = limit_density(ld, centers, grads)
@@ -327,7 +321,6 @@ def ms_sweep(
     p: float,
     s_list: Optional[Sequence[float]] = None,
     settings: Optional[QuadratureSettings] = None,
-    threads: Optional[int] = None,
 ) -> ConvergenceTable:
     """Sweep of s times the weighted double integral as s -> 0.
 
@@ -344,13 +337,9 @@ def ms_sweep(
         raise ValueError(
             f"kernel {k.name!r} declares no tail limit; the s -> 0 sweep needs one"
         )
-    scheme = get_scheme(k, u.grid, settings)
-
-    def measure(s: float) -> float:
-        near, bulk, tail, _, _ = scheme.raw_components(u, FractionalParams(s, p))
-        return s * (near + bulk + tail)
-
-    values = pmap(measure, s_list, threads)
+    parts = get_scheme(k, u.grid, settings).raw_components(u, p, s_list)
+    values = [s * (near + bulk + tail)
+              for s, (near, bulk, tail, _) in zip(s_list, parts)]
     dirs, w_dirs = sphere_rule(k.dimension)
     nodes = u.grid.nodes()
     m_inf = np.asarray(

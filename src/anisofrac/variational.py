@@ -32,7 +32,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._parallel import pmap
 from .energy import AtomSet, QuadratureSettings, get_scheme
 from .gridfn import FractionalParams, Grid, GridFunction, lp_norm
 from .kernel import Kernel
@@ -385,7 +384,6 @@ def localization_sweep(
     f: GridFunction,
     s_list: Sequence[float],
     settings: Optional[QuadratureSettings] = None,
-    threads: Optional[int] = None,
     local_solution: Optional[GridFunction] = None,
 ) -> ConvergenceTable:
     """Distance of the nonlocal minimizers to the local one as s -> 1.
@@ -395,6 +393,8 @@ def localization_sweep(
     nonlocal solve, or the local solve, stopped short of its tolerance.
     ``local_solution`` overrides the local solve (used by the
     homogenization experiment to compare against effective problems).
+    The nonlocal solves run one after another on the one cached scheme
+    of (k, grid, settings).
     """
     s_list = list(s_list)
     if s_list != sorted(s_list):
@@ -416,7 +416,7 @@ def localization_sweep(
         )
         return lp_norm(diff, p), res.converged
 
-    results = pmap(distance, s_list, threads)
+    results = [distance(s) for s in s_list]
     rows = tuple(
         TableRow(param=s, value=v, extrapolated=None, reference=0.0, rel_error=None,
                  converged=ok and local_converged)

@@ -121,6 +121,24 @@ def test_cli_invalid_kernel_exit_2_no_output(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("table", ["missing", "short-row"])
+def test_cli_bad_tabulated_table_exit_2(tmp_path, capsys, table):
+    path = tmp_path / "table.csv"
+    if table == "short-row":
+        path.write_text("# x, h, value\n0.0,-1.0,2.0\n0.0,1.0\n")
+    cfg = _write(tmp_path, "t.ini", f"[kernel]\nname = tabulated\ntable = {path}\n\n"
+                 "[params]\ns = 0.5\n")
+    out = tmp_path / "never.csv"
+    rc = cli.main(["energy", "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert str(path) in err
+    if table == "short-row":
+        assert "line 3" in err and "'0.0,1.0'" in err
+
+
 def test_cli_solve_nonconvergence_exit_3(tmp_path, monkeypatch):
     from anisofrac.gridfn import GridFunction
     from anisofrac.variational import SolveResult

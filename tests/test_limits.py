@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from anisofrac._sphere import sphere_measure, sphere_rule
+from anisofrac.energy import get_scheme
 from anisofrac.gridfn import FractionalParams, Grid, GridFunction
 from anisofrac.kernel import Kernel, builtin
 from anisofrac.limits import (
@@ -331,3 +332,26 @@ def test_sweep_golden():
             else:
                 assert r.extrapolated == pytest.approx(extrap, rel=1e-12), (name, r.param)
             assert r.rel_error == pytest.approx(rel, rel=1e-12), (name, r.param)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sweep_rows_are_the_reports(dim):
+    # one operator product serves the whole sweep; each row must still be
+    # exactly the report of its own order
+    if dim == 1:
+        g = Grid(1, ((-1.0, 1.0),), 257)
+        u = GridFunction.from_callable(g, hat_profile)
+        k = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
+        p = 2.5
+    else:
+        g = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), 17)
+        u = GridFunction.from_callable(
+            g, lambda x, y: bump_profile(np.hypot(x - 0.1, y) / 0.8)
+        )
+        k = builtin("separable-angular", {"c0": 1.0, "c1": 0.5})
+        p = 2.0
+    scheme = get_scheme(k, g)
+    for sweep, factor in ((bbm_sweep, lambda s: 1.0 - s), (ms_sweep, lambda s: s)):
+        for row in sweep(k, u, p).rows:
+            rep = scheme.report(u, FractionalParams(row.param, p), 1.0)
+            assert row.value == factor(row.param) * (rep.near_diagonal + rep.bulk + rep.tail)

@@ -91,7 +91,7 @@ def test_monotone_bbm_floor_on_corpus():
         ld = LimitDensity(k, 2.0)
         for u in FUNCTIONS[:2]:
             scheme = get_scheme(k, u.grid, None)
-            near, bulk, tail, err, _ = scheme.raw_components(u, FractionalParams(s, 2.0))
+            (near, bulk, tail, err), = scheme.raw_components(u, 2.0, [s])
             measured = (1.0 - s) * (near + bulk + tail)
             centers, grads, vols = u.cell_gradients()
             ref = float(np.dot(vols, np.atleast_1d(limit_density(ld, centers, grads))))
