@@ -31,6 +31,13 @@ def test_minimal_config_defaults():
     assert cfg.seed == 0
 
 
+def test_default_u_fills_the_box():
+    # centred in the box, radius the smallest half-width
+    head = "[kernel]\nname = constant\nn = {n}\n\n[grid]\nn = {n}\nbox = {box}\n"
+    assert parse_config(head.format(n=1, box="-1:3")).u_expr == "bump(1, 2)"
+    assert parse_config(head.format(n=2, box="-1:3;0:1")).u_expr == "bump(1, 0.5, 0.5)"
+
+
 def test_s_out_of_range_message():
     with pytest.raises(ConfigError) as exc:
         parse_config("[kernel]\nname = constant\n\n[params]\ns = 1.0\n")

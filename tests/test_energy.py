@@ -172,6 +172,18 @@ def test_boundary_values_must_vanish(grid129):
         gagliardo(u, FractionalParams(0.5, 2.0))
 
 
+def test_boundary_values_must_vanish_2d():
+    g = Grid(2, ((-1.0, 1.0), (-0.5, 1.5)), 7)
+    interior = np.zeros(g.shape)
+    interior[1:-1, 1:-1] = 1.0
+    gagliardo(GridFunction(g, interior, boundary_flag=False), FractionalParams(0.5, 2.0))
+    for edge in ((0, 3), (-1, 3), (3, 0), (3, -1)):
+        vals = interior.copy()
+        vals[edge] = 1.0
+        with pytest.raises(ValueError, match="compact"):
+            gagliardo(GridFunction(g, vals, boundary_flag=False), FractionalParams(0.5, 2.0))
+
+
 @pytest.mark.parametrize("case", ["gagliardo-1d", "separable-angular-2d"])
 def test_atoms_agree_with_report(hat129, case):
     fp = FractionalParams(0.45, 2.5)
@@ -228,6 +240,25 @@ def test_near_rows_are_one_sided_slopes_hat(grid129, hat129):
     i_mid = 32  # x = -0.5, both sides slope +1
     assert slopes[plus, i_mid] == pytest.approx(1.0)
     assert slopes[minus, i_mid] == pytest.approx(-1.0)
+
+
+def test_near_rows_are_one_sided_slopes_2d():
+    # per axis |w_a| / h_a times the difference to the neighbour on the
+    # -sign(w_a) side, with zero ghosts outside the grid
+    g = Grid(2, ((-1.0, 1.0), (-0.5, 2.5)), 7)
+    v = np.random.default_rng(5).standard_normal(g.shape)
+    scheme = get_scheme(None, g, QuadratureSettings(angular_points=8))
+    slopes = (scheme.L @ v.ravel())[scheme.near_rows].reshape(8, *g.shape)
+    padded = np.pad(v, 1)
+    for k, w in enumerate(scheme.dirs):
+        want = np.zeros(g.shape)
+        for axis, h in enumerate(g.spacing):
+            if w[axis] == 0.0:
+                continue
+            step = -1 if w[axis] > 0 else 1
+            neighbour = np.roll(padded, -step, axis=axis)[1:-1, 1:-1]
+            want += abs(w[axis]) / h * (v - neighbour)
+        assert np.abs(slopes[k] - want).max() <= 1e-13 * np.abs(want).max(), k
 
 
 # Reports pinned before the quadrature was rewritten as one operator;

@@ -122,6 +122,21 @@ def test_boundary_flag_pins_and_subspace(grid129):
     assert np.allclose(w.values, 2.0 * u.values + 3.0 * v.values)
 
 
+def test_cell_gradients_2d_averaged_differences():
+    # per axis: the difference across the cell, averaged over the other axis
+    g = Grid(2, ((-1.0, 1.0), (-0.5, 2.5)), 7)
+    v = np.random.default_rng(3).standard_normal(g.shape)
+    centers, grads, vols = GridFunction(g, v, boundary_flag=False).cell_gradients()
+    hx, hy = g.spacing
+    gx = 0.5 * ((v[1:, 1:] - v[:-1, 1:]) + (v[1:, :-1] - v[:-1, :-1])) / hx
+    gy = 0.5 * ((v[1:, 1:] - v[1:, :-1]) + (v[:-1, 1:] - v[:-1, :-1])) / hy
+    assert np.array_equal(grads, np.column_stack([gx.ravel(), gy.ravel()]))
+    cx = -1.0 + hx * (np.arange(6) + 0.5)
+    cy = -0.5 + hy * (np.arange(6) + 0.5)
+    assert np.array_equal(centers, np.column_stack([np.repeat(cx, 6), np.tile(cy, 6)]))
+    assert np.array_equal(vols, np.full(36, hx * hy))
+
+
 def test_csv_roundtrip(tmp_path, hat129):
     path = tmp_path / "u.csv"
     write_csv(hat129, path)

@@ -334,6 +334,23 @@ def test_sweep_golden():
             assert r.rel_error == pytest.approx(rel, rel=1e-12), (name, r.param)
 
 
+def test_sweep_references_2d():
+    # pinned before the grid geometry lost its per-dimension branches:
+    # the bbm reference integrates cell gradients, the ms reference
+    # node values with trapezoid weights
+    g = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), 17)
+    u = GridFunction.from_callable(
+        g, lambda x, y: bump_profile(np.hypot(x - 0.1, y) / 0.8)
+    )
+    k = builtin("separable-angular", {"c0": 1.0, "c1": 0.5})
+    assert bbm_sweep(k, u, 2.0).final.reference == pytest.approx(
+        1.5273696425919243, rel=1e-12
+    )
+    assert ms_sweep(k, u, 2.0).final.reference == pytest.approx(
+        0.5926828638229793, rel=1e-12
+    )
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_sweep_rows_are_the_reports(dim):
     # one operator product serves the whole sweep; each row must still be

@@ -116,6 +116,15 @@ def test_nonlocal_linearity_in_source(grid129, one129):
     assert np.allclose(r2.minimizer.values, 2.0 * r1.minimizer.values, atol=1e-10)
 
 
+def test_boundary_pin_and_free_mask_2d():
+    g = Grid(2, ((-1.0, 1.0), (-0.5, 1.5)), 6)
+    edge = np.zeros(g.shape, dtype=bool)
+    edge[0, :] = edge[-1, :] = edge[:, 0] = edge[:, -1] = True
+    u = GridFunction(g, np.arange(1.0, 37.0).reshape(g.shape))
+    assert np.array_equal(u.values == 0.0, edge)
+    assert np.array_equal(_free_mask(g), ~edge.ravel())
+
+
 def test_direct_and_descent_agree(grid129, one129):
     k = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
     g = Grid(1, ((-1.0, 1.0),), 33)
