@@ -185,12 +185,13 @@ class _Parser:
 
 
 def compile_expression(src: str, dimension: int) -> Callable[..., np.ndarray]:
-    """Compile an expression to a sampler fn(x[, y]) -> array."""
+    """Compile an expression to a sampler fn(*coords) -> array.
+
+    ``coords`` holds one coordinate array per axis: x, then y in 2D.
+    """
     ast = _Parser(_tokenize(src), dimension).parse()
-    if dimension == 1:
-        return lambda x: np.asarray(ast({"x": np.asarray(x, dtype=float)}), dtype=float)
-    return lambda x, y: np.asarray(
-        ast({"x": np.asarray(x, dtype=float), "y": np.asarray(y, dtype=float)}),
+    return lambda *coords: np.asarray(
+        ast({name: np.asarray(c, dtype=float) for name, c in zip("xy", coords)}),
         dtype=float,
     )
 
@@ -400,14 +401,10 @@ def parse_config(text: str) -> ExperimentConfig:
             except ValueError as exc:
                 errors.append((ln_e, f"params.{key}: {exc}"))
     if not cfg.u_expr:
-        # default: a bump filling the box
-        (a, b) = grid.box[0]
-        c, r = 0.5 * (a + b), 0.5 * (b - a)
-        if grid.dimension == 1:
-            cfg.u_expr = f"bump({c:g}, {r:g})"
-        else:
-            (a2, b2) = grid.box[1]
-            cfg.u_expr = f"bump({c:g}, {0.5 * (a2 + b2):g}, {min(r, 0.5 * (b2 - a2)):g})"
+        # default: a bump centred in the box, its radius the smallest half-width
+        centres = ", ".join(f"{0.5 * (a + b):g}" for a, b in grid.box)
+        radius = min(0.5 * (b - a) for a, b in grid.box)
+        cfg.u_expr = f"bump({centres}, {radius:g})"
     el_val, ln_el = _take(table, "params", "eps_list")
     if el_val is not None:
         el = _to_float_list(el_val, ln_el, "params.eps_list", errors)

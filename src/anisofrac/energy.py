@@ -79,22 +79,23 @@ __all__ = [
 ]
 
 _CHUNK = 512  # x-nodes per evaluation block
+_FAR_OCTAVES = 10  # length of the far ladder beyond h_split
 
 
 @dataclass(frozen=True)
 class QuadratureSettings:
     """Knobs of the radius ladder and angular rule.
 
-    The ladder ratio is 2**(1/points_per_octave); h_min defaults to
-    (grid spacing) * h_min_fraction and h_split to twice the box
+    The ladder ratio is 2**(1/points_per_octave); h_min is (grid
+    spacing) * h_min_fraction and h_split defaults to twice the box
     diameter, beyond which the shifted support has left the box.
+    ``angular_points`` is the size of the circle rule in 2D; in 1D the
+    sphere is the two points +-1 whatever its value.
     """
 
     points_per_octave: int = 8
     h_min_fraction: float = 0.125
-    angular_points: Optional[int] = None
-    far_octaves: int = 10
-    h_min: Optional[float] = None
+    angular_points: int = 32
     h_split: Optional[float] = None
 
 
@@ -213,15 +214,15 @@ class AtomSet:
 
 def _resolve_geometry(grid: Grid, settings: QuadratureSettings):
     spacing = min(grid.spacing)
-    h_min = settings.h_min if settings.h_min is not None else spacing * settings.h_min_fraction
+    h_min = spacing * settings.h_min_fraction
     h_split = settings.h_split if settings.h_split is not None else 2.0 * grid.diameter
     if not 0.0 < h_min < h_split:
         raise ValueError("need 0 < h_min < h_split")
     dt = math.log(2.0) / settings.points_per_octave
     n_bulk = max(2, int(math.ceil(math.log(h_split / h_min) / dt)) + 1)
     t_bulk = np.linspace(math.log(h_min), math.log(h_split), n_bulk)
-    n_far = max(2, settings.far_octaves * settings.points_per_octave + 1)
-    h_max = h_split * 2.0 ** settings.far_octaves
+    n_far = max(2, _FAR_OCTAVES * settings.points_per_octave + 1)
+    h_max = h_split * 2.0 ** _FAR_OCTAVES
     t_far = np.linspace(math.log(h_split), math.log(h_max), n_far)
     return h_min, h_split, h_max, np.exp(t_bulk), np.exp(t_far)
 
@@ -255,10 +256,7 @@ class EnergyScheme:
         )
         self.dt = math.log(self.r_bulk[1] / self.r_bulk[0])
         self.dt_far = math.log(self.r_far[1] / self.r_far[0])
-        ang = settings.angular_points if settings.angular_points is not None else (
-            2 if n == 1 else 32
-        )
-        self.dirs, self.w_dirs = sphere_rule(n, ang if n == 2 else None)
+        self.dirs, self.w_dirs = sphere_rule(n, settings.angular_points)
         self.nodes = grid.nodes()
         self.w_x = grid.trapezoid_weights()
 
@@ -434,9 +432,10 @@ class EnergyScheme:
         zero direction components carry coefficient 0.
         """
         N = self.grid.nodes_per_axis
+        shape = self.grid.shape
         n_nodes = self.nodes.shape[0]
         n = self.grid.dimension
-        axis_index = np.divmod(np.arange(n_nodes), N) if n == 2 else (np.arange(n_nodes),)
+        axis_index = np.unravel_index(np.arange(n_nodes), shape)
         idx = np.zeros((self.dirs.shape[0], n_nodes, 1 + n), dtype=np.int64)
         coef = np.zeros((self.dirs.shape[0], n_nodes, 1 + n))
         idx[:, :, 0] = np.arange(n_nodes)
@@ -450,7 +449,7 @@ class EnergyScheme:
                 nb = list(axis_index)
                 nb[axis] = nb[axis] + (-1 if w[axis] > 0 else 1)
                 ok = (nb[axis] >= 0) & (nb[axis] < N)
-                flat = nb[0] * N + nb[1] if n == 2 else nb[0]
+                flat = np.ravel_multi_index(nb, shape, mode="clip")
                 coef[k, :, 0] += abs(w[axis]) / h
                 idx[k, ok, 1 + axis] = flat[ok]
                 coef[k, ok, 1 + axis] = -abs(w[axis]) / h
@@ -549,16 +548,12 @@ class EnergyScheme:
     def _second_difference_scale(self, u: GridFunction) -> np.ndarray:
         """Per-node |second difference| / spacing: gradient-jump scale."""
         v = u.values
-        if self.grid.dimension == 1:
-            h, = self.grid.spacing
-            padded = np.concatenate([[0.0], v, [0.0]])
-            return np.abs(padded[2:] - 2.0 * padded[1:-1] + padded[:-2]) / h
-        hx, hy = self.grid.spacing
-        px = np.pad(v, ((1, 1), (0, 0)))
-        py = np.pad(v, ((0, 0), (1, 1)))
-        dx = np.abs(px[2:, :] - 2.0 * px[1:-1, :] + px[:-2, :]) / hx
-        dy = np.abs(py[:, 2:] - 2.0 * py[:, 1:-1] + py[:, :-2]) / hy
-        return (dx + dy).ravel()
+        scale = np.zeros(v.shape)
+        for axis, h in enumerate(self.grid.spacing):
+            # zero ghosts on both ends of the axis
+            w = np.pad(np.moveaxis(v, axis, 0), [(1, 1)] + [(0, 0)] * (v.ndim - 1))
+            scale += np.moveaxis(np.abs(w[2:] - 2.0 * w[1:-1] + w[:-2]), 0, axis) / h
+        return scale.ravel()
 
     def _h3_deviation_rate(self) -> float:
         """max |m(x, h_min w) - a(x, w)| / h_min over the node lattice."""
@@ -625,15 +620,7 @@ def get_scheme(
 
 
 def _check_admissible(u: GridFunction):
-    vals = u.values
-    if u.grid.dimension == 1:
-        border = max(abs(vals[0]), abs(vals[-1]))
-    else:
-        border = max(
-            np.abs(vals[0, :]).max(), np.abs(vals[-1, :]).max(),
-            np.abs(vals[:, 0]).max(), np.abs(vals[:, -1]).max(),
-        )
-    if border != 0.0:
+    if np.any(u.values[u.grid.boundary()] != 0.0):
         raise ValueError(
             "energies need compactly supported functions: boundary values must be 0"
         )

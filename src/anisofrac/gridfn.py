@@ -6,12 +6,16 @@ nodes pinned to zero this is the discrete stand-in for functions that
 vanish outside the domain, which is the admissible class for every
 energy and solver in the package.
 
-Supported dimensions: n = 1 and n = 2 (the energies integrate over
-pairs of points, so n = 2 already means 4-dimensional quadrature).
+The grid geometry (node lattice, trapezoid weights, boundary mask,
+sampling, cell gradients, interpolation) is written once for any
+dimension.  :class:`Grid` still accepts only n = 1 and n = 2: the
+energies integrate over pairs of points, so n = 2 already means
+4-dimensional quadrature.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -66,21 +70,19 @@ class Grid:
 
     def nodes(self) -> np.ndarray:
         """All node coordinates, shape (n_nodes, dimension), row-major."""
-        axes = self.axes()
-        if self.dimension == 1:
-            return axes[0][:, None]
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return np.column_stack([X.ravel(), Y.ravel()])
+        return _lattice(self.axes())
 
     def trapezoid_weights(self) -> np.ndarray:
         """Composite trapezoid weights over the node lattice, flattened."""
         w1 = np.full(self.nodes_per_axis, 1.0)
         w1[0] = w1[-1] = 0.5
-        out = w1 * self.spacing[0]
-        if self.dimension == 1:
-            return out
-        w2 = w1 * self.spacing[1]
-        return np.outer(out, w2).ravel()
+        return functools.reduce(np.multiply.outer, [w1 * h for h in self.spacing]).ravel()
+
+    def boundary(self) -> np.ndarray:
+        """Boolean mask of the boundary nodes, shape :attr:`shape`."""
+        mask = np.ones(self.shape, dtype=bool)
+        mask[(slice(1, -1),) * self.dimension] = False
+        return mask
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Whether each of the points, shape (m, n), lies in the closed box."""
@@ -114,6 +116,11 @@ class Grid:
     @property
     def diameter(self) -> float:
         return math.sqrt(sum((b - a) ** 2 for a, b in self.box))
+
+
+def _lattice(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """The tensor product of per-axis coordinates, shape (m, n), row-major."""
+    return np.column_stack([X.ravel() for X in np.meshgrid(*axes, indexing="ij")])
 
 
 @dataclass(frozen=True)
@@ -151,11 +158,7 @@ class GridFunction:
             )
         if self.boundary_flag:
             vals = vals.copy()
-            if self.grid.dimension == 1:
-                vals[0] = vals[-1] = 0.0
-            else:
-                vals[0, :] = vals[-1, :] = 0.0
-                vals[:, 0] = vals[:, -1] = 0.0
+            vals[self.grid.boundary()] = 0.0
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -164,12 +167,7 @@ class GridFunction:
         cls, grid: Grid, fn: Callable[..., np.ndarray], boundary_flag: bool = True
     ) -> "GridFunction":
         """Sample ``fn`` at the nodes; fn takes one coordinate array per axis."""
-        axes = grid.axes()
-        if grid.dimension == 1:
-            vals = np.asarray(fn(axes[0]), dtype=float)
-        else:
-            X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-            vals = np.asarray(fn(X, Y), dtype=float)
+        vals = np.asarray(fn(*np.meshgrid(*grid.axes(), indexing="ij")), dtype=float)
         return cls(grid, vals, boundary_flag)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
@@ -188,26 +186,27 @@ class GridFunction:
         return np.where(inside, vals, 0.0).reshape(lead)
 
     def cell_gradients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cell-centered gradients: (centers, gradients, cell volumes)."""
+        """Cell-centered gradients: (centers, gradients, cell volumes).
+
+        Component ``a`` is the difference across the cell along axis
+        ``a``, averaged over the cell's two faces in every other axis:
+        the gradient of the multilinear interpolant at the cell center.
+        """
         v = self.values
-        if self.grid.dimension == 1:
-            h, = self.grid.spacing
-            (a, _), = self.grid.box
-            g = (v[1:] - v[:-1]) / h
-            centers = a + h * (np.arange(g.shape[0]) + 0.5)
-            return centers[:, None], g[:, None], np.full(g.shape[0], h)
-        hx, hy = self.grid.spacing
-        (ax, _), (ay, _) = self.grid.box
-        gx = 0.5 * ((v[1:, 1:] - v[:-1, 1:]) + (v[1:, :-1] - v[:-1, :-1])) / hx
-        gy = 0.5 * ((v[1:, 1:] - v[1:, :-1]) + (v[:-1, 1:] - v[:-1, :-1])) / hy
-        nx, ny = gx.shape
-        cx = ax + hx * (np.arange(nx) + 0.5)
-        cy = ay + hy * (np.arange(ny) + 0.5)
-        CX, CY = np.meshgrid(cx, cy, indexing="ij")
-        centers = np.column_stack([CX.ravel(), CY.ravel()])
-        grads = np.column_stack([gx.ravel(), gy.ravel()])
-        vols = np.full(grads.shape[0], hx * hy)
-        return centers, grads, vols
+        spacing = self.grid.spacing
+        grads = []
+        for axis, h in enumerate(spacing):
+            g = np.diff(v, axis=axis)
+            for other in range(v.ndim):
+                if other != axis:
+                    g = np.moveaxis(g, other, 0)
+                    g = np.moveaxis(0.5 * (g[1:] + g[:-1]), 0, other)
+            grads.append((g / h).ravel())
+        n_cells = self.grid.nodes_per_axis - 1
+        centers = _lattice(
+            [a + h * (np.arange(n_cells) + 0.5) for (a, _), h in zip(self.grid.box, spacing)]
+        )
+        return centers, np.column_stack(grads), np.full(centers.shape[0], math.prod(spacing))
 
     def scaled(self, c: float) -> "GridFunction":
         return GridFunction(self.grid, c * self.values, self.boundary_flag)

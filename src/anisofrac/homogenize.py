@@ -159,7 +159,7 @@ def cell_problem_1d(
 
     scale = abs(xi) ** (p - 1.0) * max(float(A.max()), 1.0)
     v, f, _, it, _, _ = _solve_atoms(
-        atoms, 1.0, np.zeros(n + 1), free, fixed, p, tol * scale, max_iter, "auto"
+        atoms, 1.0, np.zeros(n + 1), free, fixed, tol * scale, max_iter
     )
     # the engine's residual covers the free nodes only; the pinned node's
     # gradient is minus the sum of the others

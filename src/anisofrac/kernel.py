@@ -446,6 +446,7 @@ def _tabulated(params):
     if path is None:
         raise ValueError("tabulated kernel needs a 'table' CSV path")
     xs, hs, vs = [], [], []
+    seen = set()
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -455,26 +456,36 @@ def _tabulated(params):
         for row in reader:
             if not row or row[0].lstrip().startswith("#"):
                 continue
+            where = f"tabulated kernel: {path} line {reader.line_num}"
             try:
                 x, h, v = map(float, row[:3])
             except ValueError:
                 raise ValueError(
-                    f"tabulated kernel: {path} line {reader.line_num}: "
-                    f"{','.join(row)!r} is not an x,h,value triple"
+                    f"{where}: {','.join(row)!r} is not an x,h,value triple"
                 ) from None
+            if not all(map(math.isfinite, (x, h, v))):
+                raise ValueError(f"{where}: {','.join(row)!r} is not finite")
+            if (x, h) in seen:
+                raise ValueError(f"{where}: repeats the point (x, h) = ({x:g}, {h:g})")
+            seen.add((x, h))
             xs.append(x)
             hs.append(h)
             vs.append(v)
     xg = np.unique(np.asarray(xs))
     hg = np.unique(np.asarray(hs))
+    if xg.size < 2 or hg.size < 2:
+        raise ValueError(
+            f"tabulated kernel: {path} needs at least two x and two h values, "
+            f"got {xg.size} and {hg.size}"
+        )
     table = np.full((xg.size, hg.size), np.nan)
     ix = np.searchsorted(xg, xs)
     ih = np.searchsorted(hg, hs)
     table[ix, ih] = vs
     if np.isnan(table).any():
-        raise ValueError("tabulated kernel: (x, h) grid is not complete")
+        raise ValueError(f"tabulated kernel: {path}: the (x, h) grid is not complete")
     if table.min() <= 0.0:
-        raise ValueError("tabulated kernel values must be positive")
+        raise ValueError(f"tabulated kernel: {path}: values must be positive")
 
     def _interp1(grid, q):
         # linear inside, nearest outside

@@ -301,8 +301,8 @@ def bbm_sweep(
     s_list = list(s_list) if s_list is not None else default_bbm_s_list()
     if any(not 0.0 < s < 1.0 for s in s_list):
         raise ValueError("s values must lie in (0,1)")
-    if s_list != sorted(s_list):
-        raise ValueError("s_list must increase toward 1")
+    if any(a >= b for a, b in zip(s_list, s_list[1:])):
+        raise ValueError("s_list must strictly increase toward 1")
     parts = get_scheme(k, u.grid, settings).raw_components(u, p, s_list)
     values = [(1.0 - s) * (near + bulk + tail)
               for s, (near, bulk, tail, _) in zip(s_list, parts)]
@@ -331,8 +331,8 @@ def ms_sweep(
     s_list = list(s_list) if s_list is not None else default_ms_s_list()
     if any(not 0.0 < s < 1.0 for s in s_list):
         raise ValueError("s values must lie in (0,1)")
-    if s_list != sorted(s_list, reverse=True):
-        raise ValueError("s_list must decrease toward 0")
+    if any(a <= b for a, b in zip(s_list, s_list[1:])):
+        raise ValueError("s_list must strictly decrease toward 0")
     if k.tail_limit is None:
         raise ValueError(
             f"kernel {k.name!r} declares no tail limit; the s -> 0 sweep needs one"

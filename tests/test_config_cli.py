@@ -128,11 +128,20 @@ def test_cli_invalid_kernel_exit_2_no_output(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("table", ["missing", "short-row"])
+_BAD_TABLES = {
+    "short-row": "# x, h, value\n0.0,-1.0,2.0\n0.0,1.0\n",
+    "one-x": "0.0,-1.0,2.0\n0.0,1.0,2.0\n",
+    "one-h": "-1.0,0.5,2.0\n1.0,0.5,2.0\n",
+    "repeated-point": "-1,-1,2\n-1,1,2\n1,-1,2\n1,1,2\n1,1,3\n",
+    "non-finite": "-1,-1,2\n-1,1,nan\n1,-1,2\n1,1,2\n",
+}
+
+
+@pytest.mark.parametrize("table", ["missing", *_BAD_TABLES])
 def test_cli_bad_tabulated_table_exit_2(tmp_path, capsys, table):
     path = tmp_path / "table.csv"
-    if table == "short-row":
-        path.write_text("# x, h, value\n0.0,-1.0,2.0\n0.0,1.0\n")
+    if table != "missing":
+        path.write_text(_BAD_TABLES[table])
     cfg = _write(tmp_path, "t.ini", f"[kernel]\nname = tabulated\ntable = {path}\n\n"
                  "[params]\ns = 0.5\n")
     out = tmp_path / "never.csv"
@@ -144,13 +153,33 @@ def test_cli_bad_tabulated_table_exit_2(tmp_path, capsys, table):
     assert str(path) in err
     if table == "short-row":
         assert "line 3" in err and "'0.0,1.0'" in err
+    if table == "repeated-point":
+        assert "line 5" in err
+    if table == "non-finite":
+        assert "line 2" in err and "finite" in err
+
+
+@pytest.mark.parametrize("subcommand, s_list", [
+    ("bbm-sweep", "0.75, 0.875, 0.875"),
+    ("ms-sweep", "0.25, 0.125, 0.125"),
+    ("localize", "0.75, 0.875, 0.875"),
+], ids=["bbm-sweep", "ms-sweep", "localize"])
+def test_cli_sweep_repeated_order_exit_2(tmp_path, capsys, subcommand, s_list):
+    cfg = _write(tmp_path, "r.ini", "[kernel]\nname = constant\n\n[grid]\nN = 33\n\n"
+                 f"[params]\ns_list = {s_list}\n")
+    out = tmp_path / "never.csv"
+    rc = cli.main([subcommand, "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "strictly" in err
 
 
 def test_cli_solve_nonconvergence_exit_3(tmp_path, monkeypatch):
     from anisofrac.gridfn import GridFunction
     from anisofrac.variational import SolveResult
 
-    def fake_solve(prob, method="auto"):
+    def fake_solve(prob):
         z = GridFunction(prob.grid, np.zeros(prob.grid.shape))
         return SolveResult(minimizer=z, objective=0.0, residual=1.0,
                            iterations=prob.max_iterations, converged=False,
@@ -199,8 +228,8 @@ def test_cli_inner_solve_nonconvergence_exit_3(tmp_path, monkeypatch, subcommand
     real_solve = variational.solve_nonlocal
     stopped = []
 
-    def short_solve(prob, method="auto"):
-        res = real_solve(prob, method)
+    def short_solve(prob):
+        res = real_solve(prob)
         if stopped:
             return res
         stopped.append(prob.fp.s)
@@ -295,9 +324,14 @@ def test_atomic_write_leaves_nothing_on_crash(tmp_path, monkeypatch):
 
 
 def test_console_entrypoint_runs():
+    # the child process imports the same package as this suite
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "anisofrac.cli", "energy", "--config", "/nonexistent"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 2

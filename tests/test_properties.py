@@ -106,14 +106,12 @@ def test_solver_traces_monotone_all_p():
     k = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
     for p in (1.5, 2.0, 3.0):
         res = solve_nonlocal(
-            NonlocalProblem(kern=k, fp=FractionalParams(0.5, p), grid=GRID, source=one),
-            method="descent",
+            NonlocalProblem(kern=k, fp=FractionalParams(0.5, p), grid=GRID, source=one)
         )
         trace = np.array(res.objective_trace)
         assert np.all(np.diff(trace) <= 0.0)
         res_l = solve_local(
-            LocalProblem(grid=GRID, p=p, source=one, density=LD(k, p)),
-            method="descent",
+            LocalProblem(grid=GRID, p=p, source=one, density=LD(k, p))
         )
         trace_l = np.array(res_l.objective_trace)
         assert np.all(np.diff(trace_l) <= 0.0)

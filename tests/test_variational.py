@@ -125,26 +125,12 @@ def test_boundary_pin_and_free_mask_2d():
     assert np.array_equal(_free_mask(g), ~edge.ravel())
 
 
-def test_direct_and_descent_agree(grid129, one129):
-    k = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
-    g = Grid(1, ((-1.0, 1.0),), 33)
-    one = GridFunction(g, np.ones(33), boundary_flag=False)
-    prob = NonlocalProblem(
-        kern=k, fp=FractionalParams(0.5, 2.0), grid=g, source=one,
-        tolerance=1e-12,
-    )
-    rd = solve_nonlocal(prob, method="direct")
-    ri = solve_nonlocal(prob, method="descent")
-    scale = np.abs(rd.minimizer.values).max()
-    assert np.abs(rd.minimizer.values - ri.minimizer.values).max() <= 1e-8 * scale
-
-
 def test_objective_trace_monotone(grid129, one129):
     k = builtin("constant", {"c": 1.0})
     prob = NonlocalProblem(
         kern=k, fp=FractionalParams(0.5, 2.5), grid=grid129, source=one129
     )
-    res = solve_nonlocal(prob, method="descent")
+    res = solve_nonlocal(prob)
     trace = np.array(res.objective_trace)
     assert np.all(np.diff(trace) <= 0.0)
     assert len(trace) == res.iterations + 1
@@ -175,15 +161,14 @@ def test_uniqueness_proxy_random_inits():
     b = g.trapezoid_weights() * one.values.ravel()
     free = _free_mask(g)
     rng = np.random.default_rng(42)
-    for p in (2.0, 3.0):
+    for p in (2.0, 3.0):  # at p = 2 the engine solves directly and ignores z0
         fp = FractionalParams(0.5, p)
         atoms = get_scheme(k, g, None).atoms(fp)
         sols = []
         for _ in range(2):
             z0 = rng.standard_normal(31)
             v, _, _, _, converged, _ = _solve_atoms(
-                atoms, 1.0 - fp.s, b, free, np.zeros(33), p, 1e-12, 200,
-                "descent", z0=z0,
+                atoms, 1.0 - fp.s, b, free, np.zeros(33), 1e-12, 200, z0=z0
             )
             assert converged
             sols.append(v)
