@@ -3,9 +3,10 @@
 One config file describes one experiment; the subcommand picks what to
 run.  Tables land in CSV files (written atomically: temp file in the
 target directory, then rename), and every run prints a one-line
-summary.  Exit status: 0 on success, 2 on validation failure, 3 when a
-solver stopped without reaching its tolerance (inside a sweep or the
-commute experiment too; the table is still written).
+summary.  Exit status: 0 on success, 2 on a config or validation
+error, 3 when a solver stopped without reaching its tolerance (inside a
+sweep or the commute experiment too; the table is still written), 4 on
+any other error, with a one-line message on stderr.
 
 Every experiment runs on one thread; ``--threads`` is accepted for
 compatibility with older scripts and ignored.
@@ -45,6 +46,7 @@ from .variational import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_INTERNAL = 4
 
 SUBCOMMANDS = (
     "energy",
@@ -323,9 +325,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NotConvergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:
+        msg = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

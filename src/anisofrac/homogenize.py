@@ -338,10 +338,14 @@ def commute_experiment(
     """
     if k.dimension != 1:
         raise ValueError("the experiment is 1D")
+    periods = set()
     for eps in eps_list:
         inv = 1.0 / eps
         if abs(inv - round(inv)) > 1e-9:
             raise ValueError("eps values must be reciprocals of integers")
+        if round(inv) in periods:
+            raise ValueError(f"eps_list repeats eps = 1/{round(inv)}")
+        periods.add(round(inv))
     grid = f.grid
     coeff = coefficient_from_kernel(k, p)
     star = effective_star(coeff)

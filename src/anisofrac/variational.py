@@ -45,6 +45,7 @@ __all__ = [
     "solve_local",
     "localization_sweep",
     "NotConvergedError",
+    "IncreasingObjectiveError",
 ]
 
 DEFAULT_TOL = 1e-8
@@ -53,6 +54,10 @@ DEFAULT_MAX_ITER = 10_000
 
 class NotConvergedError(RuntimeError):
     """A solve stopped short of its tolerance (CLI exit status 3)."""
+
+
+class IncreasingObjectiveError(RuntimeError):
+    """A descent trace went up: a fault of the solver (CLI exit status 4)."""
 
 
 @dataclass(frozen=True)
@@ -116,7 +121,9 @@ class SolveResult:
     def __post_init__(self):
         for a, b in zip(self.objective_trace, self.objective_trace[1:]):
             if b > a:
-                raise AssertionError("descent produced an increasing objective")
+                raise IncreasingObjectiveError(
+                    f"descent produced an increasing objective ({a!r} -> {b!r})"
+                )
 
 
 def _free_mask(grid: Grid) -> np.ndarray:

@@ -175,6 +175,52 @@ def test_cli_sweep_repeated_order_exit_2(tmp_path, capsys, subcommand, s_list):
     assert len(err.splitlines()) == 1 and "strictly" in err
 
 
+def test_cli_commute_repeated_eps_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "r.ini", "[kernel]\nname = periodic-1d\n\n[grid]\nN = 33\n\n"
+                 "[params]\neps_list = 0.25, 0.25\n")
+    out = tmp_path / "never.csv"
+    rc = cli.main(["commute", "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "repeats" in err
+
+
+def test_cli_increasing_trace_exit_4(tmp_path, monkeypatch, capsys):
+    from anisofrac.gridfn import GridFunction
+    from anisofrac.variational import SolveResult
+
+    def rising_solve(prob):
+        z = GridFunction(prob.grid, np.zeros(prob.grid.shape))
+        return SolveResult(minimizer=z, objective=1.0, residual=0.0,
+                           iterations=2, converged=True,
+                           objective_trace=(0.0, 1.0))
+
+    monkeypatch.setattr(cli, "solve_nonlocal", rising_solve)
+    cfg = _write(
+        tmp_path, "s.ini",
+        "[kernel]\nname = constant\nc = 1.0\n\n[grid]\nN = 33\n\n[params]\ns = 0.5\n",
+    )
+    out = tmp_path / "never.csv"
+    rc = cli.main(["solve-nonlocal", "--config", cfg, "--out", str(out)])
+    assert rc == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "IncreasingObjectiveError" in err
+
+
+def test_cli_internal_runtime_error_exit_4(tmp_path, monkeypatch, capsys):
+    def broken(cfg):
+        raise RuntimeError("injected fault\nsecond line")
+
+    monkeypatch.setitem(cli._RUNNERS, "energy", broken)
+    cfg = _write(tmp_path, "e.ini", "[kernel]\nname = constant\n\n[params]\ns = 0.5\n")
+    rc = cli.main(["energy", "--config", cfg])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["internal error: RuntimeError: injected fault second line"]
+
+
 def test_cli_solve_nonconvergence_exit_3(tmp_path, monkeypatch):
     from anisofrac.gridfn import GridFunction
     from anisofrac.variational import SolveResult

@@ -8,6 +8,7 @@ from anisofrac.gridfn import FractionalParams
 from anisofrac.kernel import (
     BUILTIN_NAMES,
     Kernel,
+    _halton,
     builtin,
     matrix_kernel,
     symmetrize,
@@ -144,6 +145,29 @@ def test_verify_hypotheses_reports_h1_witness():
     assert not rep.passed and not rep.h1_passed
     assert rep.witness[0] == "H1"
     assert rep.h1_violation == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42])
+@pytest.mark.parametrize("count", [8, 256, 1000])
+@pytest.mark.parametrize("n_dim", [1, 2, 4])
+def test_halton_matches_scipy(n_dim, count, seed):
+    # the audit samples scipy's scrambled Halton points, bit for bit
+    from scipy.stats import qmc
+
+    want = qmc.Halton(d=n_dim, scramble=True, seed=seed).random(count)
+    assert np.array_equal(_halton(n_dim, count, seed), want)
+
+
+def test_halton_stratifies_each_axis():
+    # b**k points of the base-b axis fill each interval [j/b**k, (j+1)/b**k)
+    # exactly once: scrambling permutes digits and keeps the net property
+    for seed in range(20):
+        for axis, (base, digits) in enumerate([(2, 10), (3, 6), (5, 4), (7, 3)]):
+            count = base ** digits
+            u = _halton(4, count, seed)
+            assert np.all((u >= 0.0) & (u < 1.0))
+            cells = np.sort(np.floor(u[:, axis] * count).astype(int))
+            assert np.array_equal(cells, np.arange(count))
 
 
 def test_matrix_kernel_identity_and_diag():
