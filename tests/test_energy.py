@@ -228,6 +228,68 @@ def test_bulk_rows_are_shifted_differences():
                           np.broadcast_to(2 * rung + parity, (n_bulk, n_nodes, n_ang)))
 
 
+@pytest.mark.parametrize(
+    "kernel_name, params, box, N",
+    [
+        # two node chunks, the second partial; unequal spacings per axis
+        ("separable-angular", {"n": 2, "c0": 1.0, "c1": 0.5}, ((-1.0, 3.0), (0.0, 1.0)), 25),
+        # three node chunks
+        ("periodic-1d", {"A0": 2.0, "A1": 1.0}, ((-1.0, 1.0),), 1100),
+    ],
+    ids=["separable-angular 2D N=25", "periodic-1d N=1100"],
+)
+def test_form_matrix_matches_pointwise_build(kernel_name, params, box, N):
+    # L, base and label against a block-by-block rebuild of the bulk rows
+    # from Grid.interpolation_stencil on the shifted points, bit for bit
+    from anisofrac.energy import _CHUNK
+
+    g = Grid(len(box), box, N)
+    scheme = get_scheme(builtin(kernel_name, params), g, None)
+    n_nodes = scheme.nodes.shape[0]
+    n_ang, n_bulk = scheme.dirs.shape[0], scheme.r_bulk.shape[0]
+    assert n_nodes > _CHUNK and n_nodes % _CHUNK != 0
+
+    # each row as a (slots,) stripe: v(x), then the corners when inside
+    near_idx, near_coef = scheme._gradient_stencil()
+    cols, data, keep = [near_idx], [near_coef], [near_coef != 0.0]
+    base = [(scheme.w_dirs[:, None] * scheme.a_vals.T * scheme.w_x[None, :]).ravel()]
+    label = [np.full(n_ang * n_nodes, 2 * n_bulk)]
+    width = 1 + 2 ** g.dimension
+    for start in range(0, n_nodes, _CHUNK):
+        sel = np.arange(start, min(start + _CHUNK, n_nodes))
+        ms = scheme._msym(
+            scheme.nodes[sel][:, None, None, :],
+            scheme.r_bulk[None, :, None, None] * scheme.dirs[None, None, :, :],
+        )
+        for j in range(n_bulk):
+            P = scheme.nodes[sel][:, None, :] - scheme.r_bulk[j] * scheme.dirs[None, :, :]
+            corner_cols, weights, inside = g.interpolation_stencil(P.reshape(-1, g.dimension))
+            cols.append(np.column_stack([np.repeat(sel, n_ang), corner_cols]))
+            data.append(np.column_stack([np.ones(inside.size), -weights]))
+            stripe = np.zeros((inside.size, width), dtype=bool)
+            stripe[:, 0] = True
+            stripe[inside, 1:] = True
+            keep.append(stripe)
+            base.append(
+                (scheme.w_x[sel][:, None] * scheme.w_dirs[None, :] * ms[:, j, :]).ravel()
+                * np.where(inside, 1.0, 2.0)
+            )
+            label.append(2 * j + np.tile(np.arange(n_ang) % 2, sel.size))
+    L = scheme.L
+    row_nnz = np.concatenate([k.sum(axis=1) for k in keep] + [np.ones(n_nodes, dtype=int)])
+    assert np.array_equal(L.indptr, np.concatenate([[0], np.cumsum(row_nnz)]))
+    assert np.array_equal(
+        L.indices, np.concatenate([c[k] for c, k in zip(cols, keep)] + [np.arange(n_nodes)])
+    )
+    assert np.array_equal(
+        L.data, np.concatenate([d[k] for d, k in zip(data, keep)] + [np.ones(n_nodes)])
+    )
+    assert np.array_equal(scheme.base, np.concatenate(base + [2.0 * scheme.w_x]))
+    assert np.array_equal(
+        scheme.label, np.concatenate(label + [np.full(n_nodes, 2 * n_bulk + 1)])
+    )
+
+
 def test_near_rows_are_one_sided_slopes_hat(grid129, hat129):
     scheme = get_scheme(None, grid129, None)
     slopes = (scheme.L @ hat129.values.ravel())[scheme.near_rows].reshape(2, -1)
