@@ -4,9 +4,11 @@ One config file describes one experiment; the subcommand picks what to
 run.  Tables land in CSV files (written atomically: temp file in the
 target directory, then rename), and every run prints a one-line
 summary.  Exit status: 0 on success, 2 on a config or validation
-error, 3 when a solver stopped without reaching its tolerance (inside a
-sweep or the commute experiment too; the table is still written), 4 on
-any other error, with a one-line message on stderr.
+error (an output path that cannot take the file included: it is
+checked before the experiment runs), 3 when a solver stopped without
+reaching its tolerance (inside a sweep or the commute experiment too;
+the table is still written), 4 on any other error, with a one-line
+message on stderr.
 
 Every experiment runs on one thread; ``--threads`` is accepted for
 compatibility with older scripts and ignored.
@@ -78,6 +80,15 @@ def _atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _check_out_path(path: str) -> None:
+    """Fail before the experiment runs if ``path`` cannot take the output."""
+    if os.path.isdir(path):
+        raise ValueError(f"output path {path!r} is a directory")
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ValueError(f"output path {path!r}: directory {directory!r} does not exist")
 
 
 def _table_csv(table: ConvergenceTable) -> str:
@@ -318,6 +329,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             cfg.seed = args.seed
         if getattr(args, "breakdown", False):
             cfg.breakdown = True
+        if cfg.out_path:
+            _check_out_path(cfg.out_path)
         return run(cfg, args.subcommand)
     except ConfigError as exc:
         print(exc, file=sys.stderr)

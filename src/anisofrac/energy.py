@@ -48,7 +48,11 @@ Hessian is the Gram matrix ``L^T diag(2 w) L``.
 Cost model: the scheme samples the kernel on a (nodes x rungs x angles)
 lattice and ``L`` has one bulk row per lattice point.  In 1D this is
 ~1e5 rows for N = 257; in 2D it grows like N^2 * rungs * angles (9.8M
-nonzeros at N = 33), which is why 2D grids are capped at N <= 48.
+nonzeros at N = 33), which is why 2D grids are capped at N <= 48
+(:data:`MAX_2D_NODES`).  The interpolation cells of the shifted points
+are tabulated per axis, once, on the (rungs x N x angles) lattice, and
+their inside counts size ``L``; the kernel samples are the largest
+single cost of the build.
 """
 
 from __future__ import annotations
@@ -71,6 +75,8 @@ __all__ = [
     "EnergyReport",
     "EnergyScheme",
     "AtomSet",
+    "MAX_2D_NODES",
+    "check_grid_cap",
     "gagliardo",
     "anisotropic_energy",
     "CheckResult",
@@ -80,6 +86,16 @@ __all__ = [
 
 _CHUNK = 512  # x-nodes per evaluation block
 _FAR_OCTAVES = 10  # length of the far ladder beyond h_split
+MAX_2D_NODES = 48  # nodes per axis of a 2D grid (see the cost model above)
+
+
+def check_grid_cap(grid: Grid) -> None:
+    """Reject a 2D grid with more than :data:`MAX_2D_NODES` nodes per axis."""
+    if grid.dimension == 2 and grid.nodes_per_axis > MAX_2D_NODES:
+        raise ValueError(
+            f"2D grids are capped at N <= {MAX_2D_NODES} per axis, "
+            f"got N = {grid.nodes_per_axis}"
+        )
 
 
 @dataclass(frozen=True)
@@ -245,8 +261,7 @@ class EnergyScheme:
     def __init__(self, kern: Optional[Kernel], grid: Grid, settings: QuadratureSettings):
         if kern is not None and kern.dimension != grid.dimension:
             raise ValueError("kernel and grid dimensions differ")
-        if grid.dimension == 2 and grid.nodes_per_axis > 48:
-            raise ValueError("2D energies are capped at N <= 48 per axis")
+        check_grid_cap(grid)
         self.kern = kern
         self.grid = grid
         self.settings = settings
@@ -334,11 +349,19 @@ class EnergyScheme:
         Rows: near (angle-major), then one block per (node chunk, bulk
         rung) with rows in (node, angle) order, then tail.  Labels are
         2 * rung + angle parity for bulk rows, ``2 * n_bulk`` for near
-        rows and ``2 * n_bulk + 1`` for tail rows.  The nonzeros of each
-        block are written straight into arrays sized by a first counting
-        pass, so the matrix is never held twice.
+        rows and ``2 * n_bulk + 1`` for tail rows.
+
+        Coordinate a of x - r_j w_k depends only on the node's index
+        along axis a, the rung j and the angle k, so each axis's
+        interpolation cells are tabulated once, (n_bulk, N, n_ang), by
+        :meth:`Grid.axis_cells`.  A block gathers its cells from the
+        tables, writes its rows into (node, angle, slot) arrays and
+        compacts them into ``data`` and ``indices``, which are sized
+        from the per-axis inside counts, so the matrix is never held
+        twice.
         """
         grid = self.grid
+        N = grid.nodes_per_axis
         n_nodes = self.nodes.shape[0]
         n_ang = self.dirs.shape[0]
         n_bulk = self.r_bulk.shape[0]
@@ -348,18 +371,23 @@ class EnergyScheme:
             for start in range(0, n_nodes, _CHUNK)
         ]
 
-        def shifted(sel, j):
-            """The points x - r_j w for the nodes ``sel``, in (node, angle) order."""
-            P = self.nodes[sel][:, None, :] - self.r_bulk[j] * self.dirs[None, :, :]
-            return P.reshape(-1, grid.dimension)
+        # per axis: cell, corner factors and inside flag of every rung and
+        # angle at every node coordinate; axis 0's factors carry the minus
+        # sign of the corner terms (negation commutes with rounding)
+        lowers, factors, insides = [], [], []
+        for axis, x in enumerate(grid.axes()):
+            lower, t, inside = grid.axis_cells(
+                axis,
+                x[None, :, None] - self.r_bulk[:, None, None] * self.dirs[None, None, :, axis],
+            )
+            lowers.append(lower)
+            factors.append((-(1.0 - t), -t) if axis == 0 else (1.0 - t, t))
+            insides.append(inside)
+        # the shifted lattice of one (rung, angle) is a tensor product
+        n_inside = int(np.prod([ins.sum(axis=1) for ins in insides], axis=0).sum())
 
         near_idx, near_coef = self._gradient_stencil()
         near_keep = near_coef != 0.0
-        n_inside = sum(
-            int(np.count_nonzero(grid.contains(shifted(sel, j))))
-            for sel in chunks
-            for j in range(n_bulk)
-        )
         n_near = n_ang * n_nodes
         n_rows = n_near + n_bulk * n_ang * n_nodes + n_nodes
         nnz = (
@@ -387,27 +415,47 @@ class EnergyScheme:
         # swap counts the mirrored pair a second time)
         row = n_near
         parity = np.tile(np.arange(n_ang) % 2, _CHUNK)
+        axis_index = np.unravel_index(np.arange(n_nodes), grid.shape)
+        slot_shape = (chunks[0].size, n_ang, width)
+        slot_data = np.empty(slot_shape)
+        slot_cols = np.empty(slot_shape, dtype=np.int32)
+        slot_keep = np.empty(slot_shape, dtype=bool)
         for sel in chunks:
             ms = self._msym(
                 self.nodes[sel][:, None, None, :],
                 self.r_bulk[None, :, None, None] * self.dirs[None, None, :, :],
             )
             block = sel.size * n_ang
+            node_axis = [ia[sel] for ia in axis_index]
+            sd, sc, sk = (a[:sel.size] for a in (slot_data, slot_cols, slot_keep))
+            sd[:, :, 0] = 1.0
+            sc[:, :, 0] = sel[:, None]
+            sk[:, :, 0] = True
             for j in range(n_bulk):
-                cols, weights, ins = grid.interpolation_stencil(shifted(sel, j))
+                # corners in the order of Grid.interpolation_stencil
+                cols, weights = [0], [1.0]
+                ins = True
+                for axis, i in enumerate(node_axis):
+                    lower = lowers[axis][j, i]
+                    cols = [N * c + lower + b for b in (0, 1) for c in cols]
+                    weights = [w * f[j, i] for f in factors[axis] for w in weights]
+                    ins = ins & insides[axis][j, i]
+                for c in range(width - 1):
+                    sd[:, :, 1 + c] = weights[c]
+                    sc[:, :, 1 + c] = cols[c]
+                sk[:, :, 1:] = ins[:, :, None]
+                ins = ins.ravel()
                 row_nnz = np.where(ins, width, 1)
-                starts = pos + np.cumsum(row_nnz) - row_nnz
-                indptr[row:row + block] = starts
-                data[starts] = 1.0
-                indices[starts] = np.repeat(sel, n_ang)
-                corners = starts[ins, None] + np.arange(1, width)
-                data[corners] = -weights[ins]
-                indices[corners] = cols[ins]
+                indptr[row:row + block] = pos + np.cumsum(row_nnz) - row_nnz
+                end = pos + block + (width - 1) * int(np.count_nonzero(ins))
+                keep = sk.ravel()
+                np.compress(keep, sd.ravel(), out=data[pos:end])
+                np.compress(keep, sc.ravel(), out=indices[pos:end])
                 base[row:row + block] = (
                     self.w_x[sel][:, None] * self.w_dirs[None, :] * ms[:, j, :]
                 ).ravel() * np.where(ins, 1.0, 2.0)
                 label[row:row + block] = 2 * j + parity[:block]
-                pos += int(row_nnz.sum())
+                pos = end
                 row += block
 
         # tail rows: v(x), weighted by the far ladder at report time

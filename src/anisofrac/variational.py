@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .energy import AtomSet, QuadratureSettings, get_scheme
+from .energy import AtomSet, QuadratureSettings, check_grid_cap, get_scheme
 from .gridfn import FractionalParams, Grid, GridFunction, lp_norm
 from .kernel import Kernel
 from .limits import ConvergenceTable, LimitDensity, TableRow
@@ -105,6 +105,7 @@ class LocalProblem:
             raise ValueError("explicit coefficients are 1D")
         if self.p != 2.0 and self.grid.dimension != 1:
             raise ValueError("p != 2 local solves are 1D only")
+        check_grid_cap(self.grid)
         if self.source.grid != self.grid:
             raise ValueError("source must live on the problem grid")
 

@@ -221,6 +221,20 @@ def test_cli_internal_runtime_error_exit_4(tmp_path, monkeypatch, capsys):
     assert err.splitlines() == ["internal error: RuntimeError: injected fault second line"]
 
 
+@pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing dir", "directory"])
+def test_cli_unwritable_out_exit_2_before_run(tmp_path, monkeypatch, capsys, target):
+    # the output path is checked before the experiment, not after it
+    calls = []
+    monkeypatch.setitem(cli._RUNNERS, "energy", lambda cfg: calls.append(cfg) or 0)
+    cfg = _write(tmp_path, "e.ini", "[kernel]\nname = constant\n\n[params]\ns = 0.5\n")
+    out = str(tmp_path / target)
+    rc = cli.main(["energy", "--config", cfg, "--out", out])
+    assert rc == 2
+    assert calls == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and out in err[0]
+
+
 def test_cli_solve_nonconvergence_exit_3(tmp_path, monkeypatch):
     from anisofrac.gridfn import GridFunction
     from anisofrac.variational import SolveResult
@@ -309,6 +323,24 @@ def test_cli_solve_nonlocal_2d_at_the_grid_cap(tmp_path):
     out = tmp_path / "u.csv"
     assert cli.main(["solve-nonlocal", "--config", cfg, "--out", str(out)]) == 0
     assert out.read_text().startswith("# grid n=2 box=-1:1;-1:1 N=48\n")
+
+
+@pytest.mark.parametrize("N, rc", [(48, 0), (49, 2)])
+def test_cli_solve_local_2d_grid_cap(tmp_path, capsys, N, rc):
+    cfg = _write(
+        tmp_path, "cap.ini",
+        "[kernel]\nname = separable-angular\nn = 2\n\n"
+        f"[grid]\nn = 2\nbox = -1:1;-1:1\nN = {N}\n\n"
+        "[params]\nf = bump(0, 0, 0.6)\n",
+    )
+    out = tmp_path / "u.csv"
+    assert cli.main(["solve-local", "--config", cfg, "--out", str(out)]) == rc
+    err = capsys.readouterr().err.splitlines()
+    if rc == 0:
+        assert out.read_text().startswith(f"# grid n=2 box=-1:1;-1:1 N={N}\n")
+    else:
+        assert not out.exists()
+        assert err == ["error: 2D grids are capped at N <= 48 per axis, got N = 49"]
 
 
 def test_cli_solve_writes_grid_csv(tmp_path):
