@@ -24,7 +24,7 @@ import tempfile
 from typing import Optional
 
 from .config import ConfigError, ExperimentConfig, parse_config
-from .energy import _scheme, anisotropic_energy
+from .energy import anisotropic_energy, get_scheme
 from .gridfn import FractionalParams, write_csv
 from .homogenize import coefficient_from_kernel, commute_experiment, effective_star
 from .kernel import verify_hypotheses
@@ -293,7 +293,7 @@ def run(cfg: ExperimentConfig, subcommand: str) -> int:
     finally:
         # each experiment builds its own kernel, so its schemes (~150 MB
         # of form matrix at 2D N=33) can never be hit again
-        _scheme.cache_clear()
+        get_scheme.cache_clear()
 
 
 def main(argv: Optional[list[str]] = None) -> int:

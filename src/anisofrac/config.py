@@ -229,11 +229,11 @@ class ExperimentConfig:
 
         return builtin(self.kernel_name, self.kernel_params)
 
-    def sample_u(self, boundary_flag: bool = True):
+    def sample_u(self):
         from .gridfn import GridFunction
 
         fn = compile_expression(self.u_expr, self.grid.dimension)
-        return GridFunction.from_callable(self.grid, fn, boundary_flag=boundary_flag)
+        return GridFunction.from_callable(self.grid, fn)
 
     def sample_f(self):
         from .gridfn import GridFunction

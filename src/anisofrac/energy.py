@@ -100,7 +100,7 @@ def check_grid_cap(grid: Grid) -> None:
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Knobs of the radius ladder and angular rule.
+    """Construction parameters of :class:`EnergyScheme`.
 
     The ladder ratio is 2**(1/points_per_octave); h_min is (grid
     spacing) * h_min_fraction and h_split defaults to twice the box
@@ -255,16 +255,22 @@ class EnergyScheme:
     Built once per (kernel, grid, settings); reports and atom sets for
     any (s, p) reuse ``L``, its base weights and labels, which is what
     makes the parameter sweeps affordable.  ``kern=None`` means the unit
-    weight (plain Gagliardo seminorm).
+    weight (plain Gagliardo seminorm).  The package always uses the
+    default settings (through :func:`get_scheme`); other settings serve
+    refinement studies.
     """
 
-    def __init__(self, kern: Optional[Kernel], grid: Grid, settings: QuadratureSettings):
+    def __init__(
+        self,
+        kern: Optional[Kernel],
+        grid: Grid,
+        settings: QuadratureSettings = QuadratureSettings(),
+    ):
         if kern is not None and kern.dimension != grid.dimension:
             raise ValueError("kernel and grid dimensions differ")
         check_grid_cap(grid)
         self.kern = kern
         self.grid = grid
-        self.settings = settings
         n = grid.dimension
         self.h_min, self.h_split, self.h_max, self.r_bulk, self.r_far = _resolve_geometry(
             grid, settings
@@ -514,6 +520,10 @@ class EnergyScheme:
         """
         if u.grid != self.grid:
             raise ValueError("grid function does not live on the scheme grid")
+        if np.any(u.values[self.grid.boundary()] != 0.0):
+            raise ValueError(
+                "energies need compactly supported functions: boundary values must be 0"
+            )
         uflat = u.values.ravel()
         nz = np.nonzero(uflat)[0]
         if nz.size:
@@ -652,50 +662,28 @@ class EnergyScheme:
 
 
 @lru_cache(maxsize=8)
-def _scheme(kern: Optional[Kernel], grid: Grid, settings: QuadratureSettings) -> EnergyScheme:
-    return EnergyScheme(kern, grid, settings)
-
-
-def get_scheme(
-    kern: Optional[Kernel], grid: Grid, settings: Optional[QuadratureSettings] = None
-) -> EnergyScheme:
-    """The scheme of (kernel, grid, settings), built on the first call.
+def get_scheme(kern: Optional[Kernel], grid: Grid) -> EnergyScheme:
+    """The default-settings scheme of (kernel, grid), built on the first call.
 
     Later calls with equal keys share it until the cache evicts it or
     ``cli.run`` clears it at the end of an experiment.
     """
-    return _scheme(kern, grid, settings or QuadratureSettings())
+    return EnergyScheme(kern, grid)
 
 
-def _check_admissible(u: GridFunction):
-    if np.any(u.values[u.grid.boundary()] != 0.0):
-        raise ValueError(
-            "energies need compactly supported functions: boundary values must be 0"
-        )
-
-
-def gagliardo(
-    u: GridFunction, fp: FractionalParams, settings: Optional[QuadratureSettings] = None
-) -> EnergyReport:
+def gagliardo(u: GridFunction, fp: FractionalParams) -> EnergyReport:
     """The seminorm double integral [u]^p, no prefactor."""
-    _check_admissible(u)
-    return get_scheme(None, u.grid, settings).report(u, fp, 1.0)
+    return get_scheme(None, u.grid).report(u, fp, 1.0)
 
 
-def anisotropic_energy(
-    k: Kernel,
-    u: GridFunction,
-    fp: FractionalParams,
-    settings: Optional[QuadratureSettings] = None,
-) -> EnergyReport:
+def anisotropic_energy(k: Kernel, u: GridFunction, fp: FractionalParams) -> EnergyReport:
     """Weighted energy (1-s)/p * iint m |u(x)-u(x-h)|^p / |h|^{n+sp}.
 
     Kernels without the pair symmetry are handled by symmetrizing the
     weight inside the quadrature, which leaves the value unchanged.
     """
-    _check_admissible(u)
     prefactor = (1.0 - fp.s) / fp.p
-    return get_scheme(k, u.grid, settings).report(u, fp, prefactor)
+    return get_scheme(k, u.grid).report(u, fp, prefactor)
 
 
 @dataclass(frozen=True)
@@ -707,12 +695,7 @@ class CheckResult:
     tolerance: float
 
 
-def bbm_upper_bound_check(
-    k: Kernel,
-    u: GridFunction,
-    fp: FractionalParams,
-    settings: Optional[QuadratureSettings] = None,
-) -> CheckResult:
+def bbm_upper_bound_check(k: Kernel, u: GridFunction, fp: FractionalParams) -> CheckResult:
     """Bound chain: raw weighted integral <= m_plus [u]^p <= sphere-constant bound.
 
     The right-hand bound is (n omega_n m_plus / p) *
@@ -720,11 +703,11 @@ def bbm_upper_bound_check(
     bounds widen the comparison.
     """
     s, p = fp.s, fp.p
-    rep = anisotropic_energy(k, u, fp, settings)
+    rep = anisotropic_energy(k, u, fp)
     pref = (1.0 - s) / p
     raw = rep.value / pref
     raw_err = rep.error_bound / pref
-    gag = gagliardo(u, fp, settings)
+    gag = gagliardo(u, fp)
     n_omega = sphere_measure(u.grid.dimension)
     mid = k.m_plus * gag.value
     mid_err = k.m_plus * gag.error_bound
@@ -745,12 +728,7 @@ def bbm_upper_bound_check(
 
 
 def interpolation_check(
-    k: Kernel,
-    u: GridFunction,
-    s1: float,
-    s2: float,
-    p: float,
-    settings: Optional[QuadratureSettings] = None,
+    k: Kernel, u: GridFunction, s1: float, s2: float, p: float
 ) -> CheckResult:
     """Energy at a smaller order against the larger order plus an L^p term.
 
@@ -759,8 +737,8 @@ def interpolation_check(
     """
     if not s1 < s2:
         raise ValueError("need s1 < s2")
-    rep1 = anisotropic_energy(k, u, FractionalParams(s1, p), settings)
-    rep2 = anisotropic_energy(k, u, FractionalParams(s2, p), settings)
+    rep1 = anisotropic_energy(k, u, FractionalParams(s1, p))
+    rep2 = anisotropic_energy(k, u, FractionalParams(s2, p))
     n_omega = sphere_measure(u.grid.dimension)
     factor = 2.0 ** (p * (1.0 - s1))
     rhs = factor * rep2.value + (

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .energy import AtomSet, QuadratureSettings
+from .energy import AtomSet
 from .gridfn import FractionalParams, Grid, GridFunction, lp_norm
 from .kernel import Kernel
 from .limits import ConvergenceTable, LimitDensity
@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 _AVG_SAMPLES = 4096
+_KERNEL_SHIFTS = 64  # shifts over one period when averaging a kernel
+_NODES_PER_PERIOD = 16  # minimum resolution of the eps grids
 
 
 @dataclass(frozen=True)
@@ -172,12 +174,10 @@ def cell_problem_1d(
     return f
 
 
-def effective_star(
-    c: PeriodicCoefficient, n_cells: int = 512, xi: float = 1.0
-) -> EffectiveStarResult:
+def effective_star(c: PeriodicCoefficient) -> EffectiveStarResult:
     """Cell-problem coefficient with the closed-form candidates.
 
-    Returns the minimization value normalized by |xi|^p; the closed
+    Returns the minimization value at xi = 1 on 512 cells; the closed
     forms use the inner exponent -1/(p-1) and differ in the outer one.
     """
     p = c.p
@@ -185,7 +185,7 @@ def effective_star(
     inner = float((c.sample(y) ** (-1.0 / (p - 1.0))).mean())
     formula = inner ** (-1.0 / (p - 1.0))
     classical = inner ** (-(p - 1.0))
-    oracle = cell_problem_1d(c, xi, n_cells=n_cells) / abs(xi) ** p
+    oracle = cell_problem_1d(c, 1.0)
     d_formula = abs(oracle - formula)
     d_classical = abs(oracle - classical)
     if abs(formula - classical) <= 1e-9 * max(formula, classical):
@@ -208,14 +208,17 @@ def effective_bar(k: Kernel, p: float) -> float:
     return coefficient_from_kernel(k, p).mean()
 
 
-def homogenized_kernel(k: Kernel, samples: int = 64) -> Kernel:
-    """Average the kernel over one x-period: the eps -> 0 kernel at fixed s."""
+def homogenized_kernel(k: Kernel) -> Kernel:
+    """Average the kernel over one x-period: the eps -> 0 kernel at fixed s.
+
+    The average is the midpoint rule over 64 shifts.
+    """
     if k.period is None:
         raise ValueError(f"kernel {k.name!r} is not periodic in x")
     if k.dimension != 1:
         raise ValueError("kernel averaging is implemented in 1D")
     per = k.period[0]
-    shifts = per * (np.arange(samples) + 0.5) / samples
+    shifts = per * (np.arange(_KERNEL_SHIFTS) + 0.5) / _KERNEL_SHIFTS
 
     def average(fn):
         def avg(x, h):
@@ -225,7 +228,7 @@ def homogenized_kernel(k: Kernel, samples: int = 64) -> Kernel:
             for t in shifts:
                 val = np.asarray(fn(x + t, h), dtype=float)
                 acc = val if acc is None else acc + val
-            return acc / samples
+            return acc / _KERNEL_SHIFTS
 
         return avg
 
@@ -306,9 +309,9 @@ def _resample(u: GridFunction, grid: Grid) -> GridFunction:
                         boundary_flag=False)
 
 
-def _eps_grid(base: Grid, eps: float, nodes_per_period: int = 16) -> Grid:
+def _eps_grid(base: Grid, eps: float) -> Grid:
     (a, b), = base.box
-    need = int(math.ceil((b - a) / eps)) * nodes_per_period + 1
+    need = int(math.ceil((b - a) / eps)) * _NODES_PER_PERIOD + 1
     N = max(base.nodes_per_axis, need)
     if N % 2 == 0:
         N += 1
@@ -321,7 +324,6 @@ def commute_experiment(
     f: GridFunction,
     eps_list: Sequence[float],
     s_list: Sequence[float],
-    settings: Optional[QuadratureSettings] = None,
 ) -> CommuteResult:
     """Compare the two iterated limits of the oscillating nonlocal problems.
 
@@ -374,10 +376,7 @@ def commute_experiment(
             LocalProblem(grid=g_eps, p=p, source=f_eps, density=ld)
         )
         u_eps = res_eps.minimizer
-        table = localization_sweep(
-            k_eps, p, f_eps, list(s_list), settings=settings,
-            local_solution=u_eps,
-        )
+        table = localization_sweep(k_eps, p, f_eps, list(s_list), local_solution=u_eps)
         d = GridFunction(
             g_eps, u_eps.values - _resample(u_star, g_eps).values,
             boundary_flag=False,
@@ -395,10 +394,7 @@ def commute_experiment(
 
     def s_case(s: float):
         res = solve_nonlocal(
-            NonlocalProblem(
-                kern=k_bar, fp=FractionalParams(s, p), grid=grid, source=f,
-                settings=settings,
-            )
+            NonlocalProblem(kern=k_bar, fp=FractionalParams(s, p), grid=grid, source=f)
         )
         d = GridFunction(
             grid, res.minimizer.values - u_bar.values, boundary_flag=False

@@ -170,9 +170,10 @@ def _halton(n_dim: int, count: int, seed: int) -> np.ndarray:
     return out
 
 
-def verify_hypotheses(
-    k: Kernel, sample_budget: int, seed: int = 0, x_range: float = 2.0
-) -> HypothesesReport:
+_AUDIT_RANGE = 2.0  # audited points and offsets lie in [-2, 2]^n
+
+
+def verify_hypotheses(k: Kernel, sample_budget: int, seed: int = 0) -> HypothesesReport:
     """Audit boundedness, pair symmetry and the declared radial limit.
 
     Sampling is quasi-random: the in-tree scrambled Halton sequence
@@ -193,8 +194,8 @@ def verify_hypotheses(
 
     count = max(sample_budget, 8)
     u = _halton(2 * n, count, seed)
-    x = x_range * (2.0 * u[:, :n] - 1.0)
-    h = x_range * (2.0 * u[:, n:] - 1.0)
+    x = _AUDIT_RANGE * (2.0 * u[:, :n] - 1.0)
+    h = _AUDIT_RANGE * (2.0 * u[:, n:] - 1.0)
     norm = np.linalg.norm(h, axis=1)
     keep = norm > 1e-9
     x, h = x[keep], h[keep]
@@ -211,9 +212,9 @@ def verify_hypotheses(
 
     # radial-limit fit along quasi-random directions
     n_dirs = min(16, max(4, sample_budget // 8))
-    w = x_range * (2.0 * _halton(n, n_dirs, seed + 1) - 1.0)
+    w = _AUDIT_RANGE * (2.0 * _halton(n, n_dirs, seed + 1) - 1.0)
     w = w / np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-30)
-    xs = x_range * (2.0 * _halton(n, n_dirs, seed + 2) - 1.0)
+    xs = _AUDIT_RANGE * (2.0 * _halton(n, n_dirs, seed + 2) - 1.0)
     radii = np.logspace(-4, -1, 13)
     a_ref = np.asarray(k.radial_limit(xs, w), dtype=float)
     dev = np.empty((n_dirs, radii.size))

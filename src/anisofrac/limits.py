@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._sphere import sphere_measure, sphere_rule
-from .energy import QuadratureSettings, get_scheme
+from .energy import get_scheme
 from .gridfn import FractionalParams, GridFunction
 from .kernel import Kernel
 
@@ -51,14 +51,13 @@ class LimitDensity:
 
     kern: Kernel
     p: float
-    points: Optional[int] = None
     _dirs: np.ndarray = field(init=False, repr=False)
     _weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.p < 1.0:
             raise ValueError("p must be >= 1")
-        dirs, w = sphere_rule(self.kern.dimension, self.points)
+        dirs, w = sphere_rule(self.kern.dimension)
         object.__setattr__(self, "_dirs", dirs)
         object.__setattr__(self, "_weights", w)
         total = float(w.sum())
@@ -190,23 +189,22 @@ def ms_weight_limit(k: Kernel, x: np.ndarray, p: float) -> float:
     return 2.0 / p * float(np.dot(w_dirs, m_inf))
 
 
-def ms_weight_extrapolated(
-    k: Kernel,
-    x: np.ndarray,
-    p: float,
-    s_values: Sequence[float] = (0.2, 0.1, 0.05),
-    r_cut: Optional[float] = None,
-) -> float:
-    """Richardson-extrapolated b_s midpoints along decreasing s."""
+_EXTRAPOLATION_S = (0.1, 0.05)  # orders of the two b_s midpoints extrapolated
+
+
+def ms_weight_extrapolated(k: Kernel, x: np.ndarray, p: float) -> float:
+    """Richardson-extrapolated b_s midpoints at s = 0.1 and 0.05.
+
+    The ladder is cut at r_cut = 64 * max(2|x|, 1).
+    """
     x = np.asarray(x, dtype=float).reshape(-1)
-    if r_cut is None:
-        r_cut = 64.0 * max(2.0 * float(np.linalg.norm(x)), 1.0)
+    r_cut = 64.0 * max(2.0 * float(np.linalg.norm(x)), 1.0)
     vals = []
-    for s in s_values:
+    for s in _EXTRAPOLATION_S:
         lo, hi = ms_weight(k, x, FractionalParams(s, p), r_cut)
         vals.append(0.5 * (lo + hi))
-    t = list(s_values)
-    return (t[-2] * vals[-1] - t[-1] * vals[-2]) / (t[-2] - t[-1])
+    (t1, t2), (v1, v2) = _EXTRAPOLATION_S, vals
+    return (t1 * v2 - t2 * v1) / (t1 - t2)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +288,6 @@ def bbm_sweep(
     u: GridFunction,
     p: float,
     s_list: Optional[Sequence[float]] = None,
-    settings: Optional[QuadratureSettings] = None,
 ) -> ConvergenceTable:
     """Sweep of (1-s) times the weighted double integral as s -> 1.
 
@@ -303,7 +300,7 @@ def bbm_sweep(
         raise ValueError("s values must lie in (0,1)")
     if any(a >= b for a, b in zip(s_list, s_list[1:])):
         raise ValueError("s_list must strictly increase toward 1")
-    parts = get_scheme(k, u.grid, settings).raw_components(u, p, s_list)
+    parts = get_scheme(k, u.grid).raw_components(u, p, s_list)
     values = [(1.0 - s) * (near + bulk + tail)
               for s, (near, bulk, tail, _) in zip(s_list, parts)]
     ld = LimitDensity(k, p)
@@ -320,7 +317,6 @@ def ms_sweep(
     u: GridFunction,
     p: float,
     s_list: Optional[Sequence[float]] = None,
-    settings: Optional[QuadratureSettings] = None,
 ) -> ConvergenceTable:
     """Sweep of s times the weighted double integral as s -> 0.
 
@@ -337,7 +333,7 @@ def ms_sweep(
         raise ValueError(
             f"kernel {k.name!r} declares no tail limit; the s -> 0 sweep needs one"
         )
-    parts = get_scheme(k, u.grid, settings).raw_components(u, p, s_list)
+    parts = get_scheme(k, u.grid).raw_components(u, p, s_list)
     values = [s * (near + bulk + tail)
               for s, (near, bulk, tail, _) in zip(s_list, parts)]
     dirs, w_dirs = sphere_rule(k.dimension)

@@ -28,11 +28,11 @@ it once and for all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .energy import AtomSet, QuadratureSettings, check_grid_cap, get_scheme
+from .energy import AtomSet, check_grid_cap, get_scheme
 from .gridfn import FractionalParams, Grid, GridFunction, lp_norm
 from .kernel import Kernel
 from .limits import ConvergenceTable, LimitDensity, TableRow
@@ -48,8 +48,8 @@ __all__ = [
     "IncreasingObjectiveError",
 ]
 
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 10_000
+DEFAULT_TOL = 1e-8  # gradient sup-norm, relative to 1 + max|f|
+DEFAULT_MAX_ITER = 10_000  # Newton steps of a p != 2 solve
 
 
 class NotConvergedError(RuntimeError):
@@ -62,13 +62,16 @@ class IncreasingObjectiveError(RuntimeError):
 
 @dataclass(frozen=True)
 class NonlocalProblem:
+    """Nonlocal Dirichlet problem on the default quadrature of (kern, grid).
+
+    Solved to :data:`DEFAULT_TOL` in at most :data:`DEFAULT_MAX_ITER`
+    Newton steps, like :class:`LocalProblem`.
+    """
+
     kern: Kernel
     fp: FractionalParams
     grid: Grid
     source: GridFunction
-    tolerance: float = DEFAULT_TOL
-    max_iterations: int = DEFAULT_MAX_ITER
-    settings: Optional[QuadratureSettings] = None
 
     def __post_init__(self):
         if self.fp.p <= 1.0:
@@ -84,23 +87,23 @@ class LocalProblem:
     """Local limit problem: density from a kernel, or a 1D coefficient.
 
     Exactly one of ``density`` (any supported n, p from the density) and
-    ``coefficient`` (1D, meaning A(x)|xi|^p) must be given.  For p != 2
-    only 1D grids are supported.
+    ``coefficient`` (1D, a constant A meaning A|xi|^p) must be given.
+    For p != 2 only 1D grids are supported.
     """
 
     grid: Grid
     p: float
     source: GridFunction
     density: Optional[LimitDensity] = None
-    coefficient: Optional[Callable[[np.ndarray], np.ndarray] | float] = None
-    tolerance: float = DEFAULT_TOL
-    max_iterations: int = DEFAULT_MAX_ITER
+    coefficient: Optional[float] = None
 
     def __post_init__(self):
         if self.p <= 1.0:
             raise ValueError("the solver needs p > 1 (strict convexity)")
         if (self.density is None) == (self.coefficient is None):
             raise ValueError("give exactly one of density or coefficient")
+        if self.density is not None and self.density.kern.dimension != self.grid.dimension:
+            raise ValueError("kernel and grid dimensions differ")
         if self.coefficient is not None and self.grid.dimension != 1:
             raise ValueError("explicit coefficients are 1D")
         if self.p != 2.0 and self.grid.dimension != 1:
@@ -228,17 +231,18 @@ def _solve_atoms(
     return embed(z), f, res, it, converged, tuple(trace)
 
 
-def _solve_dirichlet(
-    atoms: AtomSet,
-    scale: float,
-    b: np.ndarray,
-    grid: Grid,
-    tol: float,
-    max_iter: int,
-) -> SolveResult:
-    """Engine run with every boundary node of ``grid`` pinned to zero."""
+def _solve_dirichlet(atoms: AtomSet, scale: float, source: GridFunction) -> SolveResult:
+    """Minimize scale * sum W |ell(v)|^p - int f v, boundary pinned to zero.
+
+    The gradient tolerance is :data:`DEFAULT_TOL` * (1 + max|f|).
+    """
+    grid = source.grid
+    b = grid.trapezoid_weights() * source.values.ravel()
+    tol = DEFAULT_TOL * (1.0 + float(np.abs(source.values).max()))
     free = _free_mask(grid)
-    v, *rest = _solve_atoms(atoms, scale, b, free, np.zeros(free.size), tol, max_iter)
+    v, *rest = _solve_atoms(
+        atoms, scale, b, free, np.zeros(free.size), tol, DEFAULT_MAX_ITER
+    )
     return SolveResult(GridFunction(grid, v.reshape(grid.shape)), *rest)
 
 
@@ -249,11 +253,8 @@ def solve_nonlocal(prob: NonlocalProblem) -> SolveResult:
     lagged-weight Hessian.  Non-convergence returns the best iterate
     with ``converged=False``; it never raises.
     """
-    scheme = get_scheme(prob.kern, prob.grid, prob.settings)
-    atoms = scheme.atoms(prob.fp)
-    b = prob.grid.trapezoid_weights() * prob.source.values.ravel()
-    tol = prob.tolerance * (1.0 + float(np.abs(prob.source.values).max()))
-    return _solve_dirichlet(atoms, 1.0 - prob.fp.s, b, prob.grid, tol, prob.max_iterations)
+    atoms = get_scheme(prob.kern, prob.grid).atoms(prob.fp)
+    return _solve_dirichlet(atoms, 1.0 - prob.fp.s, prob.source)
 
 
 def _local_atoms(prob: LocalProblem) -> AtomSet:
@@ -273,13 +274,7 @@ def _local_atoms(prob: LocalProblem) -> AtomSet:
         centers = a0 + h * (np.arange(N - 1) + 0.5)
         i = np.arange(N - 1)
         if prob.coefficient is not None:
-            coeff = prob.coefficient
-            A = (
-                np.full(N - 1, float(coeff))
-                if np.isscalar(coeff)
-                else np.asarray(coeff(centers), dtype=float)
-            )
-            W = h * A
+            W = h * np.full(N - 1, float(prob.coefficient))
             idx = np.zeros((N - 1, 3), dtype=np.int64)
             coefs = np.zeros((N - 1, 3))
             idx[:, 0], coefs[:, 0] = i + 1, 1.0 / h
@@ -360,10 +355,7 @@ def solve_local(prob: LocalProblem) -> SolveResult:
     damped Newton otherwise; non-convergence returns the best iterate
     with ``converged=False``.
     """
-    atoms = _local_atoms(prob)
-    b = prob.grid.trapezoid_weights() * prob.source.values.ravel()
-    tol = prob.tolerance * (1.0 + float(np.abs(prob.source.values).max()))
-    return _solve_dirichlet(atoms, 1.0, b, prob.grid, tol, prob.max_iterations)
+    return _solve_dirichlet(_local_atoms(prob), 1.0, prob.source)
 
 
 def localization_sweep(
@@ -371,7 +363,6 @@ def localization_sweep(
     p: float,
     f: GridFunction,
     s_list: Sequence[float],
-    settings: Optional[QuadratureSettings] = None,
     local_solution: Optional[GridFunction] = None,
 ) -> ConvergenceTable:
     """Distance of the nonlocal minimizers to the local one as s -> 1.
@@ -382,7 +373,7 @@ def localization_sweep(
     ``local_solution`` overrides the local solve (used by the
     homogenization experiment to compare against effective problems).
     The nonlocal solves run one after another on the one cached scheme
-    of (k, grid, settings).
+    of (k, grid).
     """
     s_list = list(s_list)
     if any(a >= b for a, b in zip(s_list, s_list[1:])):
@@ -396,8 +387,7 @@ def localization_sweep(
 
     def distance(s: float) -> tuple[float, bool]:
         res = solve_nonlocal(
-            NonlocalProblem(kern=k, fp=FractionalParams(s, p), grid=grid, source=f,
-                            settings=settings)
+            NonlocalProblem(kern=k, fp=FractionalParams(s, p), grid=grid, source=f)
         )
         diff = GridFunction(
             grid, res.minimizer.values - local_solution.values, boundary_flag=False

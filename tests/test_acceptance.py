@@ -163,7 +163,7 @@ def test_criterion_7_homogenized_coefficients():
     t0 = time.time()
     k = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
     coeff = coefficient_from_kernel(k, 2.0)
-    star = effective_star(coeff, n_cells=512)
+    star = effective_star(coeff)
     ok = abs(star.value - SQRT3) / SQRT3 < 0.01
     ok &= abs(star.formula_value - SQRT3) / SQRT3 < 0.01
     a_bar = effective_bar(k, 2.0)

@@ -237,12 +237,12 @@ def test_cli_unwritable_out_exit_2_before_run(tmp_path, monkeypatch, capsys, tar
 
 def test_cli_solve_nonconvergence_exit_3(tmp_path, monkeypatch):
     from anisofrac.gridfn import GridFunction
-    from anisofrac.variational import SolveResult
+    from anisofrac.variational import DEFAULT_MAX_ITER, SolveResult
 
     def fake_solve(prob):
         z = GridFunction(prob.grid, np.zeros(prob.grid.shape))
         return SolveResult(minimizer=z, objective=0.0, residual=1.0,
-                           iterations=prob.max_iterations, converged=False,
+                           iterations=DEFAULT_MAX_ITER, converged=False,
                            objective_trace=(0.0,))
 
     monkeypatch.setattr(cli, "solve_nonlocal", fake_solve)
@@ -283,7 +283,7 @@ def test_cli_inner_solve_nonconvergence_exit_3(tmp_path, monkeypatch, subcommand
     # sweeps of its eps path and homogenize.solve_nonlocal on its s path
     from anisofrac import variational
     from anisofrac.gridfn import GridFunction
-    from anisofrac.variational import SolveResult
+    from anisofrac.variational import DEFAULT_MAX_ITER, SolveResult
 
     real_solve = variational.solve_nonlocal
     stopped = []
@@ -294,7 +294,7 @@ def test_cli_inner_solve_nonconvergence_exit_3(tmp_path, monkeypatch, subcommand
             return res
         stopped.append(prob.fp.s)
         return SolveResult(minimizer=res.minimizer, objective=res.objective,
-                           residual=1.0, iterations=prob.max_iterations,
+                           residual=1.0, iterations=DEFAULT_MAX_ITER,
                            converged=False, objective_trace=res.objective_trace)
 
     monkeypatch.setattr(f"anisofrac.{module}.solve_nonlocal", short_solve)
@@ -341,6 +341,29 @@ def test_cli_solve_local_2d_grid_cap(tmp_path, capsys, N, rc):
     else:
         assert not out.exists()
         assert err == ["error: 2D grids are capped at N <= 48 per axis, got N = 49"]
+
+
+@pytest.mark.parametrize("subcommand", ["solve-local", "localize"])
+@pytest.mark.parametrize(
+    "kernel, grid",
+    [("separable-angular", "n = 1\nN = 33"), ("periodic-1d", "n = 2\nbox = -1:1;-1:1\nN = 9")],
+    ids=["2D kernel on 1D grid", "1D kernel on 2D grid"],
+)
+def test_cli_kernel_grid_dimension_mismatch_exit_2(
+    tmp_path, monkeypatch, capsys, subcommand, kernel, grid
+):
+    # rejected when the problem is set up, before any solve
+    from anisofrac import variational
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a problem whose dimensions differ")
+
+    monkeypatch.setattr(variational, "_solve_atoms", no_solve)
+    cfg = _write(tmp_path, "m.ini", f"[kernel]\nname = {kernel}\n\n[grid]\n{grid}\n")
+    out = tmp_path / "m.csv"
+    assert cli.main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == ["error: kernel and grid dimensions differ"]
 
 
 def test_cli_solve_writes_grid_csv(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from anisofrac.energy import (
+    EnergyScheme,
     QuadratureSettings,
     anisotropic_energy,
     bbm_upper_bound_check,
@@ -151,19 +152,32 @@ def test_anisotropic_brute_force_equivalence():
 
 def test_monotone_refinement(hat129):
     fp = FractionalParams(0.5, 2.0)
-    coarse = QuadratureSettings()
     fine = QuadratureSettings(points_per_octave=16, h_min_fraction=0.0625)
-    r1 = gagliardo(hat129, fp, coarse)
-    r2 = gagliardo(hat129, fp, fine)
+    r1 = gagliardo(hat129, fp)
+    r2 = EnergyScheme(None, hat129.grid, fine).report(hat129, fp, 1.0)
     assert abs(r2.value - r1.value) <= r1.error_bound
+    # 2D: the default scheme against twice the rungs, half h_min and twice
+    # the angles, on the anisotropic kernel
+    g = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), 17)
+    u = GridFunction.from_callable(g, lambda x, y: bump_profile(np.hypot(x, y) / 0.8))
+    k = builtin("separable-angular", {"c0": 1.0, "c1": 0.5})
+    fine = EnergyScheme(
+        k, g, QuadratureSettings(points_per_octave=16, h_min_fraction=0.0625,
+                                 angular_points=64)
+    )
+    for s in (0.1, 0.5, 0.9):
+        fp = FractionalParams(s, 2.0)
+        r1 = anisotropic_energy(k, u, fp)
+        r2 = fine.report(u, fp, (1.0 - s) / fp.p)
+        assert abs(r2.value - r1.value) <= r1.error_bound, s
 
 
 def test_h_split_guard():
     grid = Grid(1, ((-1.0, 1.0),), 65)
     u = GridFunction(grid, hat_profile(np.linspace(-1, 1, 65)))
-    tiny = QuadratureSettings(h_split=1.0)
+    tiny = EnergyScheme(None, grid, QuadratureSettings(h_split=1.0))
     with pytest.raises(ValueError, match="support"):
-        gagliardo(u, FractionalParams(0.5, 2.0), tiny)
+        tiny.report(u, FractionalParams(0.5, 2.0), 1.0)
 
 
 def test_boundary_values_must_vanish(grid129):
@@ -191,7 +205,7 @@ def test_atoms_agree_with_report(hat129, case):
         kern, u = None, hat129
     else:
         kern, u, _ = _golden_case("separable-angular N=17 bump")
-    scheme = get_scheme(kern, u.grid, None)
+    scheme = get_scheme(kern, u.grid)
     (near, bulk, tail, _), = scheme.raw_components(u, fp.p, [fp.s])
     atoms = scheme.atoms(fp)
     assert atoms.objective(u.values.ravel()) == pytest.approx(
@@ -209,7 +223,7 @@ def test_bulk_rows_are_shifted_differences():
     g = Grid(2, ((-1.0, 1.0), (-0.5, 1.5)), 9)
     rng = np.random.default_rng(7)
     u = GridFunction(g, rng.standard_normal(g.shape))
-    scheme = get_scheme(None, g, QuadratureSettings(angular_points=8))
+    scheme = EnergyScheme(None, g, QuadratureSettings(angular_points=8))
     ell = scheme.L @ u.values.ravel()
     n_nodes, n_ang, n_bulk = 81, 8, scheme.r_bulk.shape[0]
     bulk = ell[scheme.near_rows.stop:scheme.tail_rows.start]
@@ -244,7 +258,7 @@ def test_form_matrix_matches_pointwise_build(kernel_name, params, box, N):
     from anisofrac.energy import _CHUNK
 
     g = Grid(len(box), box, N)
-    scheme = get_scheme(builtin(kernel_name, params), g, None)
+    scheme = get_scheme(builtin(kernel_name, params), g)
     n_nodes = scheme.nodes.shape[0]
     n_ang, n_bulk = scheme.dirs.shape[0], scheme.r_bulk.shape[0]
     assert n_nodes > _CHUNK and n_nodes % _CHUNK != 0
@@ -291,7 +305,7 @@ def test_form_matrix_matches_pointwise_build(kernel_name, params, box, N):
 
 
 def test_near_rows_are_one_sided_slopes_hat(grid129, hat129):
-    scheme = get_scheme(None, grid129, None)
+    scheme = get_scheme(None, grid129)
     slopes = (scheme.L @ hat129.values.ravel())[scheme.near_rows].reshape(2, -1)
     plus = int(np.flatnonzero(scheme.dirs[:, 0] > 0)[0])
     minus = 1 - plus
@@ -309,7 +323,7 @@ def test_near_rows_are_one_sided_slopes_2d():
     # -sign(w_a) side, with zero ghosts outside the grid
     g = Grid(2, ((-1.0, 1.0), (-0.5, 2.5)), 7)
     v = np.random.default_rng(5).standard_normal(g.shape)
-    scheme = get_scheme(None, g, QuadratureSettings(angular_points=8))
+    scheme = EnergyScheme(None, g, QuadratureSettings(angular_points=8))
     slopes = (scheme.L @ v.ravel())[scheme.near_rows].reshape(8, *g.shape)
     padded = np.pad(v, 1)
     for k, w in enumerate(scheme.dirs):

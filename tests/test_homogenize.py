@@ -109,7 +109,7 @@ def test_effective_star_two_phase():
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_cell_oracle_matches_classical_exponent(model_kernel, p):
     c = coefficient_from_kernel(model_kernel, p)
-    res = effective_star(c, n_cells=512)
+    res = effective_star(c)
     assert res.value == pytest.approx(res.formula_classical, rel=0.01)
     if p != 2.0:
         assert res.matches == "classical -(p-1)"

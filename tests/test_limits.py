@@ -272,6 +272,18 @@ def test_ms_sweep_requires_tail(grid129, bump129):
         ms_sweep(k, bump129, 2.0)
 
 
+@pytest.mark.parametrize("sweep", [bbm_sweep, ms_sweep])
+def test_sweeps_need_compact_support(sweep):
+    # the energies reject this function; the sweeps over the same
+    # quadrature must too
+    grid = Grid(1, ((-1.0, 1.0),), 65)
+    vals = np.maximum(0.0, 0.5 - np.abs(grid.axes()[0]))
+    vals[0] = 0.5
+    u = GridFunction(grid, vals, boundary_flag=False)
+    with pytest.raises(ValueError, match="compact"):
+        sweep(builtin("constant", {"c": 1.0}), u, 2.0)
+
+
 def test_convergence_table_invariants():
     rows = tuple(
         TableRow(param=s, value=1.0, extrapolated=None, reference=None, rel_error=None)

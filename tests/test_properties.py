@@ -90,7 +90,7 @@ def test_monotone_bbm_floor_on_corpus():
     for k in KERNELS_1D:
         ld = LimitDensity(k, 2.0)
         for u in FUNCTIONS[:2]:
-            scheme = get_scheme(k, u.grid, None)
+            scheme = get_scheme(k, u.grid)
             (near, bulk, tail, err), = scheme.raw_components(u, 2.0, [s])
             measured = (1.0 - s) * (near + bulk + tail)
             centers, grads, vols = u.cell_gradients()

@@ -6,6 +6,7 @@ from anisofrac.gridfn import FractionalParams, Grid, GridFunction, lp_norm
 from anisofrac.kernel import builtin
 from anisofrac.limits import LimitDensity
 from anisofrac.variational import (
+    DEFAULT_TOL,
     LocalProblem,
     NonlocalProblem,
     _free_mask,
@@ -141,12 +142,12 @@ def test_first_order_optimality_random_directions(grid129, one129):
     fp = FractionalParams(0.5, 2.0)
     prob = NonlocalProblem(kern=k, fp=fp, grid=grid129, source=one129)
     res = solve_nonlocal(prob)
-    scheme = get_scheme(k, grid129, None)
+    scheme = get_scheme(k, grid129)
     atoms = scheme.atoms(fp)
     b = grid129.trapezoid_weights() * one129.values.ravel()
     grad = (1.0 - fp.s) * atoms.gradient(res.minimizer.values.ravel()) - b
     rng = np.random.default_rng(0)
-    tol = prob.tolerance * (1.0 + 1.0)
+    tol = DEFAULT_TOL * (1.0 + 1.0)
     for _ in range(50):
         d = rng.standard_normal(129)
         d[0] = d[-1] = 0.0
@@ -163,7 +164,7 @@ def test_uniqueness_proxy_random_inits():
     rng = np.random.default_rng(42)
     for p in (2.0, 3.0):  # at p = 2 the engine solves directly and ignores z0
         fp = FractionalParams(0.5, p)
-        atoms = get_scheme(k, g, None).atoms(fp)
+        atoms = get_scheme(k, g).atoms(fp)
         sols = []
         for _ in range(2):
             z0 = rng.standard_normal(31)
