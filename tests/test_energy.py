@@ -394,6 +394,14 @@ def test_report_golden(name):
         assert getattr(rep, field) == pytest.approx(want, rel=1e-10), field
 
 
+def test_gagliardo_calls_share_one_scheme(hat129):
+    get_scheme.cache_clear()
+    gagliardo(hat129, FractionalParams(0.5, 2.0))
+    gagliardo(hat129, FractionalParams(0.3, 1.5))
+    info = get_scheme.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_bbm_upper_bound_check(hat129):
     k = builtin("constant", {"c": 1.0})
     res = bbm_upper_bound_check(k, hat129, FractionalParams(0.5, 2.0))

@@ -203,3 +203,19 @@ def test_commute_rejects_bad_eps(model_kernel):
     with pytest.raises(ValueError):
         commute_experiment(model_kernel, 2.0, one, eps_list=[0.3],
                            s_list=[0.75, 0.875, 0.9375])
+
+
+def test_commute_golden(model_kernel):
+    # pinned before u_star and u_bar were solved with constant-kernel densities
+    grid = Grid(1, ((-1.0, 1.0),), 33)
+    one = GridFunction(grid, np.ones(33), boundary_flag=False)
+    res = commute_experiment(model_kernel, 2.0, one, eps_list=[0.5, 0.25],
+                             s_list=[0.75, 0.875])
+    assert res.converged
+    assert res.distance == pytest.approx(0.01997174410312925, rel=1e-10)
+    want_eps = [(0.5, 0.07975851337334454), (0.25, 0.040730289138198206)]
+    want_s = [(0.75, 0.08529906388889778), (0.875, 0.05183516514686618)]
+    for path, want in ((res.eps_path, want_eps), (res.s_path, want_s)):
+        assert [e.param for e in path] == [w[0] for w in want]
+        for e, (_, v) in zip(path, want):
+            assert e.value == pytest.approx(v, rel=1e-10), e.param

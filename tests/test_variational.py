@@ -248,3 +248,44 @@ def test_2d_nonlocal_runs_small():
     v = res.minimizer.values
     assert v[6, 6] == v.max() > 0.0
     assert np.allclose(v, v.T, atol=1e-10)
+
+
+# Local solves pinned before the 1D and 2D assemblies became one loop over
+# the unit cell's simplices.  The 2D values carry a defect of the upper
+# triangle's gradient table (its x and y coefficients are swapped); the
+# fix re-derives them and keeps the tolerance.
+_LOCAL_GOLDEN = {
+    "separable-angular 2D N=9 p=2": dict(
+        objective=-0.035142626991893425,
+        nodes={(2, 4): 0.029777376449451484, (4, 4): 0.03826362673575561,
+               (6, 3): 0.02826736750171053},
+    ),
+    "periodic-1d N=33 p=2": dict(
+        objective=-0.09360235709798075,
+        nodes={(8,): 0.08001738531902908, (16,): 0.14433756709358583,
+               (24,): 0.12838496659835755},
+    ),
+    "periodic-1d N=33 p=3": dict(
+        objective=-0.2802103201089028,
+        nodes={(8,): 0.19251400953611952, (16,): 0.35069550674325456,
+               (24,): 0.2603143899704681},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOCAL_GOLDEN))
+def test_local_golden(name):
+    if name.startswith("separable-angular"):
+        g = Grid(2, ((-1.0, 3.0), (0.0, 1.0)), 9)
+        k = builtin("separable-angular", {"c0": 1.0, "c1": 0.5})
+    else:
+        g = Grid(1, ((-1.0, 1.0),), 33)
+        k = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
+    p = float(name.rsplit("p=", 1)[1])
+    one = GridFunction(g, np.ones(g.shape), boundary_flag=False)
+    res = solve_local(LocalProblem(grid=g, p=p, source=one, density=LimitDensity(k, p)))
+    want = _LOCAL_GOLDEN[name]
+    assert res.converged
+    assert res.objective == pytest.approx(want["objective"], rel=1e-10)
+    for ij, v in want["nodes"].items():
+        assert res.minimizer.values[ij] == pytest.approx(v, rel=1e-10), ij
