@@ -183,9 +183,7 @@ def _run_solve_local(cfg: ExperimentConfig) -> int:
     kern = cfg.make_kernel()
     f = cfg.sample_f()
     res = solve_local(
-        LocalProblem(
-            grid=cfg.grid, p=cfg.p, source=f, density=LimitDensity(kern, cfg.p)
-        )
+        LocalProblem(grid=cfg.grid, source=f, density=LimitDensity(kern, cfg.p))
     )
     buf = io.StringIO()
     write_csv(res.minimizer, buf)

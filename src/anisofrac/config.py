@@ -294,10 +294,14 @@ def _to_int(value, ln, key, errors):
 
 def _to_float_list(value, ln, key, errors):
     try:
-        return [float(tok) for tok in value.split(",") if tok.strip()]
+        values = [float(tok) for tok in value.split(",") if tok.strip()]
     except ValueError:
         errors.append((ln, f"{key} must be a comma-separated number list"))
         return None
+    if not values:
+        errors.append((ln, f"{key} must list at least one number"))
+        return None
+    return values
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -67,7 +67,7 @@ from scipy import sparse
 
 from ._sphere import sphere_measure, sphere_rule
 from .gridfn import FractionalParams, Grid, GridFunction, gradient_lp, lp_norm
-from .kernel import Kernel
+from .kernel import Kernel, builtin
 
 __all__ = [
     "QuadratureSettings",
@@ -254,19 +254,19 @@ class EnergyScheme:
 
     Built once per (kernel, grid, settings); reports and atom sets for
     any (s, p) reuse ``L``, its base weights and labels, which is what
-    makes the parameter sweeps affordable.  ``kern=None`` means the unit
-    weight (plain Gagliardo seminorm).  The package always uses the
-    default settings (through :func:`get_scheme`); other settings serve
-    refinement studies.
+    makes the parameter sweeps affordable.  The plain Gagliardo seminorm
+    is the scheme of the constant kernel c = 1.  The package always uses
+    the default settings (through :func:`get_scheme`); other settings
+    serve refinement studies.
     """
 
     def __init__(
         self,
-        kern: Optional[Kernel],
+        kern: Kernel,
         grid: Grid,
         settings: QuadratureSettings = QuadratureSettings(),
     ):
-        if kern is not None and kern.dimension != grid.dimension:
+        if kern.dimension != grid.dimension:
             raise ValueError("kernel and grid dimensions differ")
         check_grid_cap(grid)
         self.kern = kern
@@ -282,13 +282,10 @@ class EnergyScheme:
         self.w_x = grid.trapezoid_weights()
 
         # radial limit at the nodes (near surrogate weight)
-        if kern is None:
-            self.a_vals = np.ones((self.nodes.shape[0], self.dirs.shape[0]))
-        else:
-            self.a_vals = np.asarray(
-                kern.radial_limit(self.nodes[:, None, :], self.dirs[None, :, :]),
-                dtype=float,
-            )
+        self.a_vals = np.asarray(
+            kern.radial_limit(self.nodes[:, None, :], self.dirs[None, :, :]),
+            dtype=float,
+        )
 
         self._build_far()
         self._build_operator()
@@ -296,9 +293,7 @@ class EnergyScheme:
     # -- kernel sampling ---------------------------------------------------
 
     def _msym(self, x, h):
-        """Symmetrized weight 0.5*(m(x,h) + m(x-h,-h)); 1 without a kernel."""
-        if self.kern is None:
-            return np.ones(np.broadcast_shapes(x.shape, h.shape)[:-1])
+        """Symmetrized weight 0.5*(m(x,h) + m(x-h,-h))."""
         ev = self.kern.evaluate
         return 0.5 * (
             np.asarray(ev(x, h), dtype=float)
@@ -316,9 +311,7 @@ class EnergyScheme:
         far_mw = np.empty((n_nodes, n_far))
         # mu: large-offset limit of the symmetrized weight; hw: observed
         # deviation over the last octave, used as the bracket half-width.
-        if self.kern is None:
-            mu_dir = np.ones((n_nodes, self.dirs.shape[0]))
-        elif self.kern.tail_limit is not None:
+        if self.kern.tail_limit is not None:
             t1 = np.asarray(
                 self.kern.tail_limit(self.nodes[:, None, :], self.dirs[None, :, :]),
                 dtype=float,
@@ -557,16 +550,13 @@ class EnergyScheme:
         surro_sum = 0.0
         if self.grid.dimension == 2:
             d2 = self._second_difference_scale(u)
-            m_plus = 1.0 if self.kern is None else self.kern.m_plus
-            surro_sum = m_plus * sphere_measure(2) * float(
+            surro_sum = self.kern.m_plus * sphere_measure(2) * float(
                 np.dot(self.w_x, p * (gmax + d2) ** (p - 1.0) * d2)
             )
         # kernel deviation from its radial limit (H3) below h_min
-        dev_sum = 0.0
-        if self.kern is not None:
-            dev_sum = self._h3_deviation_rate() * sphere_measure(
-                self.grid.dimension
-            ) * float(np.dot(self.w_x, gmax ** p))
+        dev_sum = self._h3_deviation_rate() * sphere_measure(
+            self.grid.dimension
+        ) * float(np.dot(self.w_x, gmax ** p))
 
         out = []
         for s in s_values:
@@ -662,7 +652,7 @@ class EnergyScheme:
 
 
 @lru_cache(maxsize=8)
-def get_scheme(kern: Optional[Kernel], grid: Grid) -> EnergyScheme:
+def get_scheme(kern: Kernel, grid: Grid) -> EnergyScheme:
     """The default-settings scheme of (kernel, grid), built on the first call.
 
     Later calls with equal keys share it until the cache evicts it or
@@ -671,9 +661,17 @@ def get_scheme(kern: Optional[Kernel], grid: Grid) -> EnergyScheme:
     return EnergyScheme(kern, grid)
 
 
+@cache
+def _unit_kernel(n: int) -> Kernel:
+    """The constant kernel c = 1, one object per dimension so that
+    :func:`get_scheme` finds the scheme of an earlier call."""
+    return builtin("constant", {"n": n})
+
+
 def gagliardo(u: GridFunction, fp: FractionalParams) -> EnergyReport:
-    """The seminorm double integral [u]^p, no prefactor."""
-    return get_scheme(None, u.grid).report(u, fp, 1.0)
+    """The seminorm double integral [u]^p, no prefactor: the unprefactored
+    energy of the constant kernel c = 1."""
+    return get_scheme(_unit_kernel(u.grid.dimension), u.grid).report(u, fp, 1.0)
 
 
 def anisotropic_energy(k: Kernel, u: GridFunction, fp: FractionalParams) -> EnergyReport:

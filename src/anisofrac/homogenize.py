@@ -26,8 +26,8 @@ import numpy as np
 
 from .energy import AtomSet
 from .gridfn import FractionalParams, Grid, GridFunction, lp_norm
-from .kernel import Kernel
-from .limits import ConvergenceTable, LimitDensity
+from .kernel import Kernel, builtin
+from .limits import ConvergenceTable, LimitDensity, limit_density
 from .variational import (
     LocalProblem,
     NonlocalProblem,
@@ -110,17 +110,15 @@ class EffectiveStarResult:
 
 
 def coefficient_from_kernel(k: Kernel, p: float) -> PeriodicCoefficient:
-    """A(y) = (a(y,-1) + a(y,1)) / p from the declared radial limit."""
+    """A(y) = limit density of k at (y, xi = 1): (a(y,-1) + a(y,1)) / p in 1D."""
     if k.dimension != 1:
         raise ValueError("the reduced coefficient is 1D")
     if k.period is None:
         raise ValueError(f"kernel {k.name!r} is not periodic in x")
+    ld = LimitDensity(k, p)
 
     def A(y):
-        y = np.asarray(y, dtype=float)[:, None]
-        left = np.asarray(k.radial_limit(y, np.full_like(y, -1.0)), dtype=float)
-        right = np.asarray(k.radial_limit(y, np.full_like(y, 1.0)), dtype=float)
-        return (left + right) / p
+        return limit_density(ld, np.asarray(y, dtype=float)[:, None], 1.0)
 
     return PeriodicCoefficient(A=A, p=p)
 
@@ -354,12 +352,14 @@ def commute_experiment(
     a_bar = effective_bar(k, p)
     coeffs = EffectiveCoefficients(A_star=star.value, A_bar=a_bar)
 
-    res_star = solve_local(
-        LocalProblem(grid=grid, p=p, source=f, coefficient=star.value)
-    )
-    res_bar = solve_local(
-        LocalProblem(grid=grid, p=p, source=f, coefficient=a_bar)
-    )
+    def solve_constant(A: float):
+        # the constant kernel c has the 1D density (2c/p)|xi|^p
+        kern = builtin("constant", {"c": p * A / 2.0})
+        return solve_local(
+            LocalProblem(grid=grid, source=f, density=LimitDensity(kern, p))
+        )
+
+    res_star, res_bar = solve_constant(star.value), solve_constant(a_bar)
     u_star, u_bar = res_star.minimizer, res_bar.minimizer
     diff = GridFunction(grid, u_star.values - u_bar.values, boundary_flag=False)
     distance = lp_norm(diff, p)
@@ -372,9 +372,7 @@ def commute_experiment(
         k_eps = rescaled_kernel(k, eps)
         f_eps = _resample(f, g_eps)
         ld = LimitDensity(k_eps, p)
-        res_eps = solve_local(
-            LocalProblem(grid=g_eps, p=p, source=f_eps, density=ld)
-        )
+        res_eps = solve_local(LocalProblem(grid=g_eps, source=f_eps, density=ld))
         u_eps = res_eps.minimizer
         table = localization_sweep(k_eps, p, f_eps, list(s_list), local_solution=u_eps)
         d = GridFunction(

@@ -27,6 +27,7 @@ it once and for all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -84,28 +85,26 @@ class NonlocalProblem:
 
 @dataclass(frozen=True)
 class LocalProblem:
-    """Local limit problem: density from a kernel, or a 1D coefficient.
+    """Local limit problem: int A(x, grad v) dx - int f v, A from ``density``.
 
-    Exactly one of ``density`` (any supported n, p from the density) and
-    ``coefficient`` (1D, a constant A meaning A|xi|^p) must be given.
-    For p != 2 only 1D grids are supported.
+    p is the density's.  A constant 1D coefficient A|xi|^p is the
+    density of the constant kernel c = p A / 2.  For p != 2 only 1D
+    grids are supported.
     """
 
     grid: Grid
-    p: float
     source: GridFunction
-    density: Optional[LimitDensity] = None
-    coefficient: Optional[float] = None
+    density: LimitDensity
+
+    @property
+    def p(self) -> float:
+        return self.density.p
 
     def __post_init__(self):
         if self.p <= 1.0:
             raise ValueError("the solver needs p > 1 (strict convexity)")
-        if (self.density is None) == (self.coefficient is None):
-            raise ValueError("give exactly one of density or coefficient")
-        if self.density is not None and self.density.kern.dimension != self.grid.dimension:
+        if self.density.kern.dimension != self.grid.dimension:
             raise ValueError("kernel and grid dimensions differ")
-        if self.coefficient is not None and self.grid.dimension != 1:
-            raise ValueError("explicit coefficients are 1D")
         if self.p != 2.0 and self.grid.dimension != 1:
             raise ValueError("p != 2 local solves are 1D only")
         check_grid_cap(self.grid)
@@ -257,93 +256,60 @@ def solve_nonlocal(prob: NonlocalProblem) -> SolveResult:
     return _solve_dirichlet(atoms, 1.0 - prob.fp.s, prob.source)
 
 
+# P1 simplices of the unit cell, per dimension: corner offsets and, per
+# corner, the gradient coefficients in units of 1/spacing.  In 2D the
+# cell splits along its anti-diagonal into a lower and an upper triangle.
+# The upper triangle's table swaps the x and y coefficients of its two
+# outer corners, so on those triangles the forms mix up the two axes (see
+# ROADMAP); the solve-2d benchmark references carry that table.
+_SIMPLICES = {
+    1: [(((1,), (0,)), ((1.0,), (-1.0,)))],
+    2: [
+        (((0, 0), (1, 0), (0, 1)), ((-1.0, -1.0), (1.0, 0.0), (0.0, 1.0))),
+        (((1, 1), (0, 1), (1, 0)), ((1.0, 1.0), (0.0, -1.0), (-1.0, 0.0))),
+    ],
+}
+
+
 def _local_atoms(prob: LocalProblem) -> AtomSet:
-    """Cellwise atoms of int A(x, grad v) dx.
+    """Simplexwise atoms of int A(x, grad v) dx.
 
-    1D: one (or one-per-direction) power of the cell slope per cell.
-    2D: each cell splits into two first-order triangles; the density's
-    angular rule turns each triangle into one atom per direction, which
-    for an isotropic density reproduces the standard 5-point stiffness.
+    Each P1 simplex of each grid cell gives one atom per direction w of
+    the density's angular rule: weight (vol/p) a(c, w) times the rule
+    weight, a sampled at the simplex centroid c, and the form grad v . w
+    of the simplex's piecewise-linear gradient.  For an isotropic
+    density the 2D atoms reproduce the standard 5-point stiffness.
     """
-    grid = prob.grid
-    p = prob.p
-    N = grid.nodes_per_axis
-    if grid.dimension == 1:
-        h, = grid.spacing
-        (a0, _), = grid.box
-        centers = a0 + h * (np.arange(N - 1) + 0.5)
-        i = np.arange(N - 1)
-        if prob.coefficient is not None:
-            W = h * np.full(N - 1, float(prob.coefficient))
-            idx = np.zeros((N - 1, 3), dtype=np.int64)
-            coefs = np.zeros((N - 1, 3))
-            idx[:, 0], coefs[:, 0] = i + 1, 1.0 / h
-            idx[:, 1], coefs[:, 1] = i, -1.0 / h
-            return AtomSet.from_stencil(W, idx, coefs, N, p)
-        ld = prob.density
-        dirs, w_dirs = ld._dirs, ld._weights
-        a_vals = np.asarray(
-            ld.kern.radial_limit(centers[:, None, None], dirs[None, :, :]),
-            dtype=float,
-        )
-        W = (h / p) * (a_vals * w_dirs[None, :])
-        n_cells = N - 1
-        idx = np.zeros((n_cells, dirs.shape[0], 3), dtype=np.int64)
-        coefs = np.zeros((n_cells, dirs.shape[0], 3))
-        idx[:, :, 0] = (i + 1)[:, None]
-        coefs[:, :, 0] = dirs[None, :, 0] / h
-        idx[:, :, 1] = i[:, None]
-        coefs[:, :, 1] = -dirs[None, :, 0] / h
-        return AtomSet.from_stencil(
-            W.ravel(), idx.reshape(-1, 3), coefs.reshape(-1, 3), N, p
-        )
-
-    # n = 2, density-driven
-    ld = prob.density
+    grid, ld, p = prob.grid, prob.density, prob.p
     dirs, w_dirs = ld._dirs, ld._weights
-    hx, hy = grid.spacing
-    (ax, _), (ay, _) = grid.box
-    area = 0.5 * hx * hy
-    ii, jj = np.meshgrid(np.arange(N - 1), np.arange(N - 1), indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
-    base = ii * N + jj
-    tris = []
-    # (centroid, node ids, gradient coefficients per node)
-    lower_nodes = np.stack([base, base + N, base + 1], axis=1)
-    lower_cx = ax + hx * (ii + 1.0 / 3.0)
-    lower_cy = ay + hy * (jj + 1.0 / 3.0)
-    lower_gx = np.array([-1.0 / hx, 1.0 / hx, 0.0])
-    lower_gy = np.array([-1.0 / hy, 0.0, 1.0 / hy])
-    upper_nodes = np.stack([base + N + 1, base + 1, base + N], axis=1)
-    upper_cx = ax + hx * (ii + 2.0 / 3.0)
-    upper_cy = ay + hy * (jj + 2.0 / 3.0)
-    upper_gx = np.array([1.0 / hx, 0.0, -1.0 / hx])
-    upper_gy = np.array([1.0 / hy, -1.0 / hy, 0.0])
-    tris.append((lower_cx, lower_cy, lower_nodes, lower_gx, lower_gy))
-    tris.append((upper_cx, upper_cy, upper_nodes, upper_gx, upper_gy))
-
-    all_w, all_i, all_c = [], [], []
+    n = grid.dimension
+    spacing = np.array(grid.spacing)
+    origin = np.array([a for a, _ in grid.box])
+    vol = math.prod(grid.spacing) / math.factorial(n)
+    cells = np.stack(
+        np.meshgrid(*[np.arange(grid.nodes_per_axis - 1)] * n, indexing="ij"), axis=-1
+    ).reshape(-1, n)
     n_ang = dirs.shape[0]
-    for cx, cy, nodes, gx, gy in tris:
-        centers = np.column_stack([cx, cy])
+    all_w, all_i, all_c = [], [], []
+    for corners, units in _SIMPLICES[n]:
+        corners = np.array(corners)
+        centers = origin + spacing * (cells + corners.mean(axis=0))
         a_vals = np.asarray(
             ld.kern.radial_limit(centers[:, None, :], dirs[None, :, :]), dtype=float
         )
-        W = (area / p) * a_vals * w_dirs[None, :]
-        n_tri = nodes.shape[0]
-        idx = np.zeros((n_tri, n_ang, 5), dtype=np.int64)
-        coefs = np.zeros((n_tri, n_ang, 5))
-        for slot in range(3):
-            idx[:, :, slot] = nodes[:, slot][:, None]
-            coefs[:, :, slot] = gx[slot] * dirs[None, :, 0] + gy[slot] * dirs[None, :, 1]
-        all_w.append(W.ravel())
-        all_i.append(idx.reshape(-1, 5))
-        all_c.append(coefs.reshape(-1, 5))
+        all_w.append(((vol / p) * a_vals * w_dirs[None, :]).ravel())
+        # node ids per (cell, corner); grad v . w per (direction, corner)
+        ids = cells[:, None, :] + corners[None, :, :]
+        nodes = np.ravel_multi_index(tuple(np.moveaxis(ids, -1, 0)), grid.shape)
+        forms = (dirs[:, None, :] * (np.array(units) / spacing)).sum(axis=-1)
+        shape = (cells.shape[0], n_ang, len(corners))
+        all_i.append(np.broadcast_to(nodes[:, None, :], shape).reshape(-1, len(corners)))
+        all_c.append(np.broadcast_to(forms, shape).reshape(-1, len(corners)))
     return AtomSet.from_stencil(
         np.concatenate(all_w),
         np.concatenate(all_i, axis=0),
         np.concatenate(all_c, axis=0),
-        N * N,
+        math.prod(grid.shape),
         p,
     )
 
@@ -382,7 +348,7 @@ def localization_sweep(
     local_converged = True
     if local_solution is None:
         ld = LimitDensity(k, p)
-        local = solve_local(LocalProblem(grid=grid, p=p, source=f, density=ld))
+        local = solve_local(LocalProblem(grid=grid, source=f, density=ld))
         local_solution, local_converged = local.minimizer, local.converged
 
     def distance(s: float) -> tuple[float, bool]:

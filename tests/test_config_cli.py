@@ -186,6 +186,22 @@ def test_cli_commute_repeated_eps_exit_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "repeats" in err
 
 
+@pytest.mark.parametrize("subcommand, key", [
+    ("commute", "eps_list"),
+    ("bbm-sweep", "s_list"),
+], ids=["eps_list", "s_list"])
+def test_cli_empty_list_key_exit_2(tmp_path, capsys, subcommand, key):
+    for value in ("", ","):
+        cfg = _write(tmp_path, "e.ini", "[kernel]\nname = periodic-1d\n\n[grid]\nN = 33\n\n"
+                     f"[params]\n{key} = {value}\n")
+        out = tmp_path / "never.csv"
+        rc = cli.main([subcommand, "--config", cfg, "--out", str(out)])
+        assert rc == 2, value
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"line 8: params.{key} must list at least one number" in err
+
+
 def test_cli_increasing_trace_exit_4(tmp_path, monkeypatch, capsys):
     from anisofrac.gridfn import GridFunction
     from anisofrac.variational import SolveResult

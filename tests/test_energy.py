@@ -154,7 +154,7 @@ def test_monotone_refinement(hat129):
     fp = FractionalParams(0.5, 2.0)
     fine = QuadratureSettings(points_per_octave=16, h_min_fraction=0.0625)
     r1 = gagliardo(hat129, fp)
-    r2 = EnergyScheme(None, hat129.grid, fine).report(hat129, fp, 1.0)
+    r2 = EnergyScheme(builtin("constant", {"n": 1}), hat129.grid, fine).report(hat129, fp, 1.0)
     assert abs(r2.value - r1.value) <= r1.error_bound
     # 2D: the default scheme against twice the rungs, half h_min and twice
     # the angles, on the anisotropic kernel
@@ -175,7 +175,8 @@ def test_monotone_refinement(hat129):
 def test_h_split_guard():
     grid = Grid(1, ((-1.0, 1.0),), 65)
     u = GridFunction(grid, hat_profile(np.linspace(-1, 1, 65)))
-    tiny = EnergyScheme(None, grid, QuadratureSettings(h_split=1.0))
+    tiny = EnergyScheme(builtin("constant", {"n": 1}), grid,
+                        QuadratureSettings(h_split=1.0))
     with pytest.raises(ValueError, match="support"):
         tiny.report(u, FractionalParams(0.5, 2.0), 1.0)
 
@@ -202,7 +203,7 @@ def test_boundary_values_must_vanish_2d():
 def test_atoms_agree_with_report(hat129, case):
     fp = FractionalParams(0.45, 2.5)
     if case == "gagliardo-1d":
-        kern, u = None, hat129
+        kern, u = builtin("constant", {"n": 1}), hat129
     else:
         kern, u, _ = _golden_case("separable-angular N=17 bump")
     scheme = get_scheme(kern, u.grid)
@@ -223,7 +224,8 @@ def test_bulk_rows_are_shifted_differences():
     g = Grid(2, ((-1.0, 1.0), (-0.5, 1.5)), 9)
     rng = np.random.default_rng(7)
     u = GridFunction(g, rng.standard_normal(g.shape))
-    scheme = EnergyScheme(None, g, QuadratureSettings(angular_points=8))
+    scheme = EnergyScheme(builtin("constant", {"n": 2}), g,
+                          QuadratureSettings(angular_points=8))
     ell = scheme.L @ u.values.ravel()
     n_nodes, n_ang, n_bulk = 81, 8, scheme.r_bulk.shape[0]
     bulk = ell[scheme.near_rows.stop:scheme.tail_rows.start]
@@ -305,7 +307,7 @@ def test_form_matrix_matches_pointwise_build(kernel_name, params, box, N):
 
 
 def test_near_rows_are_one_sided_slopes_hat(grid129, hat129):
-    scheme = get_scheme(None, grid129)
+    scheme = get_scheme(builtin("constant", {"n": 1}), grid129)
     slopes = (scheme.L @ hat129.values.ravel())[scheme.near_rows].reshape(2, -1)
     plus = int(np.flatnonzero(scheme.dirs[:, 0] > 0)[0])
     minus = 1 - plus
@@ -323,7 +325,8 @@ def test_near_rows_are_one_sided_slopes_2d():
     # -sign(w_a) side, with zero ghosts outside the grid
     g = Grid(2, ((-1.0, 1.0), (-0.5, 2.5)), 7)
     v = np.random.default_rng(5).standard_normal(g.shape)
-    scheme = EnergyScheme(None, g, QuadratureSettings(angular_points=8))
+    scheme = EnergyScheme(builtin("constant", {"n": 2}), g,
+                          QuadratureSettings(angular_points=8))
     slopes = (scheme.L @ v.ravel())[scheme.near_rows].reshape(8, *g.shape)
     padded = np.pad(v, 1)
     for k, w in enumerate(scheme.dirs):

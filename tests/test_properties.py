@@ -111,7 +111,7 @@ def test_solver_traces_monotone_all_p():
         trace = np.array(res.objective_trace)
         assert np.all(np.diff(trace) <= 0.0)
         res_l = solve_local(
-            LocalProblem(grid=GRID, p=p, source=one, density=LD(k, p))
+            LocalProblem(grid=GRID, source=one, density=LD(k, p))
         )
         trace_l = np.array(res_l.objective_trace)
         assert np.all(np.diff(trace_l) <= 0.0)

@@ -10,6 +10,7 @@ from anisofrac.variational import (
     LocalProblem,
     NonlocalProblem,
     _free_mask,
+    _local_atoms,
     _solve_atoms,
     localization_sweep,
     solve_local,
@@ -30,7 +31,7 @@ def p_laplace_exact(xs, p, A=1.0):
 def test_local_p2_closed_form(grid129, one129):
     k = builtin("constant", {"c": 1.0})
     res = solve_local(
-        LocalProblem(grid=grid129, p=2.0, source=one129, density=LimitDensity(k, 2.0))
+        LocalProblem(grid=grid129, source=one129, density=LimitDensity(k, 2.0))
     )
     xs = np.linspace(-1, 1, 129)
     exact = (1.0 - xs ** 2) / 4.0
@@ -43,15 +44,17 @@ def test_local_zero_source(grid129):
     z = GridFunction(grid129, np.zeros(129), boundary_flag=False)
     k = builtin("constant", {"c": 1.0})
     res = solve_local(
-        LocalProblem(grid=grid129, p=2.0, source=z, density=LimitDensity(k, 2.0))
+        LocalProblem(grid=grid129, source=z, density=LimitDensity(k, 2.0))
     )
     assert np.all(res.minimizer.values == 0.0)
     assert res.objective == 0.0
 
 
 def test_local_p3_first_integral_oracle(grid129, one129):
+    # the constant kernel c has the 1D density (2c/p)|xi|^p: A = 1 at c = 1.5
+    k = builtin("constant", {"c": 1.5})
     res = solve_local(
-        LocalProblem(grid=grid129, p=3.0, source=one129, coefficient=1.0)
+        LocalProblem(grid=grid129, source=one129, density=LimitDensity(k, 3.0))
     )
     xs = np.linspace(-1, 1, 129)
     exact = p_laplace_exact(xs, 3.0)
@@ -59,8 +62,9 @@ def test_local_p3_first_integral_oracle(grid129, one129):
 
 
 def test_local_p15_first_integral_oracle(grid129, one129):
+    k = builtin("constant", {"c": 1.5})  # A = 2 at p = 1.5
     res = solve_local(
-        LocalProblem(grid=grid129, p=1.5, source=one129, coefficient=2.0)
+        LocalProblem(grid=grid129, source=one129, density=LimitDensity(k, 1.5))
     )
     xs = np.linspace(-1, 1, 129)
     exact = p_laplace_exact(xs, 1.5, A=2.0)
@@ -72,15 +76,10 @@ def test_problem_validation(grid129, one129):
     with pytest.raises(ValueError):
         NonlocalProblem(kern=k, fp=FractionalParams(0.5, 1.0), grid=grid129,
                         source=one129)
-    with pytest.raises(ValueError):
-        LocalProblem(grid=grid129, p=2.0, source=one129)
-    with pytest.raises(ValueError):
-        LocalProblem(grid=grid129, p=2.0, source=one129,
-                     density=LimitDensity(k, 2.0), coefficient=1.0)
     g2 = Grid(2, ((-1, 1), (-1, 1)), 9)
     one2 = GridFunction(g2, np.ones((9, 9)), boundary_flag=False)
     with pytest.raises(ValueError):
-        LocalProblem(grid=g2, p=3.0, source=one2,
+        LocalProblem(grid=g2, source=one2,
                      density=LimitDensity(builtin("constant", {"c": 1.0, "n": 2}), 3.0))
 
 
@@ -195,8 +194,7 @@ def test_localization_sweep_constant(grid129, one129):
     s_list = [1 - 2.0 ** -j for j in range(2, 8)]
     table = localization_sweep(k, 2.0, one129, s_list)
     u_ref = solve_local(
-        LocalProblem(grid=grid129, p=2.0, source=one129,
-                     density=LimitDensity(k, 2.0))
+        LocalProblem(grid=grid129, source=one129, density=LimitDensity(k, 2.0))
     ).minimizer
     un = lp_norm(u_ref, 2.0)
     assert table.final.value <= 0.05 * un
@@ -219,8 +217,7 @@ def test_localization_sweep_periodic_frozen(grid129, one129):
     vals = [r.value for r in table.rows]
     assert vals[-1] <= vals[0]
     u_ref = solve_local(
-        LocalProblem(grid=grid129, p=2.0, source=one129,
-                     density=LimitDensity(k, 2.0))
+        LocalProblem(grid=grid129, source=one129, density=LimitDensity(k, 2.0))
     ).minimizer
     assert table.final.value <= 0.08 * lp_norm(u_ref, 2.0)
 
@@ -231,8 +228,7 @@ def test_2d_local_matches_isotropic_poisson():
     g = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), 33)
     one = GridFunction(g, np.ones((33, 33)), boundary_flag=False)
     k = builtin("constant", {"c": 1.0, "n": 2})
-    res = solve_local(LocalProblem(grid=g, p=2.0, source=one,
-                                   density=LimitDensity(k, 2.0)))
+    res = solve_local(LocalProblem(grid=g, source=one, density=LimitDensity(k, 2.0)))
     assert res.converged
     assert res.minimizer.values[16, 16] == pytest.approx(0.2946854 / np.pi, rel=0.01)
 
@@ -283,9 +279,33 @@ def test_local_golden(name):
         k = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
     p = float(name.rsplit("p=", 1)[1])
     one = GridFunction(g, np.ones(g.shape), boundary_flag=False)
-    res = solve_local(LocalProblem(grid=g, p=p, source=one, density=LimitDensity(k, p)))
+    res = solve_local(LocalProblem(grid=g, source=one, density=LimitDensity(k, p)))
     want = _LOCAL_GOLDEN[name]
     assert res.converged
     assert res.objective == pytest.approx(want["objective"], rel=1e-10)
     for ij, v in want["nodes"].items():
         assert res.minimizer.values[ij] == pytest.approx(v, rel=1e-10), ij
+
+
+@pytest.mark.parametrize("case", [
+    "1d",
+    "2d-lower",
+    pytest.param("2d-upper", marks=pytest.mark.xfail(
+        strict=True, reason="the upper triangle's table swaps the x and y "
+                            "coefficients of its corners (0,1) and (1,0)")),
+])
+def test_local_forms_of_coordinate_functions(case):
+    # grad v . w of v = x_axis is w_axis on every simplex of every cell
+    n = 1 if case == "1d" else 2
+    g = Grid(n, ((-1.0, 3.0), (0.0, 1.0))[:n], 9)
+    one = GridFunction(g, np.ones(g.shape), boundary_flag=False)
+    ld = LimitDensity(builtin("constant", {"n": n}), 2.0)
+    atoms = _local_atoms(LocalProblem(grid=g, source=one, density=ld))
+    n_cells, n_ang = 8 ** n, ld._dirs.shape[0]
+    assert len(atoms) == (1 if n == 1 else 2) * n_cells * n_ang
+    first = n_cells * n_ang if case == "2d-upper" else 0
+    block = slice(first, first + n_cells * n_ang)
+    for axis in range(n):
+        forms = atoms.forms(g.nodes()[:, axis])[block].reshape(n_cells, n_ang)
+        want = np.broadcast_to(ld._dirs[:, axis], forms.shape)
+        np.testing.assert_allclose(forms, want, rtol=0.0, atol=1e-12, err_msg=f"axis {axis}")
