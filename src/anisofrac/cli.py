@@ -28,14 +28,7 @@ from .energy import anisotropic_energy, get_scheme
 from .gridfn import FractionalParams, write_csv
 from .homogenize import coefficient_from_kernel, commute_experiment, effective_star
 from .kernel import verify_hypotheses
-from .limits import (
-    ConvergenceTable,
-    LimitDensity,
-    bbm_sweep,
-    default_bbm_s_list,
-    default_ms_s_list,
-    ms_sweep,
-)
+from .limits import ConvergenceTable, LimitDensity, bbm_sweep, ms_sweep
 from .variational import (
     LocalProblem,
     NonlocalProblem,
@@ -130,32 +123,27 @@ def _run_energy(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _run_bbm_sweep(cfg: ExperimentConfig) -> int:
-    kern = cfg.make_kernel()
-    u = cfg.sample_u()
-    s_list = cfg.s_list or default_bbm_s_list()
-    table = bbm_sweep(kern, u, cfg.p, s_list)
+def _run_sweep(cfg: ExperimentConfig, sweep, name: str) -> int:
+    table = sweep(cfg.make_kernel(), cfg.sample_u(), cfg.p, cfg.s_list)
     _emit(cfg, _table_csv(table), "sweep table")
     last = table.final
     print(
-        f"bbm-sweep: {len(table.rows)} rows, best={table.best_estimate():.8g} "
+        f"{name}: {len(table.rows)} rows, best={table.best_estimate():.8g} "
         f"reference={last.reference:.8g} rel_error={last.rel_error:.3g}"
     )
     return EXIT_OK
 
 
-def _run_ms_sweep(cfg: ExperimentConfig) -> int:
-    kern = cfg.make_kernel()
-    u = cfg.sample_u()
-    s_list = cfg.s_list or default_ms_s_list()
-    table = ms_sweep(kern, u, cfg.p, s_list)
-    _emit(cfg, _table_csv(table), "sweep table")
-    last = table.final
+def _run_solve(cfg: ExperimentConfig, res, what: str) -> int:
+    buf = io.StringIO()
+    write_csv(res.minimizer, buf)
+    _emit(cfg, buf.getvalue(), "minimizer")
     print(
-        f"ms-sweep: {len(table.rows)} rows, best={table.best_estimate():.8g} "
-        f"reference={last.reference:.8g} rel_error={last.rel_error:.3g}"
+        f"{what}: objective={res.objective:.8g} "
+        f"residual={res.residual:.2g} iterations={res.iterations} "
+        f"converged={res.converged}"
     )
-    return EXIT_OK
+    return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
 def _run_solve_nonlocal(cfg: ExperimentConfig) -> int:
@@ -168,15 +156,7 @@ def _run_solve_nonlocal(cfg: ExperimentConfig) -> int:
             kern=kern, fp=FractionalParams(cfg.s, cfg.p), grid=cfg.grid, source=f
         )
     )
-    buf = io.StringIO()
-    write_csv(res.minimizer, buf)
-    _emit(cfg, buf.getvalue(), "minimizer")
-    print(
-        f"solve-nonlocal s={cfg.s:g} p={cfg.p:g}: objective={res.objective:.8g} "
-        f"residual={res.residual:.2g} iterations={res.iterations} "
-        f"converged={res.converged}"
-    )
-    return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
+    return _run_solve(cfg, res, f"solve-nonlocal s={cfg.s:g} p={cfg.p:g}")
 
 
 def _run_solve_local(cfg: ExperimentConfig) -> int:
@@ -185,22 +165,11 @@ def _run_solve_local(cfg: ExperimentConfig) -> int:
     res = solve_local(
         LocalProblem(grid=cfg.grid, source=f, density=LimitDensity(kern, cfg.p))
     )
-    buf = io.StringIO()
-    write_csv(res.minimizer, buf)
-    _emit(cfg, buf.getvalue(), "minimizer")
-    print(
-        f"solve-local p={cfg.p:g}: objective={res.objective:.8g} "
-        f"residual={res.residual:.2g} iterations={res.iterations} "
-        f"converged={res.converged}"
-    )
-    return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
+    return _run_solve(cfg, res, f"solve-local p={cfg.p:g}")
 
 
 def _run_localize(cfg: ExperimentConfig) -> int:
-    kern = cfg.make_kernel()
-    f = cfg.sample_f()
-    s_list = cfg.s_list or default_bbm_s_list()
-    table = localization_sweep(kern, cfg.p, f, s_list)
+    table = localization_sweep(cfg.make_kernel(), cfg.p, cfg.sample_f(), cfg.s_list)
     _emit(cfg, _table_csv(table), "distance table")
     print(
         f"localize: {len(table.rows)} rows, final distance={table.final.value:.8g} "
@@ -230,10 +199,8 @@ def _run_homogenize(cfg: ExperimentConfig) -> int:
 
 
 def _run_commute(cfg: ExperimentConfig) -> int:
-    kern = cfg.make_kernel()
-    f = cfg.sample_f()
-    s_list = cfg.s_list or default_bbm_s_list()
-    res = commute_experiment(kern, cfg.p, f, cfg.eps_list, s_list)
+    res = commute_experiment(cfg.make_kernel(), cfg.p, cfg.sample_f(), cfg.eps_list,
+                             cfg.s_list)
     lines = ["path,param,value"]
     for e in res.eps_path:
         lines.append(f"eps,{_fmt(e.param)},{_fmt(e.value)}")
@@ -273,8 +240,8 @@ def _run_verify_kernel(cfg: ExperimentConfig) -> int:
 
 _RUNNERS = {
     "energy": _run_energy,
-    "bbm-sweep": _run_bbm_sweep,
-    "ms-sweep": _run_ms_sweep,
+    "bbm-sweep": lambda cfg: _run_sweep(cfg, bbm_sweep, "bbm-sweep"),
+    "ms-sweep": lambda cfg: _run_sweep(cfg, ms_sweep, "ms-sweep"),
     "solve-nonlocal": _run_solve_nonlocal,
     "solve-local": _run_solve_local,
     "localize": _run_localize,

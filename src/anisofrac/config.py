@@ -19,6 +19,7 @@ at |t| >= 1.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -278,10 +279,14 @@ def _take(table, section, key):
 
 def _to_float(value, ln, key, errors):
     try:
-        return float(value)
+        v = float(value)
     except ValueError:
         errors.append((ln, f"{key} must be a number, got {value!r}"))
         return None
+    if not math.isfinite(v):
+        errors.append((ln, f"{key} must be finite, got {value!r}"))
+        return None
+    return v
 
 
 def _to_int(value, ln, key, errors):
@@ -300,6 +305,9 @@ def _to_float_list(value, ln, key, errors):
         return None
     if not values:
         errors.append((ln, f"{key} must list at least one number"))
+        return None
+    if not all(math.isfinite(v) for v in values):
+        errors.append((ln, f"{key} entries must be finite, got {value!r}"))
         return None
     return values
 

@@ -28,6 +28,7 @@ __all__ = [
     "GridFunction",
     "FractionalParams",
     "lp_norm",
+    "lp_distance",
     "gradient_lp",
     "write_csv",
     "read_csv",
@@ -50,6 +51,8 @@ class Grid:
         if self.nodes_per_axis < 3:
             raise ValueError("need at least 3 nodes per axis")
         for a, b in self.box:
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError(f"box interval ({a}, {b}) must be finite")
             if not b > a:
                 raise ValueError(f"degenerate box interval ({a}, {b})")
 
@@ -138,7 +141,7 @@ def _lattice(axes: Sequence[np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FractionalParams:
-    """Differentiability order s in (0,1) and integrability p in [1, inf)."""
+    """Differentiability order s in (0,1) and a finite integrability p >= 1."""
 
     s: float
     p: float
@@ -146,8 +149,8 @@ class FractionalParams:
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
             raise ValueError(f"s must lie in (0,1), got {self.s}")
-        if self.p < 1.0:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        if not 1.0 <= self.p < math.inf:
+            raise ValueError(f"p must be a finite number >= 1, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -231,6 +234,13 @@ def lp_norm(u: GridFunction, p: float) -> float:
         raise ValueError("p must be >= 1")
     w = u.grid.trapezoid_weights()
     return float(np.dot(w, np.abs(u.values.ravel()) ** p) ** (1.0 / p))
+
+
+def lp_distance(u: GridFunction, v: GridFunction, p: float) -> float:
+    """||u - v||_p of two functions on the same grid."""
+    if u.grid != v.grid:
+        raise ValueError("the two functions live on different grids")
+    return lp_norm(GridFunction(u.grid, u.values - v.values, boundary_flag=False), p)
 
 
 def gradient_lp(u: GridFunction, p: float) -> float:

@@ -20,22 +20,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .energy import AtomSet
-from .gridfn import FractionalParams, Grid, GridFunction, lp_norm
+from .gridfn import Grid, GridFunction, lp_distance, lp_norm
 from .kernel import Kernel, builtin
-from .limits import ConvergenceTable, LimitDensity, limit_density
+from .limits import LimitDensity, _check_orders, default_bbm_s_list, limit_density
 from .variational import (
     LocalProblem,
-    NonlocalProblem,
     NotConvergedError,
     _solve_atoms,
     localization_sweep,
     solve_local,
-    solve_nonlocal,
 )
 
 __all__ = [
@@ -140,7 +138,8 @@ def cell_problem_1d(
     The shared reweighted-Newton engine of :mod:`anisofrac.variational`
     solves it: one direct solve at p = 2, lagged-weight Newton steps
     otherwise.  Raises :class:`NotConvergedError` when the gradient over
-    all cell nodes, the pinned one included, stays above the tolerance.
+    all cell nodes, the pinned one included, stays above ``tol`` times
+    |xi|^(p-1) max(max A, 1).
     """
     if xi == 0.0:
         return 0.0
@@ -164,8 +163,7 @@ def cell_problem_1d(
     # the engine's residual covers the free nodes only; the pinned node's
     # gradient is minus the sum of the others
     res = float(np.abs(atoms.gradient(v)[:n]).max())
-    converged = res <= tol * scale
-    if not converged and res > 1e-6 * scale:
+    if res > tol * scale:
         raise NotConvergedError(
             f"cell problem did not converge (residual {res:g} after {it} iterations)"
         )
@@ -279,10 +277,8 @@ class CommuteResult:
     u_bar: GridFunction
     distance: float
     coefficients: EffectiveCoefficients
-    star_report: EffectiveStarResult
     eps_path: tuple[PathEntry, ...]   # (eps, rel distance to u_star)
     s_path: tuple[PathEntry, ...]     # (s, rel distance to u_bar)
-    localization_tables: tuple[ConvergenceTable, ...]
     limits_converged: bool            # the solves for u_star and u_bar
 
     @property
@@ -321,36 +317,38 @@ def commute_experiment(
     p: float,
     f: GridFunction,
     eps_list: Sequence[float],
-    s_list: Sequence[float],
+    s_list: Optional[Sequence[float]] = None,
 ) -> CommuteResult:
     """Compare the two iterated limits of the oscillating nonlocal problems.
 
     u_star solves the constant-coefficient problem with the cell
     coefficient A* (localize first, then average); u_bar the one with
     the plain average (average first, then localize).  The finite
-    parameter paths are also run: for each eps a localization sweep of
+    parameter paths are also run.  For each eps, a localization sweep of
     the oscillating kernel, whose local solution trends to u_star as
-    eps -> 0, and for each s a nonlocal solve with the period-averaged
-    kernel, trending to u_bar as s -> 1.  The cases run one after
-    another, from the largest eps and from the smallest s; each eps
-    builds the scheme of its own rescaled kernel, and the s path shares
-    one scheme of the averaged kernel.
+    eps -> 0.  For s, one localization sweep of the period-averaged
+    kernel against u_bar, trending to u_bar as s -> 1.  Each path entry
+    is a distance relative to the L^p norm of its limit.  ``s_list`` must
+    increase toward 1; ``None`` means
+    :func:`~anisofrac.limits.default_bbm_s_list`.  Every eps is 1/m for
+    an integer m >= 1.  The eps cases run one after another, from the
+    largest eps, each on the scheme of its own rescaled kernel.
     """
+    s_list = list(s_list) if s_list is not None else default_bbm_s_list()
+    _check_orders(s_list, toward_one=True)
     if k.dimension != 1:
         raise ValueError("the experiment is 1D")
     periods = set()
     for eps in eps_list:
         inv = 1.0 / eps
-        if abs(inv - round(inv)) > 1e-9:
-            raise ValueError("eps values must be reciprocals of integers")
+        if not (math.isfinite(inv) and round(inv) >= 1 and abs(inv - round(inv)) <= 1e-9):
+            raise ValueError("eps values must be reciprocals of integers >= 1")
         if round(inv) in periods:
             raise ValueError(f"eps_list repeats eps = 1/{round(inv)}")
         periods.add(round(inv))
     grid = f.grid
     coeff = coefficient_from_kernel(k, p)
-    star = effective_star(coeff)
-    a_bar = effective_bar(k, p)
-    coeffs = EffectiveCoefficients(A_star=star.value, A_bar=a_bar)
+    coeffs = EffectiveCoefficients(A_star=effective_star(coeff).value, A_bar=coeff.mean())
 
     def solve_constant(A: float):
         # the constant kernel c has the 1D density (2c/p)|xi|^p
@@ -359,56 +357,36 @@ def commute_experiment(
             LocalProblem(grid=grid, source=f, density=LimitDensity(kern, p))
         )
 
-    res_star, res_bar = solve_constant(star.value), solve_constant(a_bar)
+    res_star, res_bar = solve_constant(coeffs.A_star), solve_constant(coeffs.A_bar)
     u_star, u_bar = res_star.minimizer, res_bar.minimizer
-    diff = GridFunction(grid, u_star.values - u_bar.values, boundary_flag=False)
-    distance = lp_norm(diff, p)
     norm_star = lp_norm(u_star, p)
     norm_bar = lp_norm(u_bar, p)
 
     # path (i): localize at fixed eps, then shrink eps
-    def eps_case(eps: float):
+    def eps_case(eps: float) -> PathEntry:
         g_eps = _eps_grid(grid, eps)
         k_eps = rescaled_kernel(k, eps)
         f_eps = _resample(f, g_eps)
         ld = LimitDensity(k_eps, p)
         res_eps = solve_local(LocalProblem(grid=g_eps, source=f_eps, density=ld))
         u_eps = res_eps.minimizer
-        table = localization_sweep(k_eps, p, f_eps, list(s_list), local_solution=u_eps)
-        d = GridFunction(
-            g_eps, u_eps.values - _resample(u_star, g_eps).values,
-            boundary_flag=False,
-        )
-        entry = PathEntry(eps, lp_norm(d, p) / norm_star,
-                          res_eps.converged and table.converged)
-        return entry, table
+        table = localization_sweep(k_eps, p, f_eps, s_list, local_solution=u_eps)
+        rel = lp_distance(u_eps, _resample(u_star, g_eps), p) / norm_star
+        return PathEntry(eps, rel, res_eps.converged and table.converged)
 
-    eps_results = [eps_case(eps) for eps in sorted(eps_list, reverse=True)]
-    eps_path = tuple(e for e, _ in eps_results)
-    tables = tuple(t for _, t in eps_results)
+    eps_path = tuple(eps_case(eps) for eps in sorted(eps_list, reverse=True))
 
     # path (ii): average the kernel first, then localize
-    k_bar = homogenized_kernel(k)
-
-    def s_case(s: float):
-        res = solve_nonlocal(
-            NonlocalProblem(kern=k_bar, fp=FractionalParams(s, p), grid=grid, source=f)
-        )
-        d = GridFunction(
-            grid, res.minimizer.values - u_bar.values, boundary_flag=False
-        )
-        return PathEntry(s, lp_norm(d, p) / norm_bar, res.converged)
-
-    s_path = tuple(s_case(s) for s in sorted(s_list))
+    s_table = localization_sweep(homogenized_kernel(k), p, f, s_list, local_solution=u_bar)
+    s_path = tuple(PathEntry(r.param, r.value / norm_bar, r.converged)
+                   for r in s_table.rows)
 
     return CommuteResult(
         u_star=u_star,
         u_bar=u_bar,
-        distance=distance,
+        distance=lp_distance(u_star, u_bar, p),
         coefficients=coeffs,
-        star_report=star,
         eps_path=eps_path,
         s_path=s_path,
-        localization_tables=tables,
         limits_converged=res_star.converged and res_bar.converged,
     )

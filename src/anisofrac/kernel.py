@@ -10,8 +10,8 @@ the declaration on quasi-random samples.
 
 Evaluation maps are vectorized: ``evaluate(x, h)`` receives arrays of
 shape (..., n) (broadcastable against each other) and returns weights of
-the broadcast shape.  Kernels are immutable and may be shared across
-workers.
+the broadcast shape.  Kernels are immutable, so the scheme cache can
+key on them.
 
 The library assumes kernels are continuous in x; this is not checked.
 """

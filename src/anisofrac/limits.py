@@ -177,16 +177,21 @@ def ms_weight(
     return finite + tail_lo, finite + tail_hi
 
 
-def ms_weight_limit(k: Kernel, x: np.ndarray, p: float) -> float:
-    """Limit weight b(x) = (2/p) * int_{S} m_inf(x, w) dH(w)."""
+def ms_weight_limit(k: Kernel, x: np.ndarray, p: float) -> float | np.ndarray:
+    """Limit weight b(x) = (2/p) * int_{S} m_inf(x, w) dH(w).
+
+    ``x`` holds points of shape (..., n); the result drops the last axis,
+    and one point of shape (n,) gives a float.
+    """
     if k.tail_limit is None:
         raise ValueError(
             f"kernel {k.name!r} declares no tail limit; the s -> 0 weight needs one"
         )
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = np.asarray(x, dtype=float)
     dirs, w_dirs = sphere_rule(k.dimension)
-    m_inf = np.asarray(k.tail_limit(x[None, :], dirs), dtype=float).ravel()
-    return 2.0 / p * float(np.dot(w_dirs, m_inf))
+    m_inf = np.asarray(k.tail_limit(x[..., None, :], dirs), dtype=float)
+    b = 2.0 / p * (m_inf @ w_dirs)
+    return float(b) if b.ndim == 0 else b
 
 
 _EXTRAPOLATION_S = (0.1, 0.05)  # orders of the two b_s midpoints extrapolated
@@ -203,7 +208,12 @@ def ms_weight_extrapolated(k: Kernel, x: np.ndarray, p: float) -> float:
     for s in _EXTRAPOLATION_S:
         lo, hi = ms_weight(k, x, FractionalParams(s, p), r_cut)
         vals.append(0.5 * (lo + hi))
-    (t1, t2), (v1, v2) = _EXTRAPOLATION_S, vals
+    return _richardson(*_EXTRAPOLATION_S, *vals)
+
+
+def _richardson(t1: float, t2: float, v1: float, v2: float) -> float:
+    """First-order Richardson step: the value at t = 0 of the line
+    through (t1, v1) and (t2, v2)."""
     return (t1 * v2 - t2 * v1) / (t1 - t2)
 
 
@@ -262,9 +272,8 @@ def _assemble_table(
     for i, (q, v) in enumerate(zip(params, values)):
         extrap = None
         if n >= 3 and i >= 2:
-            t1, t2 = t_of_param(params[i - 1]), t_of_param(params[i])
-            v1, v2 = values[i - 1], values[i]
-            extrap = (t1 * v2 - t2 * v1) / (t1 - t2)
+            extrap = _richardson(t_of_param(params[i - 1]), t_of_param(params[i]),
+                                 values[i - 1], values[i])
         best = extrap if extrap is not None else v
         rel = None
         if reference is not None and reference != 0.0:
@@ -283,6 +292,33 @@ def default_ms_s_list() -> list[float]:
     return [2.0 ** (-k) for k in range(2, 8)]
 
 
+def _check_orders(s_list: Sequence[float], toward_one: bool) -> None:
+    """Every order in (0,1), strictly monotone toward the limit studied."""
+    if any(not 0.0 < s < 1.0 for s in s_list):
+        raise ValueError("s values must lie in (0,1)")
+    pairs = list(zip(s_list, s_list[1:]))
+    if toward_one and any(a >= b for a, b in pairs):
+        raise ValueError("s_list must strictly increase toward 1")
+    if not toward_one and any(a <= b for a, b in pairs):
+        raise ValueError("s_list must strictly decrease toward 0")
+
+
+def _energy_sweep(
+    k: Kernel,
+    u: GridFunction,
+    p: float,
+    s_list: Sequence[float],
+    t_of_s,
+    reference: float,
+    method: str,
+) -> ConvergenceTable:
+    """t(s) times the weighted double integral for each s, from one scheme."""
+    parts = get_scheme(k, u.grid).raw_components(u, p, s_list)
+    values = [t_of_s(s) * (near + bulk + tail)
+              for s, (near, bulk, tail, _) in zip(s_list, parts)]
+    return _assemble_table(s_list, values, reference, t_of_s, method)
+
+
 def bbm_sweep(
     k: Kernel,
     u: GridFunction,
@@ -293,23 +329,16 @@ def bbm_sweep(
 
     The reference is the localized energy int A(x, grad u) dx evaluated
     with cell-centered gradients, and the extrapolation is first-order
-    in (1-s).
+    in (1-s).  ``s_list=None`` means :func:`default_bbm_s_list`.
     """
     s_list = list(s_list) if s_list is not None else default_bbm_s_list()
-    if any(not 0.0 < s < 1.0 for s in s_list):
-        raise ValueError("s values must lie in (0,1)")
-    if any(a >= b for a, b in zip(s_list, s_list[1:])):
-        raise ValueError("s_list must strictly increase toward 1")
-    parts = get_scheme(k, u.grid).raw_components(u, p, s_list)
-    values = [(1.0 - s) * (near + bulk + tail)
-              for s, (near, bulk, tail, _) in zip(s_list, parts)]
+    _check_orders(s_list, toward_one=True)
     ld = LimitDensity(k, p)
     centers, grads, vols = u.cell_gradients()
     dens = limit_density(ld, centers, grads)
     reference = float(np.dot(vols, np.atleast_1d(dens)))
-    return _assemble_table(
-        s_list, values, reference, lambda s: 1.0 - s, "richardson(1-s)"
-    )
+    return _energy_sweep(k, u, p, s_list, lambda s: 1.0 - s, reference,
+                         "richardson(1-s)")
 
 
 def ms_sweep(
@@ -322,26 +351,12 @@ def ms_sweep(
 
     The reference is int |u|^p b(x) dx with the limit weight b; use
     functions supported away from the origin, where the finite-s weight
-    is tame.  Extrapolation is first-order in s.
+    is tame.  Extrapolation is first-order in s.  ``s_list=None`` means
+    :func:`default_ms_s_list`.
     """
     s_list = list(s_list) if s_list is not None else default_ms_s_list()
-    if any(not 0.0 < s < 1.0 for s in s_list):
-        raise ValueError("s values must lie in (0,1)")
-    if any(a <= b for a, b in zip(s_list, s_list[1:])):
-        raise ValueError("s_list must strictly decrease toward 0")
-    if k.tail_limit is None:
-        raise ValueError(
-            f"kernel {k.name!r} declares no tail limit; the s -> 0 sweep needs one"
-        )
-    parts = get_scheme(k, u.grid).raw_components(u, p, s_list)
-    values = [s * (near + bulk + tail)
-              for s, (near, bulk, tail, _) in zip(s_list, parts)]
-    dirs, w_dirs = sphere_rule(k.dimension)
-    nodes = u.grid.nodes()
-    m_inf = np.asarray(
-        k.tail_limit(nodes[:, None, :], dirs[None, :, :]), dtype=float
-    )
-    b_vals = 2.0 / p * (m_inf @ w_dirs)
+    _check_orders(s_list, toward_one=False)
+    b_vals = ms_weight_limit(k, u.grid.nodes(), p)
     w_x = u.grid.trapezoid_weights()
     reference = float(np.dot(w_x, np.abs(u.values.ravel()) ** p * b_vals))
-    return _assemble_table(s_list, values, reference, lambda s: s, "richardson(s)")
+    return _energy_sweep(k, u, p, s_list, lambda s: s, reference, "richardson(s)")

@@ -34,9 +34,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .energy import AtomSet, check_grid_cap, get_scheme
-from .gridfn import FractionalParams, Grid, GridFunction, lp_norm
+from .gridfn import FractionalParams, Grid, GridFunction, lp_distance
 from .kernel import Kernel
-from .limits import ConvergenceTable, LimitDensity, TableRow
+from .limits import (
+    ConvergenceTable,
+    LimitDensity,
+    TableRow,
+    _check_orders,
+    default_bbm_s_list,
+)
 
 __all__ = [
     "NonlocalProblem",
@@ -328,22 +334,22 @@ def localization_sweep(
     k: Kernel,
     p: float,
     f: GridFunction,
-    s_list: Sequence[float],
+    s_list: Optional[Sequence[float]] = None,
     local_solution: Optional[GridFunction] = None,
 ) -> ConvergenceTable:
     """Distance of the nonlocal minimizers to the local one as s -> 1.
 
     Rows hold (s, ||u_s - u||_p) with reference 0; the tail of the table
-    should trend down.  A row's ``converged`` flag is False when its
-    nonlocal solve, or the local solve, stopped short of its tolerance.
-    ``local_solution`` overrides the local solve (used by the
-    homogenization experiment to compare against effective problems).
-    The nonlocal solves run one after another on the one cached scheme
-    of (k, grid).
+    should trend down.  ``s_list=None`` means
+    :func:`~anisofrac.limits.default_bbm_s_list`.  A row's ``converged``
+    flag is False when its nonlocal solve, or the local solve, stopped
+    short of its tolerance.  ``local_solution`` overrides the local solve
+    (used by the homogenization experiment to compare against effective
+    problems).  The nonlocal solves run one after another on the one
+    cached scheme of (k, grid).
     """
-    s_list = list(s_list)
-    if any(a >= b for a, b in zip(s_list, s_list[1:])):
-        raise ValueError("s_list must strictly increase toward 1")
+    s_list = list(s_list) if s_list is not None else default_bbm_s_list()
+    _check_orders(s_list, toward_one=True)
     grid = f.grid
     local_converged = True
     if local_solution is None:
@@ -355,10 +361,7 @@ def localization_sweep(
         res = solve_nonlocal(
             NonlocalProblem(kern=k, fp=FractionalParams(s, p), grid=grid, source=f)
         )
-        diff = GridFunction(
-            grid, res.minimizer.values - local_solution.values, boundary_flag=False
-        )
-        return lp_norm(diff, p), res.converged
+        return lp_distance(res.minimizer, local_solution, p), res.converged
 
     results = [distance(s) for s in s_list]
     rows = tuple(

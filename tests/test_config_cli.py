@@ -291,14 +291,16 @@ def test_cli_cell_problem_nonconvergence_exit_3(tmp_path, monkeypatch, subcomman
 
 
 @pytest.mark.parametrize(
-    "subcommand, module",
-    [("localize", "variational"), ("commute", "variational"), ("commute", "homogenize")],
+    "subcommand, prefix",
+    [("localize", ""), ("commute", "periodic-1d"), ("commute", "avg(")],
+    ids=["localize", "commute-eps-path", "commute-s-path"],
 )
-def test_cli_inner_solve_nonconvergence_exit_3(tmp_path, monkeypatch, subcommand, module):
-    # commute reaches variational.solve_nonlocal through the localization
-    # sweeps of its eps path and homogenize.solve_nonlocal on its s path
+def test_cli_inner_solve_nonconvergence_exit_3(tmp_path, monkeypatch, subcommand, prefix):
+    # every nonlocal solve goes through variational.solve_nonlocal: the
+    # localization sweep, and in commute the sweeps of its eps path (the
+    # rescaled kernel) and of its s path (the averaged kernel "avg(...)");
+    # the first solve on a kernel whose name starts with the prefix stops short
     from anisofrac import variational
-    from anisofrac.gridfn import GridFunction
     from anisofrac.variational import DEFAULT_MAX_ITER, SolveResult
 
     real_solve = variational.solve_nonlocal
@@ -306,14 +308,14 @@ def test_cli_inner_solve_nonconvergence_exit_3(tmp_path, monkeypatch, subcommand
 
     def short_solve(prob):
         res = real_solve(prob)
-        if stopped:
+        if stopped or not prob.kern.name.startswith(prefix):
             return res
-        stopped.append(prob.fp.s)
+        stopped.append(prob.kern.name)
         return SolveResult(minimizer=res.minimizer, objective=res.objective,
                            residual=1.0, iterations=DEFAULT_MAX_ITER,
                            converged=False, objective_trace=res.objective_trace)
 
-    monkeypatch.setattr(f"anisofrac.{module}.solve_nonlocal", short_solve)
+    monkeypatch.setattr(variational, "solve_nonlocal", short_solve)
     cfg = _write(
         tmp_path, "c.ini",
         "[kernel]\nname = periodic-1d\nA0 = 2.0\nA1 = 1.0\n\n[grid]\nN = 33\n\n"
@@ -327,6 +329,28 @@ def test_cli_inner_solve_nonconvergence_exit_3(tmp_path, monkeypatch, subcommand
     header = "param,value,extrapolated,reference,rel_error" if subcommand == "localize" \
         else "path,param,value"
     assert out.read_text().splitlines()[0] == header
+
+
+@pytest.mark.parametrize("subcommand, section, key, value", [
+    ("energy", "params", "p", "nan"),
+    ("energy", "params", "p", "inf"),
+    ("commute", "params", "eps_list", "inf"),
+    ("energy", "kernel", "c", "inf"),
+    ("energy", "grid", "box", "-inf:1"),
+], ids=["p=nan", "p=inf", "eps_list=inf", "c=inf", "box=-inf:1"])
+def test_cli_nonfinite_number_exit_2(tmp_path, capsys, subcommand, section, key, value):
+    kernel = "periodic-1d" if subcommand == "commute" else "constant"
+    body = {"kernel": [f"name = {kernel}"], "grid": ["N = 33"], "params": ["s = 0.5"]}
+    body[section].append(f"{key} = {value}")
+    text = "".join(f"[{name}]\n" + "\n".join(lines) + "\n\n" for name, lines in body.items())
+    cfg = _write(tmp_path, "n.ini", text)
+    out = tmp_path / "never.csv"
+    rc = cli.main([subcommand, "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    line = text.splitlines().index(f"{key} = {value}") + 1
+    assert f"line {line}:" in err and "finite" in err
 
 
 def test_cli_solve_nonlocal_2d_at_the_grid_cap(tmp_path):

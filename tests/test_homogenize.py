@@ -90,6 +90,14 @@ def test_cell_problem_nonconvergence_raises(model_kernel):
         cell_problem_1d(c, 1.0, n_cells=64, max_iter=0)
 
 
+def test_cell_problem_unconverged_residual_raises(model_kernel):
+    # 20 Newton steps at p = 1.5 leave a residual of about 1.7e-7, far above
+    # tol * scale = 4e-10: that value must not come back as converged
+    c = coefficient_from_kernel(model_kernel, 1.5)
+    with pytest.raises(NotConvergedError):
+        cell_problem_1d(c, 1.0, n_cells=64, max_iter=20)
+
+
 def test_effective_star_closed_form_p2(model_kernel):
     # int dt / (2 + sin 2 pi t) = 1 / sqrt(3): harmonic mean is sqrt(3)
     c = coefficient_from_kernel(model_kernel, 2.0)
@@ -203,6 +211,23 @@ def test_commute_rejects_bad_eps(model_kernel):
     with pytest.raises(ValueError):
         commute_experiment(model_kernel, 2.0, one, eps_list=[0.3],
                            s_list=[0.75, 0.875, 0.9375])
+
+
+def test_commute_checks_s_order_before_any_solve(model_kernel, monkeypatch):
+    calls = []
+    real = homogenize.solve_local
+
+    def spy(prob):
+        calls.append(prob)
+        return real(prob)
+
+    monkeypatch.setattr(homogenize, "solve_local", spy)
+    grid = Grid(1, ((-1.0, 1.0),), 33)
+    one = GridFunction(grid, np.ones(33), boundary_flag=False)
+    with pytest.raises(ValueError, match="strictly increase toward 1"):
+        commute_experiment(model_kernel, 2.0, one, eps_list=[0.25],
+                           s_list=[0.875, 0.75])
+    assert len(calls) == 0
 
 
 def test_commute_golden(model_kernel):

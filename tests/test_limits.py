@@ -192,6 +192,30 @@ def test_ms_weight_limit_identities():
     )
 
 
+def _x_dependent_kernel_2d():
+    """Tail 1 + sin^2(x1 + 2 x2) cos^2(theta) / 2: varies in x and w."""
+
+    def ev(x, h):
+        x, h = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(h, dtype=float))
+        r2 = np.maximum(np.sum(h * h, axis=-1), 1e-300)
+        return 1.0 + 0.5 * np.sin(x[..., 0] + 2.0 * x[..., 1]) ** 2 * h[..., 0] ** 2 / r2
+
+    return Kernel(evaluate=ev, dimension=2, bounds=(1.0, 1.5), radial_limit=ev,
+                  tail_limit=ev, name="x-dependent")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ms_weight_limit_on_point_arrays(n):
+    k = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0}) if n == 1 else _x_dependent_kernel_2d()
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, size=(7, n))
+    got = ms_weight_limit(k, x, 3.0)
+    want = [ms_weight_limit(k, xi, 3.0) for xi in x]
+    assert got.shape == (7,)
+    assert all(isinstance(b, float) for b in want)
+    assert np.ptp(want) > 0.1  # the weight really varies over the points
+    np.testing.assert_allclose(got, want, rtol=1e-14)
+
+
 def test_ms_weight_limit_two_point_tail():
     # tail limit 1 + 1/2 on the + direction only: b = (2/p)(1 + 3/2)
     def tail(x, w):
