@@ -292,8 +292,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             cfg.out_path = args.out
         if args.seed is not None:
             cfg.seed = args.seed
-        if getattr(args, "breakdown", False):
-            cfg.breakdown = True
+        cfg.breakdown = getattr(args, "breakdown", False)
         if cfg.out_path:
             _check_out_path(cfg.out_path)
         return run(cfg, args.subcommand)

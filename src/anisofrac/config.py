@@ -202,9 +202,6 @@ def compile_expression(src: str, dimension: int) -> Callable[..., np.ndarray]:
 # ---------------------------------------------------------------------------
 
 _SECTIONS = ("kernel", "grid", "params", "output")
-_PARAM_KEYS = {"s", "s_list", "p", "u", "f", "eps_list", "seed", "samples"}
-_OUTPUT_KEYS = {"path", "breakdown"}
-_GRID_KEYS = {"n", "box", "N"}
 
 
 @dataclass
@@ -223,7 +220,7 @@ class ExperimentConfig:
     seed: int = 0
     samples: int = 256
     out_path: Optional[str] = None
-    breakdown: bool = False
+    breakdown: bool = False  # no config key: set by the CLI's --breakdown
 
     def make_kernel(self):
         from .kernel import builtin
@@ -436,15 +433,6 @@ def parse_config(text: str) -> ExperimentConfig:
     path_val, _ = _take(table, "output", "path")
     if path_val is not None:
         cfg.out_path = path_val
-    bd_val, ln_bd = _take(table, "output", "breakdown")
-    if bd_val is not None:
-        low = bd_val.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            cfg.breakdown = True
-        elif low in ("0", "false", "no", "off"):
-            cfg.breakdown = False
-        else:
-            errors.append((ln_bd, f"output.breakdown must be a boolean, got {bd_val!r}"))
 
     # anything left is unknown
     for (section, key), (_, ln_k) in sorted(table.items(), key=lambda kv: kv[1][1]):

@@ -100,11 +100,7 @@ class EffectiveStarResult:
     value: float                # the minimization result (authoritative)
     formula_value: float        # (int A^{-1/(p-1)})^{-1/(p-1)}
     formula_classical: float    # (int A^{-1/(p-1)})^{-(p-1)}
-    discrepancy: float          # |value - formula_value|
     matches: str                # which candidate the minimization matches
-
-    def __float__(self):
-        return self.value
 
 
 def coefficient_from_kernel(k: Kernel, p: float) -> PeriodicCoefficient:
@@ -194,7 +190,6 @@ def effective_star(c: PeriodicCoefficient) -> EffectiveStarResult:
         value=oracle,
         formula_value=formula,
         formula_classical=classical,
-        discrepancy=d_formula,
         matches=matches,
     )
 
@@ -324,23 +319,25 @@ def commute_experiment(
     u_star solves the constant-coefficient problem with the cell
     coefficient A* (localize first, then average); u_bar the one with
     the plain average (average first, then localize).  The finite
-    parameter paths are also run.  For each eps, a localization sweep of
-    the oscillating kernel, whose local solution trends to u_star as
-    eps -> 0.  For s, one localization sweep of the period-averaged
-    kernel against u_bar, trending to u_bar as s -> 1.  Each path entry
-    is a distance relative to the L^p norm of its limit.  ``s_list`` must
-    increase toward 1; ``None`` means
-    :func:`~anisofrac.limits.default_bbm_s_list`.  Every eps is 1/m for
-    an integer m >= 1.  The eps cases run one after another, from the
-    largest eps, each on the scheme of its own rescaled kernel.
+    parameter paths are also run.  For each eps, the local solve of the
+    oscillating kernel, which trends to u_star as eps -> 0; an eps
+    entry's ``converged`` is that solve's flag.  For s, one localization
+    sweep of the period-averaged kernel against u_bar, trending to u_bar
+    as s -> 1.  Each path entry is a distance relative to the L^p norm
+    of its limit.  ``s_list`` must increase toward 1; ``None`` means
+    :func:`~anisofrac.limits.default_bbm_s_list`.  ``eps_list`` must not
+    be empty, and every eps is 1/m for an integer m >= 1.  The eps cases
+    run one after another, from the largest eps.
     """
     s_list = list(s_list) if s_list is not None else default_bbm_s_list()
     _check_orders(s_list, toward_one=True)
     if k.dimension != 1:
         raise ValueError("the experiment is 1D")
+    if not eps_list:
+        raise ValueError("eps_list must hold at least one eps")
     periods = set()
     for eps in eps_list:
-        inv = 1.0 / eps
+        inv = 1.0 / eps if eps != 0.0 else math.inf
         if not (math.isfinite(inv) and round(inv) >= 1 and abs(inv - round(inv)) <= 1e-9):
             raise ValueError("eps values must be reciprocals of integers >= 1")
         if round(inv) in periods:
@@ -369,10 +366,8 @@ def commute_experiment(
         f_eps = _resample(f, g_eps)
         ld = LimitDensity(k_eps, p)
         res_eps = solve_local(LocalProblem(grid=g_eps, source=f_eps, density=ld))
-        u_eps = res_eps.minimizer
-        table = localization_sweep(k_eps, p, f_eps, s_list, local_solution=u_eps)
-        rel = lp_distance(u_eps, _resample(u_star, g_eps), p) / norm_star
-        return PathEntry(eps, rel, res_eps.converged and table.converged)
+        rel = lp_distance(res_eps.minimizer, _resample(u_star, g_eps), p) / norm_star
+        return PathEntry(eps, rel, res_eps.converged)
 
     eps_path = tuple(eps_case(eps) for eps in sorted(eps_list, reverse=True))
 

@@ -238,7 +238,6 @@ class ConvergenceTable:
     """Sweep output; extrapolated entries appear from the third row on."""
 
     rows: tuple[TableRow, ...]
-    method: str
 
     def __post_init__(self):
         params = [r.param for r in self.rows]
@@ -265,7 +264,6 @@ def _assemble_table(
     values: Sequence[float],
     reference: Optional[float],
     t_of_param,
-    method: str,
 ) -> ConvergenceTable:
     rows = []
     n = len(params)
@@ -281,7 +279,7 @@ def _assemble_table(
         elif reference is not None:
             rel = abs(best)
         rows.append(TableRow(q, v, extrap, reference, rel))
-    return ConvergenceTable(tuple(rows), method)
+    return ConvergenceTable(tuple(rows))
 
 
 def default_bbm_s_list() -> list[float]:
@@ -293,7 +291,10 @@ def default_ms_s_list() -> list[float]:
 
 
 def _check_orders(s_list: Sequence[float], toward_one: bool) -> None:
-    """Every order in (0,1), strictly monotone toward the limit studied."""
+    """At least one order, each in (0,1), strictly monotone toward the
+    limit studied."""
+    if not s_list:
+        raise ValueError("s_list must hold at least one order")
     if any(not 0.0 < s < 1.0 for s in s_list):
         raise ValueError("s values must lie in (0,1)")
     pairs = list(zip(s_list, s_list[1:]))
@@ -310,13 +311,12 @@ def _energy_sweep(
     s_list: Sequence[float],
     t_of_s,
     reference: float,
-    method: str,
 ) -> ConvergenceTable:
     """t(s) times the weighted double integral for each s, from one scheme."""
     parts = get_scheme(k, u.grid).raw_components(u, p, s_list)
     values = [t_of_s(s) * (near + bulk + tail)
               for s, (near, bulk, tail, _) in zip(s_list, parts)]
-    return _assemble_table(s_list, values, reference, t_of_s, method)
+    return _assemble_table(s_list, values, reference, t_of_s)
 
 
 def bbm_sweep(
@@ -337,8 +337,7 @@ def bbm_sweep(
     centers, grads, vols = u.cell_gradients()
     dens = limit_density(ld, centers, grads)
     reference = float(np.dot(vols, np.atleast_1d(dens)))
-    return _energy_sweep(k, u, p, s_list, lambda s: 1.0 - s, reference,
-                         "richardson(1-s)")
+    return _energy_sweep(k, u, p, s_list, lambda s: 1.0 - s, reference)
 
 
 def ms_sweep(
@@ -359,4 +358,4 @@ def ms_sweep(
     b_vals = ms_weight_limit(k, u.grid.nodes(), p)
     w_x = u.grid.trapezoid_weights()
     reference = float(np.dot(w_x, np.abs(u.values.ravel()) ** p * b_vals))
-    return _energy_sweep(k, u, p, s_list, lambda s: s, reference, "richardson(s)")
+    return _energy_sweep(k, u, p, s_list, lambda s: s, reference)

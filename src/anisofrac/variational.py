@@ -369,4 +369,4 @@ def localization_sweep(
                  converged=ok and local_converged)
         for s, (v, ok) in zip(s_list, results)
     )
-    return ConvergenceTable(rows, method="monotone-tail")
+    return ConvergenceTable(rows)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from anisofrac import cli
+from anisofrac import cli, homogenize, variational
 from anisofrac.config import ConfigError, compile_expression, parse_config
 
 MINIMAL = """
@@ -78,6 +78,12 @@ def test_duplicate_key_rejected():
     assert any("duplicate" in msg for _, msg in exc.value.errors)
 
 
+def test_breakdown_is_a_flag_not_a_key():
+    with pytest.raises(ConfigError) as exc:
+        parse_config(MINIMAL + "\n[output]\nbreakdown = true\n")
+    assert any("unknown key 'breakdown'" in msg for _, msg in exc.value.errors)
+
+
 def test_expression_grammar():
     f = compile_expression("const(2) + sin(pi * x) * 0.5", 1)
     xs = np.array([0.0, 0.5])
@@ -109,10 +115,10 @@ def test_cli_energy_breakdown(tmp_path):
         "e.ini",
         "[kernel]\nname = constant\nc = 1.0\n\n[grid]\nN = 65\n\n"
         "[params]\ns = 0.5\np = 2.0\nu = bump(0, 1)\n\n"
-        "[output]\npath = out.csv\nbreakdown = true\n",
+        "[output]\npath = out.csv\n",
     )
     out = tmp_path / "e.csv"
-    rc = cli.main(["energy", "--config", cfg, "--out", str(out)])
+    rc = cli.main(["energy", "--config", cfg, "--out", str(out), "--breakdown"])
     assert rc == 0
     header, row = out.read_text().splitlines()
     assert header == "s,p,value,error_bound,near_diagonal,bulk,tail"
@@ -272,7 +278,6 @@ def test_cli_solve_nonconvergence_exit_3(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("subcommand", ["homogenize", "commute"])
 def test_cli_cell_problem_nonconvergence_exit_3(tmp_path, monkeypatch, subcommand):
-    from anisofrac import homogenize
     from anisofrac.variational import NotConvergedError
 
     def fake_cell(c, xi, n_cells=512, tol=1e-10, max_iter=20_000):
@@ -291,31 +296,38 @@ def test_cli_cell_problem_nonconvergence_exit_3(tmp_path, monkeypatch, subcomman
 
 
 @pytest.mark.parametrize(
-    "subcommand, prefix",
-    [("localize", ""), ("commute", "periodic-1d"), ("commute", "avg(")],
+    "subcommand, module, solver, picks",
+    [
+        ("localize", variational, "solve_nonlocal", lambda prob: True),
+        ("commute", homogenize, "solve_local",
+         lambda prob: "@eps=" in prob.density.kern.name),
+        ("commute", variational, "solve_nonlocal",
+         lambda prob: prob.kern.name.startswith("avg(")),
+    ],
     ids=["localize", "commute-eps-path", "commute-s-path"],
 )
-def test_cli_inner_solve_nonconvergence_exit_3(tmp_path, monkeypatch, subcommand, prefix):
-    # every nonlocal solve goes through variational.solve_nonlocal: the
-    # localization sweep, and in commute the sweeps of its eps path (the
-    # rescaled kernel) and of its s path (the averaged kernel "avg(...)");
-    # the first solve on a kernel whose name starts with the prefix stops short
-    from anisofrac import variational
+def test_cli_inner_solve_nonconvergence_exit_3(tmp_path, monkeypatch, subcommand, module,
+                                               solver, picks):
+    # the localization sweep's nonlocal solves go through
+    # variational.solve_nonlocal, and so do those of commute's s path (the
+    # averaged kernel "avg(...)"); commute's eps path is one local solve
+    # per eps of the rescaled kernel "...@eps=..."; the first solve the
+    # case picks stops short
     from anisofrac.variational import DEFAULT_MAX_ITER, SolveResult
 
-    real_solve = variational.solve_nonlocal
+    real_solve = getattr(module, solver)
     stopped = []
 
     def short_solve(prob):
         res = real_solve(prob)
-        if stopped or not prob.kern.name.startswith(prefix):
+        if stopped or not picks(prob):
             return res
-        stopped.append(prob.kern.name)
+        stopped.append(prob)
         return SolveResult(minimizer=res.minimizer, objective=res.objective,
                            residual=1.0, iterations=DEFAULT_MAX_ITER,
                            converged=False, objective_trace=res.objective_trace)
 
-    monkeypatch.setattr(variational, "solve_nonlocal", short_solve)
+    monkeypatch.setattr(module, solver, short_solve)
     cfg = _write(
         tmp_path, "c.ini",
         "[kernel]\nname = periodic-1d\nA0 = 2.0\nA1 = 1.0\n\n[grid]\nN = 33\n\n"
@@ -393,8 +405,6 @@ def test_cli_kernel_grid_dimension_mismatch_exit_2(
     tmp_path, monkeypatch, capsys, subcommand, kernel, grid
 ):
     # rejected when the problem is set up, before any solve
-    from anisofrac import variational
-
     def no_solve(*args, **kwargs):
         raise AssertionError("solved a problem whose dimensions differ")
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from anisofrac import homogenize
+from anisofrac import homogenize, variational
 from anisofrac.gridfn import Grid, GridFunction, lp_norm
 from anisofrac.kernel import builtin
 from anisofrac.variational import NotConvergedError
@@ -205,23 +205,45 @@ def test_commute_distance_linear_in_source(model_kernel):
     assert r2.distance == pytest.approx(2.0 * r1.distance, rel=1e-8)
 
 
-def test_commute_rejects_bad_eps(model_kernel):
-    grid = Grid(1, ((-1.0, 1.0),), 65)
-    one = GridFunction(grid, np.ones(65), boundary_flag=False)
-    with pytest.raises(ValueError):
-        commute_experiment(model_kernel, 2.0, one, eps_list=[0.3],
-                           s_list=[0.75, 0.875, 0.9375])
-
-
-def test_commute_checks_s_order_before_any_solve(model_kernel, monkeypatch):
+def _spy(monkeypatch, module, name):
     calls = []
-    real = homogenize.solve_local
+    real = getattr(module, name)
 
     def spy(prob):
         calls.append(prob)
         return real(prob)
 
-    monkeypatch.setattr(homogenize, "solve_local", spy)
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("eps_list", [[0.3], [], [0.0]], ids=["0.3", "empty", "0"])
+def test_commute_rejects_bad_eps(model_kernel, monkeypatch, eps_list):
+    calls = _spy(monkeypatch, homogenize, "solve_local")
+    grid = Grid(1, ((-1.0, 1.0),), 65)
+    one = GridFunction(grid, np.ones(65), boundary_flag=False)
+    with pytest.raises(ValueError):
+        commute_experiment(model_kernel, 2.0, one, eps_list=eps_list,
+                           s_list=[0.75, 0.875, 0.9375])
+    assert len(calls) == 0
+
+
+def test_commute_runs_only_the_solves_it_reports(model_kernel, monkeypatch):
+    # the s path's nonlocal solves, all on the averaged kernel; local
+    # solves for u_star, u_bar and one per eps
+    nonlocal_calls = _spy(monkeypatch, variational, "solve_nonlocal")
+    local_calls = _spy(monkeypatch, homogenize, "solve_local")
+    grid = Grid(1, ((-1.0, 1.0),), 33)
+    one = GridFunction(grid, np.ones(33), boundary_flag=False)
+    eps_list, s_list = [0.5, 0.25], [0.75, 0.875]
+    commute_experiment(model_kernel, 2.0, one, eps_list=eps_list, s_list=s_list)
+    assert len(nonlocal_calls) == len(s_list)
+    assert all(prob.kern.name.startswith("avg(") for prob in nonlocal_calls)
+    assert len(local_calls) == len(eps_list) + 2
+
+
+def test_commute_checks_s_order_before_any_solve(model_kernel, monkeypatch):
+    calls = _spy(monkeypatch, homogenize, "solve_local")
     grid = Grid(1, ((-1.0, 1.0),), 33)
     one = GridFunction(grid, np.ones(33), boundary_flag=False)
     with pytest.raises(ValueError, match="strictly increase toward 1"):

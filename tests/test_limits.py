@@ -21,6 +21,8 @@ from anisofrac.limits import (
     ms_weight_extrapolated,
     ms_weight_limit,
 )
+from anisofrac.homogenize import commute_experiment
+from anisofrac.variational import localization_sweep
 from conftest import bump_profile, hat_profile
 
 
@@ -308,20 +310,33 @@ def test_sweeps_need_compact_support(sweep):
         sweep(builtin("constant", {"c": 1.0}), u, 2.0)
 
 
+@pytest.mark.parametrize("study", [
+    lambda k, u: bbm_sweep(k, u, 2.0, []),
+    lambda k, u: ms_sweep(k, u, 2.0, []),
+    lambda k, u: localization_sweep(k, 2.0, u, []),
+    lambda k, u: commute_experiment(k, 2.0, u, [0.25], []),
+], ids=["bbm_sweep", "ms_sweep", "localization_sweep", "commute_experiment"])
+def test_studies_reject_empty_order_list(study):
+    grid = Grid(1, ((-1.0, 1.0),), 33)
+    one = GridFunction(grid, np.ones(33), boundary_flag=False)
+    with pytest.raises(ValueError, match="at least one order"):
+        study(builtin("constant", {"c": 1.0}), one)
+
+
 def test_convergence_table_invariants():
     rows = tuple(
         TableRow(param=s, value=1.0, extrapolated=None, reference=None, rel_error=None)
         for s in (0.25, 0.5, 0.75)
     )
-    ConvergenceTable(rows, method="test")
+    ConvergenceTable(rows)
     with pytest.raises(ValueError):
-        ConvergenceTable((rows[1], rows[0], rows[2]), method="test")
+        ConvergenceTable((rows[1], rows[0], rows[2]))
     short = (
         TableRow(0.25, 1.0, None, None, None),
         TableRow(0.5, 1.0, 0.9, None, None),
     )
     with pytest.raises(ValueError):
-        ConvergenceTable(short, method="test")
+        ConvergenceTable(short)
 
 
 def test_sweep_extrapolated_from_third_row(bump129):
