@@ -106,7 +106,7 @@ def _run_energy(cfg: ExperimentConfig) -> int:
     kern = cfg.make_kernel()
     u = cfg.sample_u()
     if cfg.s is None:
-        raise ConfigError([(1, "energy needs params.s")])
+        raise ValueError("energy needs params.s")
     rep = anisotropic_energy(kern, u, FractionalParams(cfg.s, cfg.p))
     cols = ["s", "p", "value", "error_bound"]
     vals = [cfg.s, cfg.p, rep.value, rep.error_bound]
@@ -150,7 +150,7 @@ def _run_solve_nonlocal(cfg: ExperimentConfig) -> int:
     kern = cfg.make_kernel()
     f = cfg.sample_f()
     if cfg.s is None:
-        raise ConfigError([(1, "solve-nonlocal needs params.s")])
+        raise ValueError("solve-nonlocal needs params.s")
     res = solve_nonlocal(
         NonlocalProblem(
             kern=kern, fp=FractionalParams(cfg.s, cfg.p), grid=cfg.grid, source=f
@@ -270,11 +270,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     for name in SUBCOMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="experiment config file")
-        sp.add_argument("--out", help="override output.path")
+        sp.add_argument("--out", help="write the experiment's CSV to this file")
         sp.add_argument("--threads", type=int, default=None,
                         help="ignored; every experiment runs on one thread")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override params.seed")
         if name == "energy":
             sp.add_argument("--breakdown", action="store_true",
                             help="add the near/bulk/tail split to the report")
@@ -288,10 +286,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_CONFIG
     try:
         cfg = parse_config(text)
-        if args.out:
-            cfg.out_path = args.out
-        if args.seed is not None:
-            cfg.seed = args.seed
+        cfg.out_path = args.out
         cfg.breakdown = getattr(args, "breakdown", False)
         if cfg.out_path:
             _check_out_path(cfg.out_path)

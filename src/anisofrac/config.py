@@ -1,10 +1,14 @@
 """Experiment configuration: strict INI-style files plus a tiny
 expression grammar for grid functions.
 
-Sections are ``[kernel]``, ``[grid]``, ``[params]`` and ``[output]``.
+Sections are ``[kernel]``, ``[grid]`` and ``[params]``; the output
+path is not part of the document (the CLI takes it from ``--out``).
 Unknown sections or keys are errors (silent typos corrupt experiments),
 and validation collects *every* problem with its line number before
-reporting.  Grid functions are written in a fixed grammar::
+reporting.  The number keys of ``[params]`` must be finite and lie in
+range: ``s`` and each ``s_list`` entry in (0, 1), ``p >= 1``, each
+``eps_list`` entry > 0, integers ``seed >= 0`` and ``samples >= 1``.
+Grid functions are written in a fixed grammar::
 
     expr   := term (('+' | '-') term)*
     term   := factor ('*' factor)*
@@ -26,8 +30,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gridfn import Grid
-from .kernel import BUILTIN_NAMES, builtin_param_names
+from .gridfn import Grid, GridFunction
+from .kernel import BUILTIN_NAMES, builtin, builtin_param_names
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "compile_expression"]
 
@@ -201,12 +205,12 @@ def compile_expression(src: str, dimension: int) -> Callable[..., np.ndarray]:
 # config document
 # ---------------------------------------------------------------------------
 
-_SECTIONS = ("kernel", "grid", "params", "output")
+_SECTIONS = ("kernel", "grid", "params")
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description (kernel, grid, parameters, output)."""
+    """Validated experiment description (kernel, grid, parameters)."""
 
     kernel_name: str
     kernel_params: dict
@@ -219,25 +223,22 @@ class ExperimentConfig:
     eps_list: list[float] = field(default_factory=lambda: [0.25, 0.125, 0.0625])
     seed: int = 0
     samples: int = 256
+    # no config keys: set by the CLI's --out and --breakdown
     out_path: Optional[str] = None
-    breakdown: bool = False  # no config key: set by the CLI's --breakdown
+    breakdown: bool = False
 
     def make_kernel(self):
-        from .kernel import builtin
-
         return builtin(self.kernel_name, self.kernel_params)
 
     def sample_u(self):
-        from .gridfn import GridFunction
-
-        fn = compile_expression(self.u_expr, self.grid.dimension)
-        return GridFunction.from_callable(self.grid, fn)
+        return self._sample(self.u_expr, boundary_flag=True)
 
     def sample_f(self):
-        from .gridfn import GridFunction
+        return self._sample(self.f_expr, boundary_flag=False)
 
-        fn = compile_expression(self.f_expr, self.grid.dimension)
-        return GridFunction.from_callable(self.grid, fn, boundary_flag=False)
+    def _sample(self, expr: str, boundary_flag: bool):
+        fn = compile_expression(expr, self.grid.dimension)
+        return GridFunction.from_callable(self.grid, fn, boundary_flag)
 
 
 def _parse_lines(text: str, errors):
@@ -309,6 +310,20 @@ def _to_float_list(value, ln, key, errors):
     return values
 
 
+# every number key of [params]: (key, converter, admissible, message); the
+# key is also the ExperimentConfig field it sets
+_PARAM_NUMBERS = (
+    ("s", _to_float, lambda v: 0.0 < v < 1.0, "s must lie in (0,1)"),
+    ("s_list", _to_float_list, lambda v: all(0.0 < s < 1.0 for s in v),
+     "s_list entries must lie in (0,1)"),
+    ("p", _to_float, lambda v: v >= 1.0, "p must be >= 1"),
+    ("eps_list", _to_float_list, lambda v: all(e > 0.0 for e in v),
+     "eps_list entries must be positive"),
+    ("seed", _to_int, lambda v: v >= 0, "seed must be >= 0"),
+    ("samples", _to_int, lambda v: v >= 1, "samples must be >= 1"),
+)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Validate a config document; raises :class:`ConfigError` with every
     problem found, not just the first."""
@@ -327,20 +342,20 @@ def parse_config(text: str) -> ExperimentConfig:
     allowed = builtin_param_names(name)
     for (section, key) in [k for k in table if k[0] == "kernel"]:
         value, ln = table.pop((section, key))
-        if key == "table":
-            kernel_params["table"] = value
-            continue
         if key not in allowed:
             errors.append((ln, f"kernel {name!r} does not accept parameter {key!r}"))
             continue
-        if key == "n":
+        if key == "table":
+            v = value
+        elif key == "n":
             v = _to_int(value, ln, "kernel.n", errors)
         else:
             v = _to_float(value, ln, f"kernel.{key}", errors)
         if v is not None:
             kernel_params[key] = v
 
-    # grid
+    # grid: built only when its keys added no error
+    grid_errors = len(errors)
     n_val, ln = _take(table, "grid", "n")
     n = _to_int(n_val, ln, "grid.n", errors) if n_val is not None else 1
     if n is not None and n not in (1, 2):
@@ -366,7 +381,7 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append((ln_N, "grid.N must be >= 3"))
         N = 3
     grid = None
-    if not errors or all("grid." not in m and "[grid]" not in m for _, m in errors):
+    if len(errors) == grid_errors:
         try:
             grid = Grid(n, box, N)
         except ValueError as exc:
@@ -376,31 +391,17 @@ def parse_config(text: str) -> ExperimentConfig:
 
     # params
     cfg = ExperimentConfig(kernel_name=name, kernel_params=kernel_params, grid=grid)
-    s_val, ln_s = _take(table, "params", "s")
-    if s_val is not None:
-        s = _to_float(s_val, ln_s, "params.s", errors)
-        if s is not None:
-            if not 0.0 < s < 1.0:
-                errors.append((ln_s, "s must lie in (0,1)"))
-            else:
-                cfg.s = s
-    sl_val, ln_sl = _take(table, "params", "s_list")
-    if sl_val is not None:
-        sl = _to_float_list(sl_val, ln_sl, "params.s_list", errors)
-        if sl is not None:
-            bad = [s for s in sl if not 0.0 < s < 1.0]
-            if bad:
-                errors.append((ln_sl, f"s_list entries must lie in (0,1), got {bad}"))
-            else:
-                cfg.s_list = sl
-    p_val, ln_p = _take(table, "params", "p")
-    if p_val is not None:
-        p = _to_float(p_val, ln_p, "params.p", errors)
-        if p is not None:
-            if p < 1.0:
-                errors.append((ln_p, "p must be >= 1"))
-            else:
-                cfg.p = p
+    for key, conv, admissible, message in _PARAM_NUMBERS:
+        val, ln_k = _take(table, "params", key)
+        if val is None:
+            continue
+        v = conv(val, ln_k, f"params.{key}", errors)
+        if v is None:
+            continue
+        if admissible(v):
+            setattr(cfg, key, v)
+        else:
+            errors.append((ln_k, f"{message}, got {val!r}"))
     for key, attr in (("u", "u_expr"), ("f", "f_expr")):
         val, ln_e = _take(table, "params", key)
         if val is not None:
@@ -414,25 +415,6 @@ def parse_config(text: str) -> ExperimentConfig:
         centres = ", ".join(f"{0.5 * (a + b):g}" for a, b in grid.box)
         radius = min(0.5 * (b - a) for a, b in grid.box)
         cfg.u_expr = f"bump({centres}, {radius:g})"
-    el_val, ln_el = _take(table, "params", "eps_list")
-    if el_val is not None:
-        el = _to_float_list(el_val, ln_el, "params.eps_list", errors)
-        if el is not None:
-            if any(e <= 0.0 for e in el):
-                errors.append((ln_el, "eps_list entries must be positive"))
-            else:
-                cfg.eps_list = el
-    for key, attr, conv in (("seed", "seed", _to_int), ("samples", "samples", _to_int)):
-        val, ln_k = _take(table, "params", key)
-        if val is not None:
-            v = conv(val, ln_k, f"params.{key}", errors)
-            if v is not None:
-                setattr(cfg, attr, v)
-
-    # output
-    path_val, _ = _take(table, "output", "path")
-    if path_val is not None:
-        cfg.out_path = path_val
 
     # anything left is unknown
     for (section, key), (_, ln_k) in sorted(table.items(), key=lambda kv: kv[1][1]):

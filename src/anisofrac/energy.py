@@ -67,7 +67,7 @@ from scipy import sparse
 
 from ._sphere import sphere_measure, sphere_rule
 from .gridfn import FractionalParams, Grid, GridFunction, gradient_lp, lp_norm
-from .kernel import Kernel, builtin
+from .kernel import Kernel, builtin, symmetrize
 
 __all__ = [
     "QuadratureSettings",
@@ -280,6 +280,8 @@ class EnergyScheme:
         self.dirs, self.w_dirs = sphere_rule(n, settings.angular_points)
         self.nodes = grid.nodes()
         self.w_x = grid.trapezoid_weights()
+        # the weight both builds sample: 0.5*(m(x,h) + m(x-h,-h))
+        self._msym = symmetrize(kern).evaluate
 
         # radial limit at the nodes (near surrogate weight)
         self.a_vals = np.asarray(
@@ -291,14 +293,6 @@ class EnergyScheme:
         self._build_operator()
 
     # -- kernel sampling ---------------------------------------------------
-
-    def _msym(self, x, h):
-        """Symmetrized weight 0.5*(m(x,h) + m(x-h,-h))."""
-        ev = self.kern.evaluate
-        return 0.5 * (
-            np.asarray(ev(x, h), dtype=float)
-            + np.asarray(ev(x - h, -h), dtype=float)
-        )
 
     def _build_far(self):
         """Far-ladder weights and the beyond-ladder bracket, per node.

@@ -105,9 +105,10 @@ def symmetrize(k: Kernel) -> Kernel:
     The result satisfies m(x, h) = m(x-h, -h) exactly, keeps the bounds,
     and leaves every energy unchanged (the double integral is invariant
     under the pair swap).  Averaging is idempotent.  The radial limit of
-    the average is the even part of the declared one (continuity in x);
-    the tail limit is kept only when the input was already symmetric,
-    since the swapped branch runs off to infinity in x.
+    the average is the even part of the declared one (continuity in x).
+    The tail limit is always dropped, even for an input that is already
+    symmetric: the swapped branch runs off to infinity in x, so a caller
+    that needs the far field averages the declared limit over +-w itself.
     """
 
     ev = k.evaluate
@@ -115,7 +116,9 @@ def symmetrize(k: Kernel) -> Kernel:
     def evaluate(x, h):
         x = np.asarray(x, dtype=float)
         h = np.asarray(h, dtype=float)
-        return 0.5 * (ev(x, h) + ev(x - h, -h))
+        return 0.5 * (
+            np.asarray(ev(x, h), dtype=float) + np.asarray(ev(x - h, -h), dtype=float)
+        )
 
     rad = k.radial_limit
 

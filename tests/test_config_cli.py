@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -81,7 +82,36 @@ def test_duplicate_key_rejected():
 def test_breakdown_is_a_flag_not_a_key():
     with pytest.raises(ConfigError) as exc:
         parse_config(MINIMAL + "\n[output]\nbreakdown = true\n")
-    assert any("unknown key 'breakdown'" in msg for _, msg in exc.value.errors)
+    assert any("unknown section [output]" in msg for _, msg in exc.value.errors)
+
+
+def test_table_key_only_for_tabulated_kernel():
+    text = "[kernel]\nname = constant\ntable = x.csv\n\n[params]\ns = 2.0\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.errors == [
+        (3, "kernel 'constant' does not accept parameter 'table'"),
+        (6, "s must lie in (0,1), got '2.0'"),
+    ]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("seed", "-1", "seed must be >= 0"),
+    ("samples", "0", "samples must be >= 1"),
+])
+def test_integer_param_out_of_range(key, value, message):
+    text = MINIMAL + f"{key} = {value}\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.errors == [(len(text.splitlines()), f"{message}, got {value!r}")]
+
+
+def test_readme_config_example_parses():
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as fh:
+        blocks = re.findall(r"```ini\n(.*?)```", fh.read(), flags=re.S)
+    assert len(blocks) == 1
+    parse_config(blocks[0])
 
 
 def test_expression_grammar():
@@ -114,8 +144,7 @@ def test_cli_energy_breakdown(tmp_path):
         tmp_path,
         "e.ini",
         "[kernel]\nname = constant\nc = 1.0\n\n[grid]\nN = 65\n\n"
-        "[params]\ns = 0.5\np = 2.0\nu = bump(0, 1)\n\n"
-        "[output]\npath = out.csv\n",
+        "[params]\ns = 0.5\np = 2.0\nu = bump(0, 1)\n",
     )
     out = tmp_path / "e.csv"
     rc = cli.main(["energy", "--config", cfg, "--out", str(out), "--breakdown"])
@@ -124,6 +153,35 @@ def test_cli_energy_breakdown(tmp_path):
     assert header == "s,p,value,error_bound,near_diagonal,bulk,tail"
     vals = [float(v) for v in row.split(",")]
     assert vals[2] == pytest.approx(vals[4] + vals[5] + vals[6], rel=1e-15)
+
+
+def test_cli_output_section_exit_2_no_output(tmp_path, monkeypatch, capsys):
+    # the output path has one way in, --out
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "o.ini", MINIMAL + "\n[output]\npath = out.csv\n")
+    assert cli.main(["energy", "--config", cfg]) == 2
+    assert not (tmp_path / "out.csv").exists()
+    line = (MINIMAL + "\n[output]\n").count("\n")
+    assert f"line {line}: unknown section [output]" in capsys.readouterr().err
+
+
+def test_cli_seed_flag_rejected(tmp_path, capsys):
+    # the seed has one way in, params.seed
+    cfg = _write(tmp_path, "v.ini", "[kernel]\nname = constant\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-kernel", "--config", cfg, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["energy", "solve-nonlocal"])
+def test_cli_missing_s_exit_2_without_line(tmp_path, capsys, subcommand):
+    cfg = _write(tmp_path, "m.ini", "[kernel]\nname = constant\n\n[grid]\nN = 33\n")
+    out = tmp_path / "never.csv"
+    assert cli.main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {subcommand} needs params.s"]
 
 
 def test_cli_invalid_kernel_exit_2_no_output(tmp_path):
