@@ -26,7 +26,7 @@ from typing import Optional
 from .config import ConfigError, ExperimentConfig, parse_config
 from .energy import anisotropic_energy, get_scheme
 from .gridfn import FractionalParams, write_csv
-from .homogenize import coefficient_from_kernel, commute_experiment, effective_star
+from .homogenize import coefficient_from_kernel, commute_experiment, effective_coefficients
 from .kernel import verify_hypotheses
 from .limits import ConvergenceTable, LimitDensity, bbm_sweep, ms_sweep
 from .variational import (
@@ -179,21 +179,17 @@ def _run_localize(cfg: ExperimentConfig) -> int:
 
 
 def _run_homogenize(cfg: ExperimentConfig) -> int:
-    kern = cfg.make_kernel()
-    coeff = coefficient_from_kernel(kern, cfg.p)
-    star = effective_star(coeff)
-    a_bar = coeff.mean()
-    gap = a_bar - star.value
+    eff = effective_coefficients(coefficient_from_kernel(cfg.make_kernel(), cfg.p))
     text = (
         "A_star_formula,A_star_oracle,A_bar,gap\n"
-        + ",".join(_fmt(v) for v in (star.formula_value, star.value, a_bar, gap))
+        + ",".join(_fmt(v) for v in (eff.A_star_formula, eff.A_star, eff.A_bar, eff.gap))
         + "\n"
     )
     _emit(cfg, text, "coefficients")
     print(
-        f"homogenize p={cfg.p:g}: A*={star.value:.8g} "
-        f"(formula {star.formula_value:.8g}, matches {star.matches}), "
-        f"A_bar={a_bar:.8g}, gap={gap:.8g}"
+        f"homogenize p={cfg.p:g}: A*={eff.A_star:.8g} "
+        f"(formula {eff.A_star_formula:.8g}), "
+        f"A_bar={eff.A_bar:.8g}, gap={eff.gap:.8g}"
     )
     return EXIT_OK
 
@@ -286,6 +282,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_CONFIG
     try:
         cfg = parse_config(text)
+        if "table" in cfg.kernel_params:
+            # a relative table path is relative to the config file
+            cfg.kernel_params["table"] = os.path.join(
+                os.path.dirname(args.config), cfg.kernel_params["table"]
+            )
         cfg.out_path = args.out
         cfg.breakdown = getattr(args, "breakdown", False)
         if cfg.out_path:

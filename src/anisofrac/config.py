@@ -37,11 +37,14 @@ __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "compile_expressio
 
 
 class ConfigError(ValueError):
-    """All validation problems of a config document, with line numbers."""
+    """All validation problems of a config document, with line numbers
+    (line 0: a missing key, printed without one)."""
 
     def __init__(self, errors: list[tuple[int, str]]):
         self.errors = sorted(errors)
-        lines = "\n".join(f"  line {ln}: {msg}" for ln, msg in self.errors)
+        lines = "\n".join(
+            f"  line {ln}: {msg}" if ln else f"  {msg}" for ln, msg in self.errors
+        )
         super().__init__(f"invalid config:\n{lines}")
 
 
@@ -334,7 +337,7 @@ def parse_config(text: str) -> ExperimentConfig:
     name, ln_name = _take(table, "kernel", "name")
     kernel_params: dict = {}
     if name is None:
-        errors.append((1, "missing kernel.name"))
+        errors.append((0, "missing kernel.name"))
         name = "constant"
     elif name not in BUILTIN_NAMES:
         errors.append((ln_name, f"unknown kernel {name!r}; choose from {BUILTIN_NAMES}"))

@@ -1,6 +1,6 @@
 """One-dimensional periodic homogenization and the order-of-limits gap.
 
-For a kernel that is 1-periodic in x, the localized (s -> 1) energy
+For a kernel that is periodic in x, the localized (s -> 1) energy
 density reduces in 1D to A(y) |xi|^p with
 A(y) = (a(y,-1) + a(y,1)) / p.  Squeezing the period out of the local
 problem yields the cell-problem coefficient A*; homogenizing the kernel
@@ -10,10 +10,10 @@ two limit solutions, differ whenever A is non-constant:
 
     A* = min over periodic v of int A(y) |1 + v'(y)|^p dy  <=  int A(y) dy.
 
-The cell-problem minimization is authoritative here; the closed-form
-candidate (int A^{-1/(p-1)})^(-outer) is reported next to it with both
-plausible outer exponents, and the report flags which one the
-minimization actually matches (the classical -(p-1) one).
+The cell-problem minimization is authoritative here; the classical
+closed form (int A^{-1/(p-1)})^{-(p-1)}, which the minimization matches,
+is reported next to it.  For a kernel of period T in x, A(y) is its
+density at x = T y, so A* and A_bar do not depend on T.
 """
 
 from __future__ import annotations
@@ -39,19 +39,20 @@ from .variational import (
 __all__ = [
     "PeriodicCoefficient",
     "EffectiveCoefficients",
-    "EffectiveStarResult",
     "CommuteResult",
     "PathEntry",
     "coefficient_from_kernel",
-    "effective_star",
-    "effective_bar",
+    "effective_coefficients",
     "cell_problem_1d",
     "homogenized_kernel",
     "rescaled_kernel",
     "commute_experiment",
 ]
 
-_AVG_SAMPLES = 4096
+_AVG_SAMPLES = 4096  # cell midpoints behind the closed form and the average
+_CELL_COUNT = 512  # cells of the cell problem
+_CELL_TOL = 1e-10  # its gradient tolerance, relative to |xi|^(p-1) max(max A, 1)
+_CELL_MAX_ITER = 20_000  # its Newton step cap
 _KERNEL_SHIFTS = 64  # shifts over one period when averaging a kernel
 _NODES_PER_PERIOD = 16  # minimum resolution of the eps grids
 
@@ -70,19 +71,14 @@ class PeriodicCoefficient:
     def sample(self, y: np.ndarray) -> np.ndarray:
         return np.asarray(self.A(np.asarray(y, dtype=float) % 1.0), dtype=float)
 
-    def mean(self) -> float:
-        y = (np.arange(_AVG_SAMPLES) + 0.5) / _AVG_SAMPLES
-        return float(self.sample(y).mean())
-
-    def variance(self) -> float:
-        y = (np.arange(_AVG_SAMPLES) + 0.5) / _AVG_SAMPLES
-        return float(self.sample(y).var())
-
 
 @dataclass(frozen=True)
 class EffectiveCoefficients:
-    A_star: float
-    A_bar: float
+    """Cell coefficient A*, its classical closed form, plain average A_bar."""
+
+    A_star: float           # the cell-problem minimization (authoritative)
+    A_star_formula: float   # (int A^{-1/(p-1)})^{-(p-1)}
+    A_bar: float            # int A
 
     @property
     def gap(self) -> float:
@@ -90,57 +86,46 @@ class EffectiveCoefficients:
 
     def __post_init__(self):
         if self.A_star > self.A_bar * (1.0 + 1e-9):
-            raise ValueError("cell coefficient cannot exceed the plain average")
-
-
-@dataclass(frozen=True)
-class EffectiveStarResult:
-    """Cell-problem value next to the closed-form candidates."""
-
-    value: float                # the minimization result (authoritative)
-    formula_value: float        # (int A^{-1/(p-1)})^{-1/(p-1)}
-    formula_classical: float    # (int A^{-1/(p-1)})^{-(p-1)}
-    matches: str                # which candidate the minimization matches
+            raise RuntimeError(
+                f"cell coefficient {self.A_star!r} exceeds the plain average {self.A_bar!r}"
+            )
 
 
 def coefficient_from_kernel(k: Kernel, p: float) -> PeriodicCoefficient:
-    """A(y) = limit density of k at (y, xi = 1): (a(y,-1) + a(y,1)) / p in 1D."""
+    """A(y) = limit density of k at (T y, xi = 1), T the x-period of k:
+    (a(Ty,-1) + a(Ty,1)) / p in 1D."""
     if k.dimension != 1:
         raise ValueError("the reduced coefficient is 1D")
     if k.period is None:
         raise ValueError(f"kernel {k.name!r} is not periodic in x")
     ld = LimitDensity(k, p)
+    per = k.period[0]
 
     def A(y):
-        return limit_density(ld, np.asarray(y, dtype=float)[:, None], 1.0)
+        return limit_density(ld, per * np.asarray(y, dtype=float)[:, None], 1.0)
 
     return PeriodicCoefficient(A=A, p=p)
 
 
-def cell_problem_1d(
-    c: PeriodicCoefficient,
-    xi: float,
-    n_cells: int = 512,
-    tol: float = 1e-10,
-    max_iter: int = 20_000,
-) -> float:
+def cell_problem_1d(c: PeriodicCoefficient, xi: float) -> float:
     """min over periodic v of int_0^1 A(y) |xi + v'(y)|^p dy.
 
-    Midpoint coefficients on a uniform cell grid with wraparound, written
-    as one atom A_i dy |v[i+1]/dy - v[i]/dy + xi v[n]|^p per cell on
-    n_cells + 1 nodes: the last node is a constant node fixed at 1 that
+    Midpoint coefficients on a uniform grid of ``_CELL_COUNT`` cells with
+    wraparound, written as one atom A_i dy |v[i+1]/dy - v[i]/dy + xi v[n]|^p
+    per cell on n + 1 nodes: the last node is a constant node fixed at 1 that
     carries xi, and v[0] is pinned to 0 in place of a zero-mean
     constraint (only differences enter, so the minimum is the same).
     The shared reweighted-Newton engine of :mod:`anisofrac.variational`
     solves it: one direct solve at p = 2, lagged-weight Newton steps
-    otherwise.  Raises :class:`NotConvergedError` when the gradient over
-    all cell nodes, the pinned one included, stays above ``tol`` times
+    otherwise, at most ``_CELL_MAX_ITER`` steps.  Raises
+    :class:`NotConvergedError` when the gradient over all cell nodes, the
+    pinned one included, stays above ``_CELL_TOL`` times
     |xi|^(p-1) max(max A, 1).
     """
     if xi == 0.0:
         return 0.0
     p = c.p
-    n = n_cells
+    n = _CELL_COUNT
     dy = 1.0 / n
     A = c.sample((np.arange(n) + 0.5) * dy)
     i = np.arange(n)
@@ -153,50 +138,34 @@ def cell_problem_1d(
     fixed[n] = 1.0
 
     scale = abs(xi) ** (p - 1.0) * max(float(A.max()), 1.0)
+    tol = _CELL_TOL * scale
     v, f, _, it, _, _ = _solve_atoms(
-        atoms, 1.0, np.zeros(n + 1), free, fixed, tol * scale, max_iter
+        atoms, 1.0, np.zeros(n + 1), free, fixed, tol, _CELL_MAX_ITER
     )
     # the engine's residual covers the free nodes only; the pinned node's
     # gradient is minus the sum of the others
     res = float(np.abs(atoms.gradient(v)[:n]).max())
-    if res > tol * scale:
+    if res > tol:
         raise NotConvergedError(
             f"cell problem did not converge (residual {res:g} after {it} iterations)"
         )
     return f
 
 
-def effective_star(c: PeriodicCoefficient) -> EffectiveStarResult:
-    """Cell-problem coefficient with the closed-form candidates.
+def effective_coefficients(c: PeriodicCoefficient) -> EffectiveCoefficients:
+    """A* from the cell problem at xi = 1; its closed form and A_bar from
+    one sample of A on the ``_AVG_SAMPLES`` cell midpoints.
 
-    Returns the minimization value at xi = 1 on 512 cells; the closed
-    forms use the inner exponent -1/(p-1) and differ in the outer one.
+    Raises ``RuntimeError`` when A* exceeds A_bar, which no correct
+    minimization can produce.
     """
-    p = c.p
-    y = (np.arange(_AVG_SAMPLES) + 0.5) / _AVG_SAMPLES
-    inner = float((c.sample(y) ** (-1.0 / (p - 1.0))).mean())
-    formula = inner ** (-1.0 / (p - 1.0))
-    classical = inner ** (-(p - 1.0))
-    oracle = cell_problem_1d(c, 1.0)
-    d_formula = abs(oracle - formula)
-    d_classical = abs(oracle - classical)
-    if abs(formula - classical) <= 1e-9 * max(formula, classical):
-        matches = "both (p = 2)"
-    elif d_classical <= d_formula:
-        matches = "classical -(p-1)"
-    else:
-        matches = "printed -1/(p-1)"
-    return EffectiveStarResult(
-        value=oracle,
-        formula_value=formula,
-        formula_classical=classical,
-        matches=matches,
+    A = c.sample((np.arange(_AVG_SAMPLES) + 0.5) / _AVG_SAMPLES)
+    q = c.p - 1.0
+    return EffectiveCoefficients(
+        A_star=cell_problem_1d(c, 1.0),
+        A_star_formula=float((A ** (-1.0 / q)).mean()) ** -q,
+        A_bar=float(A.mean()),
     )
-
-
-def effective_bar(k: Kernel, p: float) -> float:
-    """Plain cell average of the reduced coefficient."""
-    return coefficient_from_kernel(k, p).mean()
 
 
 def homogenized_kernel(k: Kernel) -> Kernel:
@@ -298,9 +267,9 @@ def _resample(u: GridFunction, grid: Grid) -> GridFunction:
                         boundary_flag=False)
 
 
-def _eps_grid(base: Grid, eps: float) -> Grid:
+def _eps_grid(base: Grid, period: float) -> Grid:
     (a, b), = base.box
-    need = int(math.ceil((b - a) / eps)) * _NODES_PER_PERIOD + 1
+    need = int(math.ceil((b - a) / period)) * _NODES_PER_PERIOD + 1
     N = max(base.nodes_per_axis, need)
     if N % 2 == 0:
         N += 1
@@ -344,8 +313,7 @@ def commute_experiment(
             raise ValueError(f"eps_list repeats eps = 1/{round(inv)}")
         periods.add(round(inv))
     grid = f.grid
-    coeff = coefficient_from_kernel(k, p)
-    coeffs = EffectiveCoefficients(A_star=effective_star(coeff).value, A_bar=coeff.mean())
+    coeffs = effective_coefficients(coefficient_from_kernel(k, p))
 
     def solve_constant(A: float):
         # the constant kernel c has the 1D density (2c/p)|xi|^p
@@ -361,8 +329,8 @@ def commute_experiment(
 
     # path (i): localize at fixed eps, then shrink eps
     def eps_case(eps: float) -> PathEntry:
-        g_eps = _eps_grid(grid, eps)
         k_eps = rescaled_kernel(k, eps)
+        g_eps = _eps_grid(grid, k_eps.period[0])
         f_eps = _resample(f, g_eps)
         ld = LimitDensity(k_eps, p)
         res_eps = solve_local(LocalProblem(grid=g_eps, source=f_eps, density=ld))

@@ -18,8 +18,7 @@ from anisofrac.kernel import builtin
 from anisofrac.homogenize import (
     coefficient_from_kernel,
     commute_experiment,
-    effective_bar,
-    effective_star,
+    effective_coefficients,
 )
 from anisofrac.limits import (
     bbm_sweep,
@@ -162,12 +161,10 @@ def test_criterion_6_solver_localization():
 def test_criterion_7_homogenized_coefficients():
     t0 = time.time()
     k = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
-    coeff = coefficient_from_kernel(k, 2.0)
-    star = effective_star(coeff)
-    ok = abs(star.value - SQRT3) / SQRT3 < 0.01
-    ok &= abs(star.formula_value - SQRT3) / SQRT3 < 0.01
-    a_bar = effective_bar(k, 2.0)
-    ok &= abs(a_bar - 2.0) < 1e-10
+    eff = effective_coefficients(coefficient_from_kernel(k, 2.0))
+    ok = abs(eff.A_star - SQRT3) / SQRT3 < 0.01
+    ok &= abs(eff.A_star_formula - SQRT3) / SQRT3 < 0.01
+    ok &= abs(eff.A_bar - 2.0) < 1e-10
     grid = Grid(1, ((-1.0, 1.0),), 257)
     one = GridFunction(grid, np.ones(257), boundary_flag=False)
     res = commute_experiment(k, 2.0, one, eps_list=[0.25],
@@ -176,8 +173,8 @@ def test_criterion_7_homogenized_coefficients():
     rel = abs(res.distance - closed) / closed
     ok &= rel < 0.03
     _report(7, "effective coefficients", ok,
-            f"A*={star.value:.6f} (formula {star.formula_value:.6f}), "
-            f"Abar={a_bar:.12f}, distance rel={rel:.4f}",
+            f"A*={eff.A_star:.6f} (formula {eff.A_star_formula:.6f}), "
+            f"Abar={eff.A_bar:.12f}, distance rel={rel:.4f}",
             300.0, time.time() - t0)
 
 

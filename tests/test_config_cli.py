@@ -114,6 +114,23 @@ def test_readme_config_example_parses():
     parse_config(blocks[0])
 
 
+def test_readme_library_example_runs(capsys):
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert "+-" in capsys.readouterr().out
+
+
+def test_missing_kernel_name_has_no_line(tmp_path, capsys):
+    cfg = _write(tmp_path, "n.ini", "[grid]\nN = 33\n")
+    assert cli.main(["energy", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "missing kernel.name" in err
+    assert "line 1:" not in err
+
+
 def test_expression_grammar():
     f = compile_expression("const(2) + sin(pi * x) * 0.5", 1)
     xs = np.array([0.0, 0.5])
@@ -221,6 +238,16 @@ def test_cli_bad_tabulated_table_exit_2(tmp_path, capsys, table):
         assert "line 5" in err
     if table == "non-finite":
         assert "line 2" in err and "finite" in err
+
+
+def test_cli_relative_table_path_is_read_next_to_the_config(tmp_path, monkeypatch):
+    d = tmp_path / "dir"
+    d.mkdir()
+    (d / "w.csv").write_text("-1,-1,2\n-1,1,2\n1,-1,2\n1,1,2\n")
+    (d / "e.ini").write_text("[kernel]\nname = tabulated\ntable = w.csv\n\n"
+                             "[grid]\nN = 33\n\n[params]\ns = 0.5\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["energy", "--config", os.path.join("dir", "e.ini")]) == 0
 
 
 @pytest.mark.parametrize("subcommand, s_list", [
@@ -351,6 +378,27 @@ def test_cli_cell_problem_nonconvergence_exit_3(tmp_path, monkeypatch, subcomman
     rc = cli.main([subcommand, "--config", cfg, "--out", str(out)])
     assert rc == 3
     assert not out.exists()
+
+
+def test_cli_homogenize_formula_matches_oracle(tmp_path):
+    cfg = _write(tmp_path, "h.ini", "[kernel]\nname = periodic-1d\nA0 = 2.0\n"
+                 "A1 = 1.0\n\n[grid]\nN = 33\n\n[params]\np = 3.0\n")
+    out = tmp_path / "h.csv"
+    assert cli.main(["homogenize", "--config", cfg, "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    values = dict(zip(header.split(","), map(float, row.split(","))))
+    assert values["A_star_formula"] == pytest.approx(values["A_star_oracle"], rel=1e-9)
+
+
+def test_cli_homogenize_star_above_bar_exit_4(tmp_path, monkeypatch, capsys):
+    # A_bar = 2 for A0 = 2, A1 = 1 at p = 2; a cell value of 3 is a fault
+    monkeypatch.setattr(homogenize, "cell_problem_1d", lambda c, xi: 3.0)
+    cfg = _write(tmp_path, "h.ini", "[kernel]\nname = periodic-1d\nA0 = 2.0\n"
+                 "A1 = 1.0\n\n[grid]\nN = 33\n")
+    out = tmp_path / "h.csv"
+    assert cli.main(["homogenize", "--config", cfg, "--out", str(out)]) == 4
+    assert not out.exists()
+    assert "exceeds the plain average" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

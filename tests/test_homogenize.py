@@ -13,8 +13,7 @@ from anisofrac.homogenize import (
     cell_problem_1d,
     coefficient_from_kernel,
     commute_experiment,
-    effective_bar,
-    effective_star,
+    effective_coefficients,
     homogenized_kernel,
     rescaled_kernel,
 )
@@ -48,16 +47,18 @@ def test_coefficient_requires_periodic_1d():
         coefficient_from_kernel(tab_free, 2.0)
 
 
-def test_cell_problem_constant_coefficient():
+def test_cell_problem_constant_coefficient(monkeypatch):
+    monkeypatch.setattr(homogenize, "_CELL_COUNT", 64)
     c = PeriodicCoefficient(A=lambda y: np.full_like(y, 2.5), p=2.0)
-    assert cell_problem_1d(c, 1.0, n_cells=64) == pytest.approx(2.5, rel=1e-8)
+    assert cell_problem_1d(c, 1.0) == pytest.approx(2.5, rel=1e-8)
     assert cell_problem_1d(c, 0.0) == 0.0
 
 
-def test_cell_problem_homogeneity():
+def test_cell_problem_homogeneity(monkeypatch):
+    monkeypatch.setattr(homogenize, "_CELL_COUNT", 128)
     c = PeriodicCoefficient(A=lambda y: 2.0 + np.sin(2 * np.pi * y), p=3.0)
-    v1 = cell_problem_1d(c, 1.0, n_cells=128)
-    v2 = cell_problem_1d(c, 2.0, n_cells=128)
+    v1 = cell_problem_1d(c, 1.0)
+    v2 = cell_problem_1d(c, 2.0)
     assert v2 == pytest.approx(2.0 ** 3.0 * v1, rel=1e-6)
 
 
@@ -74,8 +75,8 @@ def test_cell_problem_full_gradient_converges(model_kernel, monkeypatch, p):
 
     monkeypatch.setattr(homogenize, "_solve_atoms", spy)
     c = coefficient_from_kernel(model_kernel, p)
-    n, tol = 512, 1e-10
-    cell_problem_1d(c, 1.0, n_cells=n, tol=tol)
+    n, tol = homogenize._CELL_COUNT, homogenize._CELL_TOL
+    cell_problem_1d(c, 1.0)
     (atoms, (v, _, _, iterations, _, _)), = runs
     A = c.sample((np.arange(n) + 0.5) / n)
     scale = max(float(A.max()), 1.0)
@@ -84,76 +85,89 @@ def test_cell_problem_full_gradient_converges(model_kernel, monkeypatch, p):
         assert iterations == 1
 
 
-def test_cell_problem_nonconvergence_raises(model_kernel):
+def test_cell_problem_nonconvergence_raises(model_kernel, monkeypatch):
+    monkeypatch.setattr(homogenize, "_CELL_COUNT", 64)
+    monkeypatch.setattr(homogenize, "_CELL_MAX_ITER", 0)
     c = coefficient_from_kernel(model_kernel, 3.0)
     with pytest.raises(NotConvergedError):
-        cell_problem_1d(c, 1.0, n_cells=64, max_iter=0)
+        cell_problem_1d(c, 1.0)
 
 
-def test_cell_problem_unconverged_residual_raises(model_kernel):
+def test_cell_problem_unconverged_residual_raises(model_kernel, monkeypatch):
     # 20 Newton steps at p = 1.5 leave a residual of about 1.7e-7, far above
     # tol * scale = 4e-10: that value must not come back as converged
+    monkeypatch.setattr(homogenize, "_CELL_COUNT", 64)
+    monkeypatch.setattr(homogenize, "_CELL_MAX_ITER", 20)
     c = coefficient_from_kernel(model_kernel, 1.5)
     with pytest.raises(NotConvergedError):
-        cell_problem_1d(c, 1.0, n_cells=64, max_iter=20)
+        cell_problem_1d(c, 1.0)
 
 
-def test_effective_star_closed_form_p2(model_kernel):
+def test_effective_coefficients_closed_form_p2(model_kernel):
     # int dt / (2 + sin 2 pi t) = 1 / sqrt(3): harmonic mean is sqrt(3)
     c = coefficient_from_kernel(model_kernel, 2.0)
-    res = effective_star(c)
-    assert res.formula_value == pytest.approx(SQRT3, rel=1e-9)
-    assert res.value == pytest.approx(SQRT3, rel=0.01)
-    assert res.matches == "both (p = 2)"
+    res = effective_coefficients(c)
+    assert res.A_star_formula == pytest.approx(SQRT3, rel=1e-9)
+    assert res.A_star == pytest.approx(SQRT3, rel=0.01)
 
 
-def test_effective_star_two_phase():
+def test_effective_coefficients_two_phase():
     c = PeriodicCoefficient(A=lambda y: np.where(y < 0.5, 1.0, 3.0), p=2.0)
-    res = effective_star(c)
-    assert res.value == pytest.approx(1.5, rel=0.01)
-    assert res.formula_value == pytest.approx(1.5, rel=1e-9)
+    res = effective_coefficients(c)
+    assert res.A_star == pytest.approx(1.5, rel=0.01)
+    assert res.A_star_formula == pytest.approx(1.5, rel=1e-9)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_cell_oracle_matches_classical_exponent(model_kernel, p):
     c = coefficient_from_kernel(model_kernel, p)
-    res = effective_star(c)
-    assert res.value == pytest.approx(res.formula_classical, rel=0.01)
+    res = effective_coefficients(c)
+    assert res.A_star == pytest.approx(res.A_star_formula, rel=0.01)
     if p != 2.0:
-        assert res.matches == "classical -(p-1)"
-        # the two printed candidates genuinely differ away from p = 2
-        assert abs(res.formula_value - res.formula_classical) > 0.01
+        # the outer exponent -1/(p-1) genuinely misses away from p = 2
+        y = (np.arange(4096) + 0.5) / 4096
+        inner = float((c.sample(y) ** (-1.0 / (p - 1.0))).mean())
+        assert abs(inner ** (-1.0 / (p - 1.0)) - res.A_star) > 0.01
 
 
-def test_effective_bar(model_kernel):
-    assert effective_bar(model_kernel, 2.0) == pytest.approx(2.0, abs=1e-10)
+def test_effective_coefficients_mean(model_kernel):
+    assert effective_coefficients(
+        coefficient_from_kernel(model_kernel, 2.0)
+    ).A_bar == pytest.approx(2.0, abs=1e-10)
     k = builtin("constant", {"c": 1.7})
-    assert effective_bar(k, 2.0) == pytest.approx(1.7, abs=1e-12)
+    assert effective_coefficients(
+        coefficient_from_kernel(k, 2.0)
+    ).A_bar == pytest.approx(1.7, abs=1e-12)
     c = PeriodicCoefficient(A=lambda y: np.where(y < 0.5, 1.0, 3.0), p=2.0)
-    assert c.mean() == pytest.approx(2.0, abs=1e-12)
+    assert effective_coefficients(c).A_bar == pytest.approx(2.0, abs=1e-12)
 
 
 def test_means_ordering_and_gap(model_kernel):
     for p in (1.5, 2.0, 3.0):
-        c = coefficient_from_kernel(model_kernel, p)
-        star = effective_star(c).value
-        bar = c.mean()
-        assert star <= bar + 1e-10
-        EffectiveCoefficients(A_star=star, A_bar=bar)
+        res = effective_coefficients(coefficient_from_kernel(model_kernel, p))
+        assert res.A_star <= res.A_bar + 1e-10
+    with pytest.raises(RuntimeError, match="exceeds the plain average"):
+        EffectiveCoefficients(A_star=3.0, A_star_formula=3.0, A_bar=2.0)
     const = PeriodicCoefficient(A=lambda y: np.full_like(y, 2.0), p=2.0)
-    gap = const.mean() - effective_star(const).value
-    assert abs(gap) < 1e-10
-    assert const.variance() < 1e-10
+    assert abs(effective_coefficients(const).gap) < 1e-10
+    assert const.sample((np.arange(4096) + 0.5) / 4096).var() < 1e-10
 
 
 def test_eps_independence_of_effective_coefficients(model_kernel):
-    base = coefficient_from_kernel(model_kernel, 2.0)
-    star0 = effective_star(base).value
-    bar0 = effective_bar(model_kernel, 2.0)
+    base = effective_coefficients(coefficient_from_kernel(model_kernel, 2.0))
     k_eps = rescaled_kernel(model_kernel, 0.25)
-    c_eps = coefficient_from_kernel(k_eps, 2.0)
-    assert effective_star(c_eps).value == pytest.approx(star0, rel=1e-4)
-    assert c_eps.mean() == pytest.approx(bar0, abs=1e-10)
+    res = effective_coefficients(coefficient_from_kernel(k_eps, 2.0))
+    assert res.A_star == pytest.approx(base.A_star, rel=1e-4)
+    assert res.A_bar == pytest.approx(base.A_bar, abs=1e-10)
+
+
+def test_effective_coefficients_ignore_the_period(model_kernel):
+    # A(y) is read on one period of the kernel, whatever its length
+    base = effective_coefficients(coefficient_from_kernel(model_kernel, 3.0))
+    k2 = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0, "period_len": 2.0})
+    res = effective_coefficients(coefficient_from_kernel(k2, 3.0))
+    for name in ("A_star", "A_star_formula", "A_bar"):
+        assert getattr(res, name) == pytest.approx(getattr(base, name), rel=1e-12), name
 
 
 def test_homogenized_kernel_average(model_kernel):
@@ -192,6 +206,21 @@ def test_commute_model_kernel_closed_form(model_kernel):
     assert res.distance > 0.05 * lp_norm(res.u_bar, 2.0)
     rel_gap = res.distance / lp_norm(res.u_bar, 2.0)
     assert rel_gap > res.eps_final_rel + res.s_final_rel
+
+
+def test_commute_eps_path_with_period_two():
+    # the cell coefficient is read on the kernel's own period, so the eps
+    # path of a period-2 kernel still lands on u_star
+    k = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0, "period_len": 2.0})
+    grid = Grid(1, ((-1.0, 1.0),), 65)
+    one = GridFunction(grid, np.ones(65), boundary_flag=False)
+    res = commute_experiment(k, 2.0, one, eps_list=[0.25, 0.125, 0.0625],
+                             s_list=[0.75, 0.875])
+    eps_rels = [e.value for e in res.eps_path]
+    assert eps_rels == sorted(eps_rels, reverse=True)
+    assert res.eps_final_rel < 0.1
+    assert res.coefficients.A_star == pytest.approx(SQRT3, rel=0.01)
+    assert res.coefficients.A_bar == pytest.approx(2.0, abs=1e-10)
 
 
 def test_commute_distance_linear_in_source(model_kernel):
