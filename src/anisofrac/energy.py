@@ -86,6 +86,7 @@ __all__ = [
 
 _CHUNK = 512  # x-nodes per evaluation block
 _FAR_OCTAVES = 10  # length of the far ladder beyond h_split
+_GRAM_ROWS = 250_000  # rows of L per block of the Gram Hessian
 MAX_2D_NODES = 48  # nodes per axis of a 2D grid (see the cost model above)
 
 
@@ -188,14 +189,20 @@ class AtomSet:
         return self.L @ v
 
     def objective(self, v: np.ndarray) -> float:
-        return float(np.dot(self.W, np.abs(self.forms(v)) ** self.p))
+        a = self.forms(v)
+        np.abs(a, out=a)
+        a **= self.p
+        return float(np.dot(self.W, a))
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
         ell = self.forms(v)
-        absell = np.abs(ell)
-        # |ell|^(p-2) * ell is 0 at ell = 0 for p > 1; guard the 0**negative case
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coeff = self.W * self.p * np.where(absell > 0.0, absell ** (self.p - 2.0) * ell, 0.0)
+        coeff = np.abs(ell)
+        # |ell|^(p-2) * ell is 0 at ell = 0 for p > 1; where= never
+        # evaluates the 0**negative case
+        np.power(coeff, self.p - 2.0, out=coeff, where=coeff > 0.0)
+        coeff *= ell
+        coeff *= self.W
+        coeff *= self.p
         return self.L.T @ coeff
 
     def delta(self, v: np.ndarray, d: np.ndarray, t: float) -> float:
@@ -211,8 +218,13 @@ class AtomSet:
         (lagged-weight) approximation, positive definite thanks to the
         floor on |ell|.
         """
-        absell = np.maximum(np.abs(self.forms(v)), floor)
-        return self._gram(self.W * (self.p / 2.0) * absell ** (self.p - 2.0))
+        w = self.forms(v)
+        np.abs(w, out=w)
+        np.maximum(w, floor, out=w)
+        w **= self.p - 2.0
+        w *= self.W
+        w *= self.p / 2.0
+        return self._gram(w)
 
     def hessian_dense(self) -> np.ndarray:
         if self.p != 2.0:
@@ -220,12 +232,32 @@ class AtomSet:
         return self._gram(self.W)
 
     def _gram(self, w: np.ndarray) -> np.ndarray:
-        """Dense L^T diag(2 w) L."""
+        """Dense L^T diag(2 w) L, summed over blocks of ``_GRAM_ROWS`` rows.
+
+        Each block L_c views the index arrays of L and scales its own copy
+        of the data; the first block's product is the accumulator.  So the
+        sparse temporaries stay one block long, and a set of at most one
+        block gets the single product L^T diag(2 w) L bit for bit.
+        """
         L = self.L
-        data = np.repeat(2.0 * w, np.diff(L.indptr))
-        data *= L.data
-        scaled = sparse.csr_matrix((data, L.indices, L.indptr), shape=L.shape)
-        return (L.T @ scaled).toarray()
+        n_rows, n_cols = L.shape
+        G = None
+        # an empty L still makes one (empty) block and a zero Hessian
+        for a in range(0, max(n_rows, 1), _GRAM_ROWS):
+            b = min(a + _GRAM_ROWS, n_rows)
+            lo, hi = L.indptr[a], L.indptr[b]
+            indptr = L.indptr[a:b + 1] - lo
+            indices = L.indices[lo:hi]
+            data = np.repeat(2.0 * w[a:b], np.diff(indptr))
+            data *= L.data[lo:hi]
+            block = sparse.csr_matrix((L.data[lo:hi], indices, indptr), shape=(b - a, n_cols))
+            scaled = sparse.csr_matrix((data, indices, indptr), shape=(b - a, n_cols))
+            part = (block.T @ scaled).toarray()
+            if G is None:
+                G = part
+            else:
+                G += part
+        return G
 
 
 def _resolve_geometry(grid: Grid, settings: QuadratureSettings):

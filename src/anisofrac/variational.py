@@ -186,7 +186,7 @@ def _solve_atoms(
     if atoms.p == 2.0:
         # Newton would take the same step from the same Hessian with more
         # passes over L: on a 2D N=44 solve (one thread, 2-vCPU VM) it took
-        # 2.3-2.6 s and 892 MB peak against 1.5-1.9 s and 814 MB direct
+        # 3.5-4.2 s and 710 MB peak against 2.5-3.1 s and 535 MB direct
         H = scale * atoms.hessian_dense()
         z = np.linalg.solve(H[np.ix_(free, free)], b[free] - (H @ base)[free])
         f = fun(z)

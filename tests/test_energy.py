@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import quad
 
+from anisofrac import energy
 from anisofrac.energy import (
     EnergyScheme,
     QuadratureSettings,
@@ -13,6 +17,8 @@ from anisofrac.energy import (
 )
 from anisofrac.gridfn import FractionalParams, Grid, GridFunction
 from anisofrac.kernel import builtin
+from anisofrac.limits import LimitDensity
+from anisofrac.variational import LocalProblem, _local_atoms
 from conftest import bump_profile, hat_profile
 
 
@@ -458,3 +464,99 @@ def test_2d_grid_cap():
     u = GridFunction(g, np.zeros((49, 49)))
     with pytest.raises(ValueError, match="capped"):
         gagliardo(u, FractionalParams(0.5, 2.0))
+
+
+def _gram_atoms(case):
+    """Small atom sets of the three problems the Gram Hessian serves."""
+    if case == "nonlocal-1d":
+        g = Grid(1, ((-1.0, 1.0),), 33)
+        kern = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
+        return get_scheme(kern, g).atoms(FractionalParams(0.5, 2.0)), None
+    if case == "local-2d":
+        g = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), 9)
+        one = GridFunction(g, np.ones((9, 9)), boundary_flag=False)
+        kern = builtin("separable-angular", {"c0": 1.0, "c1": 0.5})
+        return _local_atoms(LocalProblem(grid=g, source=one,
+                                         density=LimitDensity(kern, 2.0))), None
+    g = Grid(1, ((-1.0, 1.0),), 33)
+    kern = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
+    atoms = get_scheme(kern, g).atoms(FractionalParams(0.5, 3.0))
+    v = GridFunction.from_callable(g, hat_profile).values
+    return atoms, v
+
+
+@pytest.mark.parametrize("rows", [7, 1000])
+@pytest.mark.parametrize("case", ["nonlocal-1d", "local-2d", "reweighted-p3"])
+def test_blocked_gram_matches_dense_product(monkeypatch, case, rows):
+    atoms, v = _gram_atoms(case)
+    if v is None:
+        w = atoms.W
+    else:
+        ell = atoms.forms(v)
+        w = atoms.W * (atoms.p / 2.0) * np.maximum(np.abs(ell), 1e-8) ** (atoms.p - 2.0)
+    Ld = atoms.L.toarray()
+    want = Ld.T @ (2.0 * w[:, None] * Ld)
+    assert len(atoms) > rows  # more than one block, the last one partial
+    monkeypatch.setattr(energy, "_GRAM_ROWS", rows)
+    got = atoms.hessian_dense() if v is None else atoms.reweighted_hessian(v, 1e-8)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("case", ["nonlocal-1d", "local-2d"])
+def test_one_block_gram_is_the_single_product(case):
+    atoms, _ = _gram_atoms(case)
+    L = atoms.L
+    assert len(atoms) <= energy._GRAM_ROWS
+    data = np.repeat(2.0 * atoms.W, np.diff(L.indptr)) * L.data
+    scaled = sparse.csr_matrix((data, L.indices, L.indptr), shape=L.shape)
+    assert np.array_equal(atoms.hessian_dense(), (L.T @ scaled).toarray())
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_gradient_and_objective_match_the_closed_formulas(p):
+    g = Grid(1, ((-1.0, 1.0),), 33)
+    kern = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
+    atoms = get_scheme(kern, g).atoms(FractionalParams(0.5, p))
+    # zero on [-1, 0]: the forms there vanish exactly
+    v = GridFunction.from_callable(g, lambda x: hat_profile(2.0 * x - 1.0)).values
+    ell = atoms.L @ v
+    assert np.count_nonzero(ell == 0.0) > 0
+    a = np.abs(ell)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad_want = atoms.L.T @ (atoms.W * p * np.where(a > 0.0, a ** (p - 2.0) * ell, 0.0))
+    obj_want = float(np.dot(atoms.W, a ** p))
+    grad = atoms.gradient(v)  # a RuntimeWarning here is an error
+    obj = atoms.objective(v)
+    if p == 2.0:
+        assert np.array_equal(grad, grad_want)
+        assert obj == obj_want
+    else:
+        assert np.abs(grad - grad_want).max() <= 1e-15 * np.abs(grad_want).max()
+        assert obj == pytest.approx(obj_want, rel=1e-15, abs=0.0)
+
+
+def test_gram_and_passes_make_no_row_length_copies(monkeypatch):
+    # 2D separable-angular N=17, s = 0.5, p = 2: ~650k rows over 289 nodes
+    kern, u, fp = _golden_case("separable-angular N=17 bump")
+    atoms = get_scheme(kern, u.grid).atoms(fp)
+    v = u.values.ravel()
+    L = atoms.L
+    l_bytes = L.data.nbytes + L.indices.nbytes
+    row_bytes = atoms.W.nbytes
+    monkeypatch.setattr(energy, "_GRAM_ROWS", 20_000)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        atoms.hessian_dense()
+        gram_peak = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        atoms.gradient(v)
+        atoms.objective(v)
+        pass_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # the sparse temporaries are one block long, not copies of L
+    assert gram_peak < l_bytes / 4, (gram_peak, l_bytes)
+    # L v and one coefficient vector, not five or six of them
+    assert pass_peak < 3 * row_bytes, (pass_peak, row_bytes)
