@@ -246,6 +246,49 @@ def test_2d_nonlocal_runs_small():
     assert np.allclose(v, v.T, atol=1e-10)
 
 
+# 2D nonlocal solves (separable-angular c0=1, c1=0.5, s = 0.5, source 1)
+# pinned before the Gram Hessian was assembled from the bulk stencil.  At
+# p = 3 the bound is the solver's tolerance carried to the minimizer,
+# DEFAULT_TOL ** (1/(p-1)), as in the benchmark's checks.
+_NONLOCAL_2D_GOLDEN = {
+    "square N=17 p=2": dict(
+        box=((-1.0, 1.0), (-1.0, 1.0)), N=17,
+        objective=-0.05397751306476603,
+        nodes={(4, 8): 0.038171815540044444, (8, 8): 0.043653996729205,
+               (12, 5): 0.036000971935854074},
+    ),
+    "box -1:3;0:1 N=9 p=2": dict(
+        box=((-1.0, 3.0), (0.0, 1.0)), N=9,
+        objective=-0.03874148098411502,
+        nodes={(2, 4): 0.030305607364000592, (4, 4): 0.03184223204095622,
+               (6, 3): 0.02930206708808373},
+    ),
+    "square N=9 p=3": dict(
+        box=((-1.0, 1.0), (-1.0, 1.0)), N=9,
+        objective=-0.3187024021030542,
+        nodes={(2, 4): 0.18123561355161444, (4, 4): 0.22468511626889498,
+               (6, 3): 0.17739458505652253},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NONLOCAL_2D_GOLDEN))
+def test_nonlocal_2d_golden(name):
+    want = _NONLOCAL_2D_GOLDEN[name]
+    g = Grid(2, want["box"], want["N"])
+    k = builtin("separable-angular", {"c0": 1.0, "c1": 0.5})
+    p = float(name.rsplit("p=", 1)[1])
+    rel = 1e-10 if p == 2.0 else DEFAULT_TOL ** (1.0 / (p - 1.0))
+    one = GridFunction(g, np.ones(g.shape), boundary_flag=False)
+    res = solve_nonlocal(
+        NonlocalProblem(kern=k, fp=FractionalParams(0.5, p), grid=g, source=one)
+    )
+    assert res.converged
+    assert res.objective == pytest.approx(want["objective"], rel=rel)
+    for ij, v in want["nodes"].items():
+        assert res.minimizer.values[ij] == pytest.approx(v, rel=rel), ij
+
+
 # Local solves pinned before the 1D and 2D assemblies became one loop over
 # the unit cell's simplices.  The 2D values carry a defect of the upper
 # triangle's gradient table (its x and y coefficients are swapped); the
