@@ -59,8 +59,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
-from typing import Optional
+from functools import cache, cached_property, lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse
@@ -87,6 +87,7 @@ __all__ = [
 _CHUNK = 512  # x-nodes per evaluation block
 _FAR_OCTAVES = 10  # length of the far ladder beyond h_split
 _GRAM_ROWS = 250_000  # rows of L per block of the Gram Hessian
+_DELTA_ROWS = 65_536  # rows of L per slice of the line-search difference
 MAX_2D_NODES = 48  # nodes per axis of a 2D grid (see the cost model above)
 
 
@@ -144,7 +145,8 @@ def power_delta(a, e, p):
     """|a + e|^p - |a|^p elementwise, cancellation-free for small e.
 
     This is what lets the line search certify decreases far below
-    eps * |objective|.
+    eps * |objective|.  It allocates several arrays of the size of its
+    arguments; :meth:`AtomSet.delta` calls it on slices.
     """
     a = np.asarray(a, dtype=float)
     e = np.asarray(e, dtype=float)
@@ -161,14 +163,21 @@ def power_delta(a, e, p):
 
 
 class AtomSet:
-    """The discrete energy sum_a W_a |(L v)_a|^p of a CSR form matrix L."""
+    """The discrete energy sum_a W_a |(L v)_a|^p of a CSR form matrix L.
 
-    def __init__(self, weights, L: sparse.csr_matrix, p):
+    ``scheme`` is the :class:`EnergyScheme` whose ``L`` this is, if any:
+    its Gram Hessian is then assembled from the scheme's bulk stencil.
+    """
+
+    def __init__(
+        self, weights, L: sparse.csr_matrix, p, scheme: Optional[EnergyScheme] = None
+    ):
         self.W = np.ascontiguousarray(weights, dtype=float)
         if self.W.shape != (L.shape[0],):
             raise ValueError("need one weight per row of the form matrix")
         self.L = L
         self.p = float(p)
+        self.scheme = scheme
 
     @classmethod
     def from_stencil(cls, weights, idx, coef, n_nodes: int, p) -> "AtomSet":
@@ -206,10 +215,18 @@ class AtomSet:
         return self.L.T @ coeff
 
     def delta(self, v: np.ndarray, d: np.ndarray, t: float) -> float:
-        """objective(v + t d) - objective(v), cancellation-free."""
-        return float(
-            np.dot(self.W, power_delta(self.forms(v), t * self.forms(d), self.p))
-        )
+        """objective(v + t d) - objective(v), cancellation-free.
+
+        :func:`power_delta` runs on slices of ``_DELTA_ROWS`` rows and
+        writes over L v, so L v and L d are the only row-length arrays.
+        """
+        a = self.forms(v)
+        e = self.forms(d)
+        for lo in range(0, a.shape[0], _DELTA_ROWS):
+            rows = slice(lo, lo + _DELTA_ROWS)
+            e[rows] *= t
+            a[rows] = power_delta(a[rows], e[rows], self.p)
+        return float(np.dot(self.W, a))
 
     def reweighted_hessian(self, v: np.ndarray, floor: float) -> np.ndarray:
         """Dense SPD model (p/2) sum W max(|ell|, floor)^{p-2} * 2 ell ell^T.
@@ -232,32 +249,49 @@ class AtomSet:
         return self._gram(self.W)
 
     def _gram(self, w: np.ndarray) -> np.ndarray:
-        """Dense L^T diag(2 w) L, summed over blocks of ``_GRAM_ROWS`` rows.
-
-        Each block L_c views the index arrays of L and scales its own copy
-        of the data; the first block's product is the accumulator.  So the
-        sparse temporaries stay one block long, and a set of at most one
-        block gets the single product L^T diag(2 w) L bit for bit.
-        """
-        L = self.L
-        n_rows, n_cols = L.shape
-        G = None
-        # an empty L still makes one (empty) block and a zero Hessian
-        for a in range(0, max(n_rows, 1), _GRAM_ROWS):
-            b = min(a + _GRAM_ROWS, n_rows)
-            lo, hi = L.indptr[a], L.indptr[b]
-            indptr = L.indptr[a:b + 1] - lo
-            indices = L.indices[lo:hi]
-            data = np.repeat(2.0 * w[a:b], np.diff(indptr))
-            data *= L.data[lo:hi]
-            block = sparse.csr_matrix((L.data[lo:hi], indices, indptr), shape=(b - a, n_cols))
-            scaled = sparse.csr_matrix((data, indices, indptr), shape=(b - a, n_cols))
-            part = (block.T @ scaled).toarray()
-            if G is None:
-                G = part
-            else:
-                G += part
+        """Dense L^T diag(2 w) L: from the bulk stencil for a scheme's atoms,
+        else from blocks of ``_GRAM_ROWS`` rows (:func:`_add_gram_rows`)."""
+        if self.scheme is not None:
+            return self.scheme._gram(w)
+        n_rows, n_cols = self.L.shape
+        G = np.zeros((n_cols, n_cols))
+        _add_gram_rows(G, self.L, w, slice(0, n_rows))
         return G
+
+
+def _add_gram_rows(G: np.ndarray, L: sparse.csr_matrix, w: np.ndarray, rows: slice) -> None:
+    """Add L_r^T diag(2 w_r) L_r of the rows ``rows`` of L into G.
+
+    The rows go in blocks of ``_GRAM_ROWS``.  Each block L_c views the
+    index arrays of L and scales its own copy of the data, and the
+    entries of its sparse product are added into G, so the temporaries
+    stay one block long and a zero G plus a single block is the single
+    product L^T diag(2 w) L bit for bit.
+    """
+    n_cols = L.shape[1]
+    for a in range(rows.start, rows.stop, _GRAM_ROWS):
+        b = min(a + _GRAM_ROWS, rows.stop)
+        lo, hi = L.indptr[a], L.indptr[b]
+        indptr = L.indptr[a:b + 1] - lo
+        indices = L.indices[lo:hi]
+        data = np.repeat(2.0 * w[a:b], np.diff(indptr))
+        data *= L.data[lo:hi]
+        block = sparse.csr_matrix((L.data[lo:hi], indices, indptr), shape=(b - a, n_cols))
+        scaled = sparse.csr_matrix((data, indices, indptr), shape=(b - a, n_cols))
+        part = (block.T @ scaled).tocoo()
+        G[part.row, part.col] += part.data
+
+
+class _StencilTables(NamedTuple):
+    """Index tables of :meth:`EnergyScheme._gram` (see :meth:`EnergyScheme._stencil`)."""
+
+    at: np.ndarray  # per node, its index along each axis
+    cross: sparse.csr_matrix  # 2 phi, (displacement, (rung, angle))
+    node_d: np.ndarray  # per node, its displacement number minus that of 0
+    center: int  # displacement number of d = 0
+    axis_cell: list  # per axis, (rung, node index, angle) cell coordinates
+    phiphi: np.ndarray  # 2 phi phi^T, ((rung, angle), corner pair)
+    corner_node: list  # per corner, the node of each padded cell, or -1
 
 
 def _resolve_geometry(grid: Grid, settings: QuadratureSettings):
@@ -410,6 +444,19 @@ class EnergyScheme:
             insides.append(inside)
         # the shifted lattice of one (rung, angle) is a tensor product
         n_inside = int(np.prod([ins.sum(axis=1) for ins in insides], axis=0).sum())
+        # the bulk stencil of the Gram Hessian: per (rung, angle), x - r w
+        # lies in the cell of x + shift with the corner factors phi, up to
+        # the rounding of the per-node tables
+        q = -self.r_bulk[:, None, None] * self.dirs[None, :, :] / np.array(grid.spacing)
+        shift = np.floor(q)
+        phi = np.ones((n_bulk, n_ang, 1))
+        for axis in range(grid.dimension):
+            t = q[:, :, axis, None] - shift[:, :, axis, None]
+            f = (-(1.0 - t), -t) if axis == 0 else (1.0 - t, t)
+            phi = np.concatenate([phi * f[0], phi * f[1]], axis=2)
+        self._inside = insides
+        self._shift = shift.astype(np.int64)
+        self._phi = phi
 
         near_idx, near_coef = self._gradient_stencil()
         near_keep = near_coef != 0.0
@@ -655,6 +702,135 @@ class EnergyScheme:
             ),
         )
 
+    # -- the Gram Hessian of the atoms ---------------------------------------
+
+    @cached_property
+    def _stencil(self) -> _StencilTables:
+        """The w-independent tables of :meth:`_gram`, built on its first call."""
+        n, N = self.grid.dimension, self.grid.nodes_per_axis
+        n_bulk, n_ang = self._shift.shape[:2]
+        n_jk = n_bulk * n_ang
+        corners = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+        at = np.stack(np.unravel_index(np.arange(self.nodes.shape[0]), self.grid.shape), axis=1)
+        # cross: displacements d = m_jk + c that stay in [-(N-1), N-1]^n,
+        # numbered row-major; S carries 2 phi
+        span = (2 * N - 1) ** np.arange(n - 1, -1, -1)
+        d = self._shift.reshape(n_jk, 1, n) + corners
+        jk, c = np.nonzero((np.abs(d) < N).all(axis=2))
+        cross = sparse.csr_matrix(
+            (2.0 * self._phi.reshape(n_jk, -1)[jk, c], ((d[jk, c] + N - 1) @ span, jk)),
+            shape=((2 * N - 1) ** n, n_jk),
+        )
+        # corner: cells -1..N-1 per axis, numbered row-major from 0; per axis
+        # the cell coordinate of each (rung, node index, angle) times the
+        # axis stride, n_cells where the row is outside the box
+        n_cells = (N + 1) ** n
+        pad = (N + 1) ** np.arange(n - 1, -1, -1)
+        axis_cell = [
+            np.where(ins, (np.arange(N)[:, None] + self._shift[:, None, :, axis] + 1)
+                     * pad[axis], n_cells)
+            for axis, ins in enumerate(self._inside)
+        ]
+        cell_at = np.stack(np.unravel_index(np.arange(n_cells), (N + 1,) * n), axis=1)
+        corner_node = []
+        for c in corners:
+            y = cell_at + c - 1
+            real = ((y >= 0) & (y < N)).all(axis=1)
+            corner_node.append(np.where(real, y @ (N ** np.arange(n - 1, -1, -1)), -1))
+        return _StencilTables(
+            at=at,
+            cross=cross,
+            node_d=at @ span,
+            center=(N - 1) * int(span.sum()),
+            axis_cell=axis_cell,
+            phiphi=2.0 * (self._phi[:, :, :, None] * self._phi[:, :, None, :]).reshape(n_jk, -1),
+            corner_node=corner_node,
+        )
+
+    def _gram(self, w: np.ndarray) -> np.ndarray:
+        """Dense L^T diag(2 w) L for row weights w, from the bulk stencil.
+
+        The bulk row of (rung j, angle k) at node x is v(x) + sum_c
+        phi_jk,c v(x + m_jk + c) over the 2^n corners c of one cell while
+        x - r_j w_k is inside the box, else v(x) alone.  With omega = w
+        times the inside flag, the bulk rows add three terms:
+
+            node     diag(sum_jk 2 w), with the tail rows' 2 w
+            cross    G[x, x + d] += T[d, x] and its transpose, where
+                     T = S omega and S[d, jk] = 2 phi_jk,c for d = m_jk + c
+            corner   per cell, sum_jk 2 omega phi_jk phi_jk^T over the
+                     rows that interpolate in it, like a mass matrix
+
+        Cells run from -1 to N - 1 per axis: near an axis, x - r w can sit
+        on a node with a zero-weight corner one node outside the grid,
+        which is dropped.  m_jk and phi_jk are each row's own cell and
+        factors up to rounding.  The near rows take the generic product.
+        Both loops go in blocks of about ``_GRAM_ROWS`` bulk rows.
+        """
+        tab = self._stencil
+        n, N = self.grid.dimension, self.grid.nodes_per_axis
+        n_nodes = self.nodes.shape[0]
+        n_bulk, n_ang = self._shift.shape[:2]
+        n_jk = n_bulk * n_ang
+        G = np.zeros((n_nodes, n_nodes))
+        _add_gram_rows(G, self.L, w, self.near_rows)
+        diag = 2.0 * w[self.tail_rows]
+        # per node chunk of the build, the bulk weights as (rung, node, angle)
+        bulk = w[self.near_rows.stop:self.tail_rows.start]
+        chunks = []
+        for a in range(0, n_nodes, _CHUNK):
+            b = min(a + _CHUNK, n_nodes)
+            chunks.append((a, b, bulk[n_jk * a:n_jk * b].reshape(n_bulk, b - a, n_ang)))
+
+        # node and cross terms, over blocks of nodes
+        size = max(1, min(_CHUNK, _GRAM_ROWS // n_jk))
+        for a, b, rows in chunks:
+            for lo in range(a, b, size):
+                X = slice(lo, min(lo + size, b))
+                m = X.stop - lo
+                sub = rows[:, lo - a:X.stop - a, :]
+                diag[X] += 2.0 * sub.sum(axis=(0, 2))
+                inside = self._inside[0][:, tab.at[X, 0]]
+                for axis in range(1, n):
+                    inside &= self._inside[axis][:, tab.at[X, axis]]
+                omega = np.empty((n_bulk, n_ang, m))
+                np.multiply(sub.transpose(0, 2, 1), inside.transpose(0, 2, 1), out=omega)
+                T = tab.cross @ omega.reshape(n_jk, m)
+                cross = T.ravel()[
+                    np.add.outer((tab.center - tab.node_d[X]) * m + np.arange(m), tab.node_d * m)
+                ]
+                G[X] += cross
+                G[:, X] += cross.T
+
+        # corner term, over groups of rungs: V[cell, (j, k)] is the weight
+        # of the row of (j, k) that interpolates in the cell, and E += V
+        # (2 phi phi^T).  A sum of axis cells of at least n_cells marks a
+        # row outside the box; those rows go to one spare entry of V.
+        n_cells = (N + 1) ** n
+        group = max(1, min(n_bulk, _GRAM_ROWS // (n_ang * n_nodes)))
+        E = np.zeros((n_cells, 4 ** n))
+        for j0 in range(0, n_bulk, group):
+            J = slice(j0, min(j0 + group, n_bulk))
+            width = (J.stop - j0) * n_ang
+            # (rung, node, angle), the layout of the rows of a chunk
+            cell = tab.axis_cell[0][J]
+            for axis in range(1, n):
+                cell = cell[:, :, None, :] + tab.axis_cell[axis][J][:, None, :, :]
+                cell = cell.reshape(J.stop - j0, -1, n_ang)
+            cell = np.minimum(cell, n_cells)  # a new array: the tables stay
+            cell *= width
+            cell += np.arange(width).reshape(-1, 1, n_ang)
+            V = np.zeros((n_cells + 1) * width)
+            for a, b, rows in chunks:
+                V[cell[:, a:b]] = rows[J]
+            E += V[:n_cells * width].reshape(n_cells, width) @ tab.phiphi[j0 * n_ang:J.stop * n_ang]
+        for ca, ya in enumerate(tab.corner_node):
+            for cb, yb in enumerate(tab.corner_node):
+                both = (ya >= 0) & (yb >= 0)
+                G[ya[both], yb[both]] += E[both, ca * 2 ** n + cb]
+        G[np.diag_indices(n_nodes)] += diag
+        return G
+
     # -- atoms for the solvers ----------------------------------------------
 
     def atoms(self, fp: FractionalParams) -> AtomSet:
@@ -674,7 +850,7 @@ class EnergyScheme:
             self.far_mw @ (self.dt_far * cf * self.r_far ** (-s * p))
             + self.rem_mu * (self.h_max ** (-s * p) / (s * p))
         )
-        return AtomSet(W, self.L, p)
+        return AtomSet(W, self.L, p, scheme=self)
 
 
 @lru_cache(maxsize=8)

@@ -185,9 +185,9 @@ def _solve_atoms(
 
     if atoms.p == 2.0:
         # Newton would take the same step from the same Hessian with more
-        # passes over L: on a 2D N=44 solve (one thread, 2-vCPU VM) it took
-        # 3.5-4.2 s and 710 MB peak against 2.5-3.1 s and 535 MB direct
-        H = scale * atoms.hessian_dense()
+        # passes over L
+        H = atoms.hessian_dense()
+        H *= scale
         z = np.linalg.solve(H[np.ix_(free, free)], b[free] - (H @ base)[free])
         f = fun(z)
         res = float(np.max(np.abs(grad(z)), initial=0.0))
@@ -206,7 +206,8 @@ def _solve_atoms(
         it += 1
         v = embed(z)
         ell_scale = max(float(np.abs(atoms.forms(v)).max()), 1.0)
-        H = scale * atoms.reweighted_hessian(v, 1e-10 * ell_scale)
+        H = atoms.reweighted_hessian(v, 1e-10 * ell_scale)
+        H *= scale
         Hf = H[np.ix_(free, free)]
         Hf[np.diag_indices_from(Hf)] += 1e-14 * max(float(Hf.max()), 1.0)
         try:

@@ -16,7 +16,7 @@ from anisofrac.energy import (
     interpolation_check,
 )
 from anisofrac.gridfn import FractionalParams, Grid, GridFunction
-from anisofrac.kernel import builtin
+from anisofrac.kernel import Kernel, builtin
 from anisofrac.limits import LimitDensity
 from anisofrac.variational import LocalProblem, _local_atoms
 from conftest import bump_profile, hat_profile
@@ -467,7 +467,16 @@ def test_2d_grid_cap():
 
 
 def _gram_atoms(case):
-    """Small atom sets of the three problems the Gram Hessian serves."""
+    """Small atom sets of the three problems the Gram Hessian serves, and a
+    reweighted nonlocal set with its point v."""
+    if case == "cell-1d":
+        # the periodic cell problem's atoms: A_i dy |v[i+1]/dy - v[i]/dy + v[n]|^2
+        n = 64
+        i = np.arange(n)
+        A = 2.0 + np.sin(2.0 * np.pi * (i + 0.5) / n)
+        idx = np.column_stack([(i + 1) % n, i, np.full(n, n)])
+        coef = np.tile([float(n), -float(n), 1.0], (n, 1))
+        return energy.AtomSet.from_stencil(A / n, idx, coef, n + 1, 2.0), None
     if case == "nonlocal-1d":
         g = Grid(1, ((-1.0, 1.0),), 33)
         kern = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
@@ -502,7 +511,7 @@ def test_blocked_gram_matches_dense_product(monkeypatch, case, rows):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("case", ["nonlocal-1d", "local-2d"])
+@pytest.mark.parametrize("case", ["cell-1d", "local-2d"])
 def test_one_block_gram_is_the_single_product(case):
     atoms, _ = _gram_atoms(case)
     L = atoms.L
@@ -560,3 +569,95 @@ def test_gram_and_passes_make_no_row_length_copies(monkeypatch):
     assert gram_peak < l_bytes / 4, (gram_peak, l_bytes)
     # L v and one coefficient vector, not five or six of them
     assert pass_peak < 3 * row_bytes, (pass_peak, row_bytes)
+
+
+def _x_dependent_kernel():
+    """A 2D weight that varies with the base point x and the offset h."""
+    def evaluate(x, h):
+        x, h = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(h, dtype=float))
+        return 1.0 + 0.4 * np.sin(3.0 * x[..., 0] + x[..., 1]) * np.cos(h[..., 0]) ** 2
+
+    def radial_limit(x, w):
+        x, w = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(w, dtype=float))
+        return 1.0 + 0.4 * np.sin(3.0 * x[..., 0] + x[..., 1])
+
+    return Kernel(evaluate=evaluate, dimension=2, bounds=(0.6, 1.4),
+                  radial_limit=radial_limit, name="x-dependent")
+
+
+_STENCIL_GRAM_CASES = {
+    "periodic-1d N=33": (lambda: builtin("periodic-1d", {"A0": 2.0, "A1": 1.0}),
+                         ((-1.0, 1.0),), 33, 2.0),
+    "square N=9": (lambda: builtin("separable-angular", {"c0": 1.0, "c1": 0.5}),
+                   ((-1.0, 1.0), (-1.0, 1.0)), 9, 2.0),
+    "box -1:3;0:1 N=9": (lambda: builtin("separable-angular", {"c0": 1.0, "c1": 0.5}),
+                         ((-1.0, 3.0), (0.0, 1.0)), 9, 2.0),
+    "x-dependent N=9": (_x_dependent_kernel, ((-1.0, 1.0), (-0.5, 1.5)), 9, 2.0),
+    "reweighted p=3 N=9": (lambda: builtin("separable-angular", {"c0": 1.0, "c1": 0.5}),
+                           ((-1.0, 1.0), (-1.0, 1.0)), 9, 3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STENCIL_GRAM_CASES))
+def test_stencil_gram_matches_dense_product(monkeypatch, name):
+    make_kernel, box, N, p = _STENCIL_GRAM_CASES[name]
+    g = Grid(len(box), box, N)
+    scheme = EnergyScheme(make_kernel(), g)
+    atoms = scheme.atoms(FractionalParams(0.5, p))
+    generic = []
+    real_add = energy._add_gram_rows
+    monkeypatch.setattr(energy, "_add_gram_rows",
+                        lambda G, L, w, rows: generic.append(rows) or real_add(G, L, w, rows))
+    if p == 2.0:
+        w = atoms.W
+        got = atoms.hessian_dense()
+    else:
+        v = np.random.default_rng(3).standard_normal(g.nodes().shape[0])
+        ell = atoms.forms(v)
+        w = atoms.W * (p / 2.0) * np.maximum(np.abs(ell), 1e-8) ** (p - 2.0)
+        got = atoms.reweighted_hessian(v, 1e-8)
+    # only the near rows take the generic product
+    assert generic == [scheme.near_rows]
+    # a second call reuses the scheme's tables and gets the same matrix
+    again = atoms.hessian_dense() if p == 2.0 else atoms.reweighted_hessian(v, 1e-8)
+    assert np.array_equal(again, got)
+    Ld = atoms.L.toarray()
+    want = Ld.T @ (2.0 * w[:, None] * Ld)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_near_axis_angles_interpolate_in_padded_cells():
+    # the stencil cell of an inside row starts at -1..N-1 on every axis, and
+    # the default angle rule uses both ends: an angle whose component is
+    # ~1e-17 sits on a node, with a zero-weight corner outside the grid
+    g = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), 9)
+    scheme = get_scheme(builtin("separable-angular", {"c0": 1.0, "c1": 0.5}), g)
+    for axis, inside in enumerate(scheme._inside):
+        # (rung, node, angle): the lower corner of the cell along this axis
+        cell = np.arange(9)[None, :, None] + scheme._shift[:, None, :, axis]
+        assert cell[inside].min() == -1 and cell[inside].max() == 8
+        near_axis = np.abs(scheme.dirs[:, axis]) < 1e-12
+        for end in (-1, 8):
+            assert (inside & (cell == end) & near_axis).any(), (axis, end)
+
+
+def test_delta_makes_no_row_length_copies():
+    # 2D separable-angular N=17, s = 0.5, p = 3: ~650k rows over 289 nodes
+    kern, u, _ = _golden_case("separable-angular N=17 bump")
+    atoms = get_scheme(kern, u.grid).atoms(FractionalParams(0.5, 3.0))
+    rng = np.random.default_rng(5)
+    v = u.values.ravel()
+    d = rng.standard_normal(v.size)
+    row_bytes = atoms.W.nbytes
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        got = atoms.delta(v, d, 0.25)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # L v and L d, and power_delta's temporaries one slice long (the whole
+    # rows at once took six row vectors)
+    assert peak < 3 * row_bytes, (peak, row_bytes)
+    want = np.dot(atoms.W, energy.power_delta(atoms.forms(v), 0.25 * atoms.forms(d), 3.0))
+    assert got == float(want)
