@@ -43,7 +43,13 @@ times a factor of its label; only the tail rows also need their node's
 far-ladder sum.  A report is one product ``L v`` and a bincount by
 label; :meth:`EnergyScheme.atoms` hands the same ``L`` with the weights
 of one (s, p) to the solvers, whose gradient is ``L^T (...)`` and whose
-Hessian is the Gram matrix ``L^T diag(2 w) L``.
+Hessian is the Gram matrix ``L^T diag(2 w) L``.  The scheme assembles
+that matrix without a sparse product over the bulk rows: all bulk rows
+of one (rung, angle) are one interpolation stencil shifted node by
+node, so the Gram is a diagonal, a node-corner cross term gathered from
+one sparse x dense product, and per-cell corner blocks
+(:meth:`EnergyScheme._gram`).  Only the near rows, and atom sets that
+are not a scheme's, take the sparse product ``L^T diag(2 w) L``.
 
 Cost model: the scheme samples the kernel on a (nodes x rungs x angles)
 lattice and ``L`` has one bulk row per lattice point.  In 1D this is

@@ -656,8 +656,7 @@ def test_delta_makes_no_row_length_copies():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    # L v and L d, and power_delta's temporaries one slice long (the whole
-    # rows at once took six row vectors)
+    # L v and L d; power_delta's temporaries are one slice long
     assert peak < 3 * row_bytes, (peak, row_bytes)
     want = np.dot(atoms.W, energy.power_delta(atoms.forms(v), 0.25 * atoms.forms(d), 3.0))
     assert got == float(want)
