@@ -32,33 +32,36 @@ values:
 
     near rows   D_w v(x)            one-sided slope, per (angle, node)
     bulk rows   v(x) - v(x - r w)   multilinear interpolation, per
-                                    (node, rung, angle); v(x) alone
-                                    (weight doubled) once x - r w has
-                                    left the box
+                                    (rung, angle, node) while x - r w
+                                    stays in the box
     tail rows   v(x)                per node
 
 Each row carries a base weight and a label (the bulk rung and the
 parity of the angle), and the weight of a row at (s, p) is its base
-times a factor of its label; only the tail rows also need their node's
-far-ladder sum.  A report is one product ``L v`` and a bincount by
-label; :meth:`EnergyScheme.atoms` hands the same ``L`` with the weights
-of one (s, p) to the solvers, whose gradient is ``L^T (...)`` and whose
-Hessian is the Gram matrix ``L^T diag(2 w) L``.  The scheme assembles
-that matrix without a sparse product over the bulk rows: all bulk rows
-of one (rung, angle) are one interpolation stencil shifted node by
-node, so the Gram is a diagonal, a node-corner cross term gathered from
-one sparse x dense product, and per-cell corner blocks
-(:meth:`EnergyScheme._gram`).  Only the near rows, and atom sets that
-are not a scheme's, take the sparse product ``L^T diag(2 w) L``.
+times a factor of its label.  A pair whose shifted point has left the
+box is |v(x)|^p with a doubled weight (v vanishes there, and the pair
+swap counts the mirrored pair a second time), so it has no row: its
+weight is folded into a per-(node, label) table, and the tail rows
+carry it together with their node's far-ladder sum.  A report is one
+product ``L v`` and a bincount by label; :meth:`EnergyScheme.atoms`
+hands the same ``L`` with the weights of one (s, p) to the solvers,
+whose gradient is ``L^T (...)`` and whose Hessian is the Gram matrix
+``L^T diag(2 w) L``.  All bulk rows of one (rung, angle) are one
+interpolation stencil shifted node by node over a box of nodes, so the
+scheme assembles that matrix without a sparse product over the bulk
+rows: a diagonal, a node-corner cross term gathered from one sparse x
+dense product, and per-cell corner blocks (:meth:`EnergyScheme._gram`).
+Only the near rows, and atom sets that are not a scheme's, take the
+sparse product ``L^T diag(2 w) L``.
 
 Cost model: the scheme samples the kernel on a (nodes x rungs x angles)
-lattice and ``L`` has one bulk row per lattice point.  In 1D this is
-~1e5 rows for N = 257; in 2D it grows like N^2 * rungs * angles (9.8M
-nonzeros at N = 33), which is why 2D grids are capped at N <= 48
-(:data:`MAX_2D_NODES`).  The interpolation cells of the shifted points
-are tabulated per axis, once, on the (rungs x N x angles) lattice, and
-their inside counts size ``L``; the kernel samples are the largest
-single cost of the build.
+lattice, one rung at a time, and ``L`` has one bulk row per lattice
+point whose shifted point stays in the box.  In 1D this is ~1e5 rows
+for N = 257; in 2D it grows like N^2 * rungs * angles (1.75M bulk rows
+and 8.3M nonzeros at N = 33), which is why 2D grids are capped at
+N <= 48 (:data:`MAX_2D_NODES`).  The node boxes of the (rung, angle)
+stencils size ``L``; the kernel samples are the largest single cost of
+the build.
 """
 
 from __future__ import annotations
@@ -90,10 +93,10 @@ __all__ = [
     "interpolation_check",
 ]
 
-_CHUNK = 512  # x-nodes per evaluation block
+_CHUNK = 512  # x-nodes per block of the far-ladder sampling
 _FAR_OCTAVES = 10  # length of the far ladder beyond h_split
 _GRAM_ROWS = 250_000  # rows of L per block of the Gram Hessian
-_DELTA_ROWS = 65_536  # rows of L per slice of the line-search difference
+_SLICE_ROWS = 65_536  # rows of L, or kernel samples, per slice of an elementwise pass
 MAX_2D_NODES = 48  # nodes per axis of a 2D grid (see the cost model above)
 
 
@@ -210,40 +213,46 @@ class AtomSet:
         return float(np.dot(self.W, a))
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
+        """L^T (p W |ell|^(p-2) ell), formed on slices of ``_SLICE_ROWS``
+        rows that write over L v, the only row-length array."""
         ell = self.forms(v)
-        coeff = np.abs(ell)
-        # |ell|^(p-2) * ell is 0 at ell = 0 for p > 1; where= never
-        # evaluates the 0**negative case
-        np.power(coeff, self.p - 2.0, out=coeff, where=coeff > 0.0)
-        coeff *= ell
-        coeff *= self.W
-        coeff *= self.p
-        return self.L.T @ coeff
+        for lo in range(0, ell.shape[0], _SLICE_ROWS):
+            rows = slice(lo, lo + _SLICE_ROWS)
+            coeff = np.abs(ell[rows])
+            # |ell|^(p-2) * ell is 0 at ell = 0 for p > 1; where= never
+            # evaluates the 0**negative case
+            np.power(coeff, self.p - 2.0, out=coeff, where=coeff > 0.0)
+            coeff *= ell[rows]
+            coeff *= self.W[rows]
+            coeff *= self.p
+            ell[rows] = coeff
+        return self.L.T @ ell
 
     def delta(self, v: np.ndarray, d: np.ndarray, t: float) -> float:
         """objective(v + t d) - objective(v), cancellation-free.
 
-        :func:`power_delta` runs on slices of ``_DELTA_ROWS`` rows and
+        :func:`power_delta` runs on slices of ``_SLICE_ROWS`` rows and
         writes over L v, so L v and L d are the only row-length arrays.
         """
         a = self.forms(v)
         e = self.forms(d)
-        for lo in range(0, a.shape[0], _DELTA_ROWS):
-            rows = slice(lo, lo + _DELTA_ROWS)
+        for lo in range(0, a.shape[0], _SLICE_ROWS):
+            rows = slice(lo, lo + _SLICE_ROWS)
             e[rows] *= t
             a[rows] = power_delta(a[rows], e[rows], self.p)
         return float(np.dot(self.W, a))
 
     def reweighted_hessian(self, v: np.ndarray, floor: float) -> np.ndarray:
-        """Dense SPD model (p/2) sum W max(|ell|, floor)^{p-2} * 2 ell ell^T.
+        """Dense SPD model (p/2) sum W max(|ell|, f)^{p-2} * 2 ell ell^T.
 
-        Exact Hessian for p = 2; for other p the classical secant
-        (lagged-weight) approximation, positive definite thanks to the
-        floor on |ell|.
+        The floor f is ``floor`` times max(max |ell|, 1), so one product
+        L v serves both.  Exact Hessian for p = 2; for other p the
+        classical secant (lagged-weight) approximation, positive definite
+        thanks to the floor on |ell|.
         """
         w = self.forms(v)
         np.abs(w, out=w)
-        np.maximum(w, floor, out=w)
+        np.maximum(w, floor * max(float(w.max()), 1.0), out=w)
         w **= self.p - 2.0
         w *= self.W
         w *= self.p / 2.0
@@ -292,12 +301,28 @@ class _StencilTables(NamedTuple):
     """Index tables of :meth:`EnergyScheme._gram` (see :meth:`EnergyScheme._stencil`)."""
 
     at: np.ndarray  # per node, its index along each axis
+    by_node: list  # per axis, (inside, row part) of (rung-angle, node index x_a)
+    by_cell: list  # the same at the index x_a + m_jk,a of the row's cell
     cross: sparse.csr_matrix  # 2 phi, (displacement, (rung, angle))
     node_d: np.ndarray  # per node, its displacement number minus that of 0
     center: int  # displacement number of d = 0
-    axis_cell: list  # per axis, (rung, node index, angle) cell coordinates
     phiphi: np.ndarray  # 2 phi phi^T, ((rung, angle), corner pair)
-    corner_node: list  # per corner, the node of each padded cell, or -1
+    corner_node: list  # per corner c, the node y + c of each node y, or -1
+
+
+def _gather_bulk(bulk: np.ndarray, tables: list, jk: slice, at: np.ndarray) -> np.ndarray:
+    """Bulk row weights per (rung-angle, node) pair, 0 where there is no row.
+
+    ``tables`` is ``by_node`` or ``by_cell`` of :class:`_StencilTables`, so
+    the node is x or the cell x + m_jk of the row; ``at`` holds the
+    nodes' indices along each axis.  The row number of (j, k) at x is a
+    sum of one term per axis.
+    """
+    has, row = True, 0
+    for (inside, part), i in zip(tables, at.T):
+        has = has & inside[jk][:, i]
+        row = row + part[jk][:, i]
+    return np.where(has, bulk.take(row, mode="clip"), 0.0)
 
 
 def _resolve_geometry(grid: Grid, settings: QuadratureSettings):
@@ -325,8 +350,9 @@ class EnergyScheme:
     """s-independent quadrature: the form matrix ``L`` and its row weights.
 
     Built once per (kernel, grid, settings); reports and atom sets for
-    any (s, p) reuse ``L``, its base weights and labels, which is what
-    makes the parameter sweeps affordable.  The plain Gagliardo seminorm
+    any (s, p) reuse ``L``, its base weights and labels and the node
+    tables ``far_mw`` and ``outside_w``, which is what makes the
+    parameter sweeps affordable.  The plain Gagliardo seminorm
     is the scheme of the constant kernel c = 1.  The package always uses
     the default settings (through :func:`get_scheme`); other settings
     serve refinement studies.
@@ -411,68 +437,66 @@ class EnergyScheme:
     def _build_operator(self):
         """Assemble L, its base weights and its row labels.
 
-        Rows: near (angle-major), then one block per (node chunk, bulk
-        rung) with rows in (node, angle) order, then tail.  Labels are
-        2 * rung + angle parity for bulk rows, ``2 * n_bulk`` for near
-        rows and ``2 * n_bulk + 1`` for tail rows.
+        Rows: near (angle-major), then bulk in (rung, angle, node) order,
+        then tail.  Labels are 2 * rung + angle parity for bulk rows,
+        ``2 * n_bulk`` for near rows and ``2 * n_bulk + 1`` for tail rows.
 
-        Coordinate a of x - r_j w_k depends only on the node's index
-        along axis a, the rung j and the angle k, so each axis's
-        interpolation cells are tabulated once, (n_bulk, N, n_ang), by
-        :meth:`Grid.axis_cells`.  A block gathers its cells from the
-        tables, writes its rows into (node, angle, slot) arrays and
-        compacts them into ``data`` and ``indices``, which are sized
-        from the per-axis inside counts, so the matrix is never held
-        twice.
+        For rung j and angle k, x - r_j w_k lies in the cell of the node
+        x + m_jk with corner factors phi_jk at every node x, so the bulk
+        row of (j, k) at x is v(x) + sum_c phi_jk,c v(x + m_jk + c) over
+        the corners c with a nonzero factor (axis 0's factors carry the
+        minus sign).  A shift within rounding of a node line is snapped
+        onto it, so its upper corner has factor 0 and is left out.  The
+        nodes whose shifted point stays in the box form a box per (j, k),
+        ``_box_lo`` plus ``range(_box_len)`` along each axis; the pairs of
+        the other nodes go to ``outside_w``.
         """
         grid = self.grid
-        N = grid.nodes_per_axis
+        n, N = grid.dimension, grid.nodes_per_axis
         n_nodes = self.nodes.shape[0]
         n_ang = self.dirs.shape[0]
         n_bulk = self.r_bulk.shape[0]
-        width = 1 + 2 ** grid.dimension  # v(x) and the interpolation corners
-        chunks = [
-            np.arange(start, min(start + _CHUNK, n_nodes))
-            for start in range(0, n_nodes, _CHUNK)
-        ]
 
-        # per axis: cell, corner factors and inside flag of every rung and
-        # angle at every node coordinate; axis 0's factors carry the minus
-        # sign of the corner terms (negation commutes with rounding)
-        lowers, factors, insides = [], [], []
-        for axis, x in enumerate(grid.axes()):
-            lower, t, inside = grid.axis_cells(
-                axis,
-                x[None, :, None] - self.r_bulk[:, None, None] * self.dirs[None, None, :, axis],
-            )
-            lowers.append(lower)
-            factors.append((-(1.0 - t), -t) if axis == 0 else (1.0 - t, t))
-            insides.append(inside)
-        # the shifted lattice of one (rung, angle) is a tensor product
-        n_inside = int(np.prod([ins.sum(axis=1) for ins in insides], axis=0).sum())
-        # the bulk stencil of the Gram Hessian: per (rung, angle), x - r w
-        # lies in the cell of x + shift with the corner factors phi, up to
-        # the rounding of the per-node tables
         q = -self.r_bulk[:, None, None] * self.dirs[None, :, :] / np.array(grid.spacing)
+        near = np.round(q)
+        q = np.where(np.isclose(q, near, rtol=1e-12, atol=1e-12), near, q)
         shift = np.floor(q)
         phi = np.ones((n_bulk, n_ang, 1))
-        for axis in range(grid.dimension):
+        for axis in range(n):
             t = q[:, :, axis, None] - shift[:, :, axis, None]
             f = (-(1.0 - t), -t) if axis == 0 else (1.0 - t, t)
             phi = np.concatenate([phi * f[0], phi * f[1]], axis=2)
-        self._inside = insides
+        # per axis, whether the shifted coordinate stays in [a, b], as a
+        # (rung, node index, angle) table: an interval of node indices, as
+        # the coordinate grows with the node
+        insides = []
+        for x, (a, b), w_a in zip(grid.axes(), grid.box, self.dirs.T):
+            y = x[None, :, None] - self.r_bulk[:, None, None] * w_a[None, None, :]
+            insides.append((y >= a) & (y <= b))
         self._shift = shift.astype(np.int64)
         self._phi = phi
+        self._box_lo = np.stack([ins.argmax(axis=1) for ins in insides], axis=2)
+        self._box_len = np.stack([ins.sum(axis=1) for ins in insides], axis=2)
+        # per (rung, angle), the column offsets from x and the coefficients
+        # of a row: v(x) first, then the corners with a nonzero factor
+        corners = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+        offsets = np.concatenate(
+            [np.zeros((n_bulk, n_ang, 1), dtype=np.int64),
+             (self._shift[:, :, None, :] + corners) @ (N ** np.arange(n - 1, -1, -1))],
+            axis=2,
+        )
+        coefs = np.concatenate([np.ones((n_bulk, n_ang, 1)), phi], axis=2)
+        order = np.argsort(coefs == 0.0, axis=2, kind="stable")
+        offsets = np.take_along_axis(offsets, order, axis=2)
+        coefs = np.take_along_axis(coefs, order, axis=2)
+        widths = np.count_nonzero(coefs, axis=2)
+        counts = self._box_len.prod(axis=2)
 
         near_idx, near_coef = self._gradient_stencil()
         near_keep = near_coef != 0.0
         n_near = n_ang * n_nodes
-        n_rows = n_near + n_bulk * n_ang * n_nodes + n_nodes
-        nnz = (
-            int(near_keep.sum())
-            + n_bulk * n_ang * n_nodes + (width - 1) * n_inside
-            + n_nodes
-        )
+        n_rows = n_near + int(counts.sum()) + n_nodes
+        nnz = int(near_keep.sum()) + int((counts * widths).sum()) + n_nodes
         data = np.empty(nnz)
         indices = np.empty(nnz, dtype=np.int32)
         indptr = np.empty(n_rows + 1, dtype=np.int32)
@@ -488,55 +512,44 @@ class EnergyScheme:
         base[:n_near] = (self.w_dirs[:, None] * self.a_vals.T * self.w_x[None, :]).ravel()
         label[:n_near] = 2 * n_bulk
 
-        # bulk rows: msym |v(x) - v(x - r w)|^p, or 2 msym |v(x)|^p once the
-        # shifted point has left the box (v vanishes there, and the pair
-        # swap counts the mirrored pair a second time)
+        # bulk rows: msym |v(x) - v(x - r w)|^p; the nodes outside the box
+        # of (j, k) add 2 msym to outside_w (v vanishes at the shifted
+        # point, and the pair swap counts the mirrored pair a second time)
         row = n_near
-        parity = np.tile(np.arange(n_ang) % 2, _CHUNK)
-        axis_index = np.unravel_index(np.arange(n_nodes), grid.shape)
-        slot_shape = (chunks[0].size, n_ang, width)
-        slot_data = np.empty(slot_shape)
-        slot_cols = np.empty(slot_shape, dtype=np.int32)
-        slot_keep = np.empty(slot_shape, dtype=bool)
-        for sel in chunks:
-            ms = self._msym(
-                self.nodes[sel][:, None, None, :],
-                self.r_bulk[None, :, None, None] * self.dirs[None, None, :, :],
-            )
-            block = sel.size * n_ang
-            node_axis = [ia[sel] for ia in axis_index]
-            sd, sc, sk = (a[:sel.size] for a in (slot_data, slot_cols, slot_keep))
-            sd[:, :, 0] = 1.0
-            sc[:, :, 0] = sel[:, None]
-            sk[:, :, 0] = True
-            for j in range(n_bulk):
-                # corners in the order of Grid.interpolation_stencil
-                cols, weights = [0], [1.0]
-                ins = True
-                for axis, i in enumerate(node_axis):
-                    lower = lowers[axis][j, i]
-                    cols = [N * c + lower + b for b in (0, 1) for c in cols]
-                    weights = [w * f[j, i] for f in factors[axis] for w in weights]
-                    ins = ins & insides[axis][j, i]
-                for c in range(width - 1):
-                    sd[:, :, 1 + c] = weights[c]
-                    sc[:, :, 1 + c] = cols[c]
-                sk[:, :, 1:] = ins[:, :, None]
-                ins = ins.ravel()
-                row_nnz = np.where(ins, width, 1)
-                indptr[row:row + block] = pos + np.cumsum(row_nnz) - row_nnz
-                end = pos + block + (width - 1) * int(np.count_nonzero(ins))
-                keep = sk.ravel()
-                np.compress(keep, sd.ravel(), out=data[pos:end])
-                np.compress(keep, sc.ravel(), out=indices[pos:end])
-                base[row:row + block] = (
-                    self.w_x[sel][:, None] * self.w_dirs[None, :] * ms[:, j, :]
-                ).ravel() * np.where(ins, 1.0, 2.0)
-                label[row:row + block] = 2 * j + parity[:block]
+        at = np.unravel_index(np.arange(n_nodes), grid.shape)
+        parity = np.arange(n_ang) % 2
+        self.outside_w = np.empty((n_nodes, 2 * n_bulk))
+        # the kernel is sampled in blocks of whole rungs of about _SLICE_ROWS
+        # points: few calls where an evaluation loops in Python (averaged
+        # kernels), small temporaries on 2D grids
+        rungs = max(1, _SLICE_ROWS // (n_nodes * n_ang))
+        for j in range(n_bulk):
+            if j % rungs == 0:
+                h = self.r_bulk[j:j + rungs, None, None] * self.dirs[None, :, :]
+                mws = self.w_x[:, None, None] * self.w_dirs[None, None, :] * self._msym(
+                    self.nodes[:, None, None, :], h[None]
+                )
+            mw = mws[:, j % rungs]
+            inside = insides[0][j][at[0]]
+            for ins, i in zip(insides[1:], at[1:]):
+                inside &= ins[j][i]
+            out = np.where(inside, 0.0, 2.0 * mw)
+            self.outside_w[:, 2 * j] = out[:, parity == 0].sum(axis=1)
+            self.outside_w[:, 2 * j + 1] = out[:, parity == 1].sum(axis=1)
+            rows = slice(row, row + int(counts[j].sum()))
+            base[rows] = mw.T[inside.T]
+            label[rows] = np.repeat(2 * j + parity, counts[j])
+            for k in range(n_ang):
+                x = np.flatnonzero(inside[:, k])
+                w = widths[j, k]
+                end = pos + x.size * w
+                indices[pos:end].reshape(-1, w)[:] = x[:, None] + offsets[j, k, :w]
+                data[pos:end].reshape(-1, w)[:] = coefs[j, k, :w]
+                indptr[row:row + x.size] = np.arange(pos, end, w)
                 pos = end
-                row += block
+                row += x.size
 
-        # tail rows: v(x), weighted by the far ladder at report time
+        # tail rows: v(x), weighted by the far ladder and outside_w
         indptr[row:n_rows] = pos + np.arange(n_nodes)
         indptr[n_rows] = nnz
         data[pos:] = 1.0
@@ -614,10 +627,12 @@ class EnergyScheme:
         sums = np.bincount(
             self.label, self.base * np.abs(ell) ** p, minlength=2 * n_bulk + 2
         )
+        up = np.abs(ell[self.tail_rows]) ** p
+        sums[:2 * n_bulk] += up @ self.outside_w
         cb = _trapz_factors(n_bulk)
         cf = _trapz_factors(self.r_far.shape[0])
         # tail: |u(x)|^p against the far ladder and the beyond-ladder limit
-        wu = self.w_x * np.abs(ell[self.tail_rows]) ** p
+        wu = self.w_x * up
         far_sums = wu @ self.far_mw
         rem_mu_sum = float(np.dot(wu, self.rem_mu))
         rem_hw_sum = float(np.dot(wu, self.rem_hw))
@@ -718,37 +733,46 @@ class EnergyScheme:
         n_jk = n_bulk * n_ang
         corners = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
         at = np.stack(np.unravel_index(np.arange(self.nodes.shape[0]), self.grid.shape), axis=1)
-        # cross: displacements d = m_jk + c that stay in [-(N-1), N-1]^n,
-        # numbered row-major; S carries 2 phi
+        # the rows of (j, k) are the nodes of its box in row-major order:
+        # per axis, whether a node index lies in the box and the row
+        # number's term of that index, tabulated at x_a and at x_a + m_jk,a
+        lo = self._box_lo.reshape(n_jk, 1, n)
+        length = self._box_len.reshape(n_jk, 1, n)
+        stride = np.ones_like(length)
+        for axis in range(n - 2, -1, -1):
+            stride[..., axis] = stride[..., axis + 1] * length[..., axis + 1]
+        count = length.prod(axis=2).ravel()
+        tables = []
+        for rel in (np.arange(N)[None, :, None] - lo,
+                    np.arange(N)[None, :, None] - lo - self._shift.reshape(n_jk, 1, n)):
+            part = rel * stride
+            part[..., 0] += (np.cumsum(count) - count)[:, None]
+            tables.append(list(zip(np.moveaxis((rel >= 0) & (rel < length), 2, 0),
+                                   np.moveaxis(part, 2, 0))))
+        # cross: displacements d = m_jk + c of the nonzero corners that stay
+        # in [-(N-1), N-1]^n, numbered row-major; S carries 2 phi
         span = (2 * N - 1) ** np.arange(n - 1, -1, -1)
         d = self._shift.reshape(n_jk, 1, n) + corners
-        jk, c = np.nonzero((np.abs(d) < N).all(axis=2))
+        phi = self._phi.reshape(n_jk, -1)
+        jk, c = np.nonzero((np.abs(d) < N).all(axis=2) & (phi != 0.0))
         cross = sparse.csr_matrix(
-            (2.0 * self._phi.reshape(n_jk, -1)[jk, c], ((d[jk, c] + N - 1) @ span, jk)),
+            (2.0 * phi[jk, c], ((d[jk, c] + N - 1) @ span, jk)),
             shape=((2 * N - 1) ** n, n_jk),
         )
-        # corner: cells -1..N-1 per axis, numbered row-major from 0; per axis
-        # the cell coordinate of each (rung, node index, angle) times the
-        # axis stride, n_cells where the row is outside the box
-        n_cells = (N + 1) ** n
-        pad = (N + 1) ** np.arange(n - 1, -1, -1)
-        axis_cell = [
-            np.where(ins, (np.arange(N)[:, None] + self._shift[:, None, :, axis] + 1)
-                     * pad[axis], n_cells)
-            for axis, ins in enumerate(self._inside)
-        ]
-        cell_at = np.stack(np.unravel_index(np.arange(n_cells), (N + 1,) * n), axis=1)
+        # corner: the cell of a row is the node x + m_jk; a corner of it
+        # past the last node (-1 here) has factor 0
+        strides = N ** np.arange(n - 1, -1, -1)
         corner_node = []
         for c in corners:
-            y = cell_at + c - 1
-            real = ((y >= 0) & (y < N)).all(axis=1)
-            corner_node.append(np.where(real, y @ (N ** np.arange(n - 1, -1, -1)), -1))
+            y = at + c
+            corner_node.append(np.where((y < N).all(axis=1), y @ strides, -1))
         return _StencilTables(
             at=at,
+            by_node=tables[0],
+            by_cell=tables[1],
             cross=cross,
             node_d=at @ span,
             center=(N - 1) * int(span.sum()),
-            axis_cell=axis_cell,
             phiphi=2.0 * (self._phi[:, :, :, None] * self._phi[:, :, None, :]).reshape(n_jk, -1),
             corner_node=corner_node,
         )
@@ -757,83 +781,54 @@ class EnergyScheme:
         """Dense L^T diag(2 w) L for row weights w, from the bulk stencil.
 
         The bulk row of (rung j, angle k) at node x is v(x) + sum_c
-        phi_jk,c v(x + m_jk + c) over the 2^n corners c of one cell while
-        x - r_j w_k is inside the box, else v(x) alone.  With omega = w
-        times the inside flag, the bulk rows add three terms:
+        phi_jk,c v(x + m_jk + c) over the corners c of one cell, for the
+        nodes x of the box of (j, k).  With omega[jk, x] the weight of that
+        row, or 0 where x has none, the bulk rows add three terms:
 
-            node     diag(sum_jk 2 w), with the tail rows' 2 w
+            node     diag(sum_jk 2 omega), with the tail rows' 2 w
             cross    G[x, x + d] += T[d, x] and its transpose, where
                      T = S omega and S[d, jk] = 2 phi_jk,c for d = m_jk + c
             corner   per cell, sum_jk 2 omega phi_jk phi_jk^T over the
                      rows that interpolate in it, like a mass matrix
 
-        Cells run from -1 to N - 1 per axis: near an axis, x - r w can sit
-        on a node with a zero-weight corner one node outside the grid,
-        which is dropped.  m_jk and phi_jk are each row's own cell and
-        factors up to rounding.  The near rows take the generic product.
-        Both loops go in blocks of about ``_GRAM_ROWS`` bulk rows.
+        The cell of a row is the node x + m_jk, and a corner past the last
+        node has factor 0.  The near rows take the generic product.  Both
+        loops go in blocks of about ``_GRAM_ROWS`` (rung-angle, node) pairs.
         """
         tab = self._stencil
-        n, N = self.grid.dimension, self.grid.nodes_per_axis
         n_nodes = self.nodes.shape[0]
-        n_bulk, n_ang = self._shift.shape[:2]
-        n_jk = n_bulk * n_ang
+        n_jk = tab.phiphi.shape[0]
         G = np.zeros((n_nodes, n_nodes))
         _add_gram_rows(G, self.L, w, self.near_rows)
         diag = 2.0 * w[self.tail_rows]
-        # per node chunk of the build, the bulk weights as (rung, node, angle)
         bulk = w[self.near_rows.stop:self.tail_rows.start]
-        chunks = []
-        for a in range(0, n_nodes, _CHUNK):
-            b = min(a + _CHUNK, n_nodes)
-            chunks.append((a, b, bulk[n_jk * a:n_jk * b].reshape(n_bulk, b - a, n_ang)))
 
         # node and cross terms, over blocks of nodes
-        size = max(1, min(_CHUNK, _GRAM_ROWS // n_jk))
-        for a, b, rows in chunks:
-            for lo in range(a, b, size):
-                X = slice(lo, min(lo + size, b))
-                m = X.stop - lo
-                sub = rows[:, lo - a:X.stop - a, :]
-                diag[X] += 2.0 * sub.sum(axis=(0, 2))
-                inside = self._inside[0][:, tab.at[X, 0]]
-                for axis in range(1, n):
-                    inside &= self._inside[axis][:, tab.at[X, axis]]
-                omega = np.empty((n_bulk, n_ang, m))
-                np.multiply(sub.transpose(0, 2, 1), inside.transpose(0, 2, 1), out=omega)
-                T = tab.cross @ omega.reshape(n_jk, m)
-                cross = T.ravel()[
-                    np.add.outer((tab.center - tab.node_d[X]) * m + np.arange(m), tab.node_d * m)
-                ]
-                G[X] += cross
-                G[:, X] += cross.T
+        size = max(1, _GRAM_ROWS // n_jk)
+        for lo in range(0, n_nodes, size):
+            X = slice(lo, min(lo + size, n_nodes))
+            m = X.stop - lo
+            omega = _gather_bulk(bulk, tab.by_node, slice(None), tab.at[X])
+            diag[X] += 2.0 * omega.sum(axis=0)
+            T = tab.cross @ omega
+            cross = T.ravel()[
+                np.add.outer((tab.center - tab.node_d[X]) * m + np.arange(m), tab.node_d * m)
+            ]
+            G[X] += cross
+            G[:, X] += cross.T
 
-        # corner term, over groups of rungs: V[cell, (j, k)] is the weight
-        # of the row of (j, k) that interpolates in the cell, and E += V
-        # (2 phi phi^T).  A sum of axis cells of at least n_cells marks a
-        # row outside the box; those rows go to one spare entry of V.
-        n_cells = (N + 1) ** n
-        group = max(1, min(n_bulk, _GRAM_ROWS // (n_ang * n_nodes)))
-        E = np.zeros((n_cells, 4 ** n))
-        for j0 in range(0, n_bulk, group):
-            J = slice(j0, min(j0 + group, n_bulk))
-            width = (J.stop - j0) * n_ang
-            # (rung, node, angle), the layout of the rows of a chunk
-            cell = tab.axis_cell[0][J]
-            for axis in range(1, n):
-                cell = cell[:, :, None, :] + tab.axis_cell[axis][J][:, None, :, :]
-                cell = cell.reshape(J.stop - j0, -1, n_ang)
-            cell = np.minimum(cell, n_cells)  # a new array: the tables stay
-            cell *= width
-            cell += np.arange(width).reshape(-1, 1, n_ang)
-            V = np.zeros((n_cells + 1) * width)
-            for a, b, rows in chunks:
-                V[cell[:, a:b]] = rows[J]
-            E += V[:n_cells * width].reshape(n_cells, width) @ tab.phiphi[j0 * n_ang:J.stop * n_ang]
+        # corner term, over blocks of (rung, angle): V[jk, y] is the weight
+        # of the row of jk whose cell is the node y, and E += V^T (2 phi phi^T)
+        group = max(1, _GRAM_ROWS // n_nodes)
+        E = np.zeros((n_nodes, tab.phiphi.shape[1]))
+        for g0 in range(0, n_jk, group):
+            J = slice(g0, min(g0 + group, n_jk))
+            E += _gather_bulk(bulk, tab.by_cell, J, tab.at).T @ tab.phiphi[J]
+        n_corners = len(tab.corner_node)
         for ca, ya in enumerate(tab.corner_node):
             for cb, yb in enumerate(tab.corner_node):
                 both = (ya >= 0) & (yb >= 0)
-                G[ya[both], yb[both]] += E[both, ca * 2 ** n + cb]
+                G[ya[both], yb[both]] += E[both, ca * n_corners + cb]
         G[np.diag_indices(n_nodes)] += diag
         return G
 
@@ -850,12 +845,14 @@ class EnergyScheme:
         factor[2 * n_bulk] = self.h_min ** (p * (1.0 - s)) / (p * (1.0 - s))
         factor[2 * n_bulk + 1] = 1.0
         W = self.base * factor[self.label]
-        # tail ladder and remainder collapse to |v(x)|^p atoms
+        # tail ladder, remainder and the bulk pairs that left the box
+        # collapse to |v(x)|^p atoms
         cf = _trapz_factors(self.r_far.shape[0])
         W[self.tail_rows] *= (
             self.far_mw @ (self.dt_far * cf * self.r_far ** (-s * p))
             + self.rem_mu * (self.h_max ** (-s * p) / (s * p))
         )
+        W[self.tail_rows] += self.outside_w @ factor[:2 * n_bulk]
         return AtomSet(W, self.L, p, scheme=self)
 
 

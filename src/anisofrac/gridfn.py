@@ -87,24 +87,6 @@ class Grid:
         mask[(slice(1, -1),) * self.dimension] = False
         return mask
 
-    def axis_cells(
-        self, axis: int, coords: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The interpolation cell of each coordinate along one axis.
-
-        Returns the cell's lower node index, the fraction of the spacing
-        past that node, and whether the coordinate lies in the closed
-        interval, each shaped like ``coords``.  Coordinates outside are
-        clipped to the interval first, so they get the nearest cell.
-        This is the one per-axis rule behind :meth:`interpolation_stencil`
-        and the bulk rows of the energy's form matrix.
-        """
-        N = self.nodes_per_axis
-        a, b = self.box[axis]
-        q = np.clip((coords - a) / self.spacing[axis], 0.0, N - 1.0)
-        lower = np.minimum(q.astype(np.int64), N - 2)
-        return lower, q - lower, (coords >= a) & (coords <= b)
-
     def interpolation_stencil(
         self, points: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -112,21 +94,22 @@ class Grid:
 
         Returns the flat indices and weights of the 2**n corner nodes of
         each point's cell, both (m, 2**n), and whether each point lies in
-        the closed box.  The cells come from :meth:`axis_cells`, axis by
-        axis; points outside the box get the weights of the nearest cell,
+        the closed box.  Along each axis a coordinate is clipped to the
+        interval, so points outside get the weights of the nearest cell,
         and the zero extension is the caller's business.
         """
         N = self.nodes_per_axis
         cols = np.zeros((points.shape[0], 1), dtype=np.int64)
         weights = np.ones((points.shape[0], 1))
         inside = np.ones(points.shape[0], dtype=bool)
-        for axis in range(self.dimension):
-            j, t, axis_inside = self.axis_cells(axis, points[:, axis])
-            t = t[:, None]
+        for (a, b), h, x in zip(self.box, self.spacing, points.T):
+            q = np.clip((x - a) / h, 0.0, N - 1.0)
+            j = np.minimum(q.astype(np.int64), N - 2)
+            t = (q - j)[:, None]
             lower = N * cols + j[:, None]
             cols = np.concatenate([lower, lower + 1], axis=1)
             weights = np.concatenate([weights * (1.0 - t), weights * t], axis=1)
-            inside &= axis_inside
+            inside &= (x >= a) & (x <= b)
         return cols, weights, inside
 
     @property

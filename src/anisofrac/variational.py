@@ -189,6 +189,7 @@ def _solve_atoms(
         H = atoms.hessian_dense()
         H *= scale
         z = np.linalg.solve(H[np.ix_(free, free)], b[free] - (H @ base)[free])
+        del H  # the residual's passes over L need the memory
         f = fun(z)
         res = float(np.max(np.abs(grad(z)), initial=0.0))
         return embed(z), f, res, 1, res <= tol, (f,)
@@ -204,9 +205,7 @@ def _solve_atoms(
     converged = float(np.max(np.abs(g), initial=0.0)) <= tol
     while not converged and it < max_iter:
         it += 1
-        v = embed(z)
-        ell_scale = max(float(np.abs(atoms.forms(v)).max()), 1.0)
-        H = atoms.reweighted_hessian(v, 1e-10 * ell_scale)
+        H = atoms.reweighted_hessian(embed(z), 1e-10)
         H *= scale
         Hf = H[np.ix_(free, free)]
         Hf[np.diag_indices_from(Hf)] += 1e-14 * max(float(Hf.max()), 1.0)

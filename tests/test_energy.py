@@ -222,9 +222,17 @@ def test_atoms_agree_with_report(hat129, case):
     assert scheme.atoms(FractionalParams(0.8, 2.5)).L is atoms.L is scheme.L
 
 
+def _shifted_points(scheme, j):
+    """x - r_j w_k per (node, angle), and whether it lies in the closed box."""
+    P = scheme.nodes[:, None, :] - scheme.r_bulk[j] * scheme.dirs[None, :, :]
+    lo, hi = np.array(scheme.grid.box).T
+    return P, ((P >= lo) & (P <= hi)).all(axis=2)
+
+
 def test_bulk_rows_are_shifted_differences():
     # every bulk row of L against an independent bilinear interpolant:
-    # v(x) - v(x - r w) inside the box, v(x) once x - r w has left it
+    # v(x) - v(x - r w) for each (rung, angle, node) whose shifted point
+    # stays in the box, in that order
     from scipy.interpolate import RegularGridInterpolator
 
     g = Grid(2, ((-1.0, 1.0), (-0.5, 1.5)), 9)
@@ -233,83 +241,106 @@ def test_bulk_rows_are_shifted_differences():
     scheme = EnergyScheme(builtin("constant", {"n": 2}), g,
                           QuadratureSettings(angular_points=8))
     ell = scheme.L @ u.values.ravel()
-    n_nodes, n_ang, n_bulk = 81, 8, scheme.r_bulk.shape[0]
-    bulk = ell[scheme.near_rows.stop:scheme.tail_rows.start]
-    bulk = bulk.reshape(n_bulk, n_nodes, n_ang)  # one node chunk: (rung, node, angle)
-    P = scheme.nodes[None, :, None, :] - (
-        scheme.r_bulk[:, None, None, None] * scheme.dirs[None, None, :, :]
-    )
+    n_ang, n_bulk = 8, scheme.r_bulk.shape[0]
+    bulk = slice(scheme.near_rows.stop, scheme.tail_rows.start)
     interp = RegularGridInterpolator(g.axes(), u.values, bounds_error=False, fill_value=0.0)
-    expected = u.values.ravel()[None, :, None] - interp(P)
-    assert np.abs(bulk - expected).max() <= 1e-13 * np.abs(u.values).max()
+    expected, labels = [], []
+    for j in range(n_bulk):
+        P, inside = _shifted_points(scheme, j)
+        diff = u.values.ravel()[:, None] - interp(P)
+        expected.append(diff.T[inside.T])  # (angle, node) order
+        labels.append(np.repeat(2 * j + np.arange(n_ang) % 2, inside.sum(axis=0)))
+    expected = np.concatenate(expected)
+    assert ell[bulk].shape == expected.shape
+    assert np.abs(ell[bulk] - expected).max() <= 1e-13 * np.abs(u.values).max()
     # labels: rung and angle parity, in the same layout
-    labels = scheme.label[scheme.near_rows.stop:scheme.tail_rows.start]
-    rung = np.arange(n_bulk)[:, None, None]
-    parity = np.arange(n_ang)[None, None, :] % 2
-    assert np.array_equal(labels.reshape(n_bulk, n_nodes, n_ang),
-                          np.broadcast_to(2 * rung + parity, (n_bulk, n_nodes, n_ang)))
+    assert np.array_equal(scheme.label[bulk], np.concatenate(labels))
 
 
 @pytest.mark.parametrize(
     "kernel_name, params, box, N",
     [
-        # two node chunks, the second partial; unequal spacings per axis
+        # unequal spacings per axis
         ("separable-angular", {"n": 2, "c0": 1.0, "c1": 0.5}, ((-1.0, 3.0), (0.0, 1.0)), 25),
-        # three node chunks
+        # the default angles, four of them within rounding of an axis
+        ("separable-angular", {"n": 2, "c0": 1.0, "c1": 0.5}, ((-1.0, 1.0), (-1.0, 1.0)), 9),
         ("periodic-1d", {"A0": 2.0, "A1": 1.0}, ((-1.0, 1.0),), 1100),
     ],
-    ids=["separable-angular 2D N=25", "periodic-1d N=1100"],
+    ids=["separable-angular 2D N=25", "separable-angular 2D N=9", "periodic-1d N=1100"],
 )
-def test_form_matrix_matches_pointwise_build(kernel_name, params, box, N):
-    # L, base and label against a block-by-block rebuild of the bulk rows
-    # from Grid.interpolation_stencil on the shifted points, bit for bit
-    from anisofrac.energy import _CHUNK
-
+def test_bulk_rows_are_their_stencil(kernel_name, params, box, N):
+    # each bulk row of (rung j, angle k) at node x is, bit for bit, the
+    # stencil v(x) + sum_c phi_jk,c v(x + m_jk + c) over the corners with a
+    # nonzero factor, for exactly the nodes whose shifted point stays in
+    # the box; its columns lie in the grid along every axis, and L stores
+    # no zero and no single-entry bulk row
     g = Grid(len(box), box, N)
     scheme = get_scheme(builtin(kernel_name, params), g)
-    n_nodes = scheme.nodes.shape[0]
-    n_ang, n_bulk = scheme.dirs.shape[0], scheme.r_bulk.shape[0]
-    assert n_nodes > _CHUNK and n_nodes % _CHUNK != 0
-
-    # each row as a (slots,) stripe: v(x), then the corners when inside
-    near_idx, near_coef = scheme._gradient_stencil()
-    cols, data, keep = [near_idx], [near_coef], [near_coef != 0.0]
-    base = [(scheme.w_dirs[:, None] * scheme.a_vals.T * scheme.w_x[None, :]).ravel()]
-    label = [np.full(n_ang * n_nodes, 2 * n_bulk)]
-    width = 1 + 2 ** g.dimension
-    for start in range(0, n_nodes, _CHUNK):
-        sel = np.arange(start, min(start + _CHUNK, n_nodes))
-        ms = scheme._msym(
-            scheme.nodes[sel][:, None, None, :],
-            scheme.r_bulk[None, :, None, None] * scheme.dirs[None, None, :, :],
-        )
-        for j in range(n_bulk):
-            P = scheme.nodes[sel][:, None, :] - scheme.r_bulk[j] * scheme.dirs[None, :, :]
-            corner_cols, weights, inside = g.interpolation_stencil(P.reshape(-1, g.dimension))
-            cols.append(np.column_stack([np.repeat(sel, n_ang), corner_cols]))
-            data.append(np.column_stack([np.ones(inside.size), -weights]))
-            stripe = np.zeros((inside.size, width), dtype=bool)
-            stripe[:, 0] = True
-            stripe[inside, 1:] = True
-            keep.append(stripe)
-            base.append(
-                (scheme.w_x[sel][:, None] * scheme.w_dirs[None, :] * ms[:, j, :]).ravel()
-                * np.where(inside, 1.0, 2.0)
-            )
-            label.append(2 * j + np.tile(np.arange(n_ang) % 2, sel.size))
     L = scheme.L
-    row_nnz = np.concatenate([k.sum(axis=1) for k in keep] + [np.ones(n_nodes, dtype=int)])
-    assert np.array_equal(L.indptr, np.concatenate([[0], np.cumsum(row_nnz)]))
-    assert np.array_equal(
-        L.indices, np.concatenate([c[k] for c, k in zip(cols, keep)] + [np.arange(n_nodes)])
-    )
-    assert np.array_equal(
-        L.data, np.concatenate([d[k] for d, k in zip(data, keep)] + [np.ones(n_nodes)])
-    )
-    assert np.array_equal(scheme.base, np.concatenate(base + [2.0 * scheme.w_x]))
-    assert np.array_equal(
-        scheme.label, np.concatenate(label + [np.full(n_nodes, 2 * n_bulk + 1)])
-    )
+    n = g.dimension
+    n_ang, n_bulk = scheme.dirs.shape[0], scheme.r_bulk.shape[0]
+    at = np.stack(np.unravel_index(np.arange(scheme.nodes.shape[0]), g.shape), axis=1)
+    corners = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    assert np.count_nonzero(L.data == 0.0) == 0
+    row = scheme.near_rows.stop
+    for j in range(n_bulk):
+        _, inside = _shifted_points(scheme, j)
+        ms = scheme._msym(scheme.nodes[:, None, :], scheme.r_bulk[j] * scheme.dirs[None, :, :])
+        for k in range(n_ang):
+            x = np.flatnonzero(inside[:, k])
+            keep = scheme._phi[j, k] != 0.0
+            y = at[x][:, None, :] + scheme._shift[j, k] + corners[keep]
+            assert ((y >= 0) & (y < N)).all(), (j, k)
+            cols = np.column_stack([x, np.ravel_multi_index(tuple(np.moveaxis(y, 2, 0)), g.shape)])
+            coef = np.concatenate([[1.0], scheme._phi[j, k, keep]])
+            assert cols.shape[1] >= 2
+            lo = L.indptr[row]
+            assert np.array_equal(L.indptr[row:row + x.size + 1] - lo,
+                                  cols.shape[1] * np.arange(x.size + 1))
+            assert np.array_equal(L.indices[lo:lo + cols.size], cols.ravel())
+            assert np.array_equal(L.data[lo:lo + cols.size], np.tile(coef, x.size))
+            rows = slice(row, row + x.size)
+            assert np.array_equal(scheme.base[rows],
+                                  scheme.w_x[x] * scheme.w_dirs[k] * ms[x, k])
+            assert (scheme.label[rows] == 2 * j + k % 2).all()
+            row += x.size
+    assert row == scheme.tail_rows.start
+
+
+def test_outside_table_folds_the_doubled_rows():
+    # a pair whose shifted point has left the box has no row: its doubled
+    # weight 2 w_x w_k msym(x, r w) is summed into outside_w at (node,
+    # 2 * rung + angle parity)
+    g = Grid(2, ((-1.0, 1.0), (-0.5, 1.5)), 9)
+    scheme = EnergyScheme(_x_dependent_kernel(), g, QuadratureSettings(angular_points=8))
+    n_bulk, n_ang = scheme.r_bulk.shape[0], scheme.dirs.shape[0]
+    want = np.zeros((scheme.nodes.shape[0], 2 * n_bulk))
+    n_inside = 0
+    for j in range(n_bulk):
+        _, inside = _shifted_points(scheme, j)
+        ms = scheme._msym(scheme.nodes[:, None, :], scheme.r_bulk[j] * scheme.dirs[None, :, :])
+        doubled = (scheme.w_x[:, None] * scheme.w_dirs[None, :] * ms) * 2.0
+        for k in range(n_ang):
+            want[:, 2 * j + k % 2] += np.where(inside[:, k], 0.0, doubled[:, k])
+        n_inside += int(inside.sum())
+    assert np.count_nonzero(want) > 0
+    assert np.allclose(scheme.outside_w, want, rtol=1e-14, atol=0.0)
+    assert scheme.tail_rows.start - scheme.near_rows.stop == n_inside
+
+
+def test_scheme_build_peak_stays_near_what_it_keeps():
+    # 2D separable-angular N=17: the build writes L, its weights and
+    # labels once, and its kernel samples and index tables stay small
+    kern, u, _ = _golden_case("separable-angular N=17 bump")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        scheme = EnergyScheme(kern, u.grid)
+        kept, peak = (b - start for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert scheme.L.nnz > 0
+    assert peak < 1.5 * kept, (peak, kept)
 
 
 def test_near_rows_are_one_sided_slopes_hat(grid129, hat129):
@@ -501,8 +532,9 @@ def test_blocked_gram_matches_dense_product(monkeypatch, case, rows):
     if v is None:
         w = atoms.W
     else:
-        ell = atoms.forms(v)
-        w = atoms.W * (atoms.p / 2.0) * np.maximum(np.abs(ell), 1e-8) ** (atoms.p - 2.0)
+        ell = np.abs(atoms.forms(v))
+        floor = 1e-8 * max(ell.max(), 1.0)  # relative to the largest form
+        w = atoms.W * (atoms.p / 2.0) * np.maximum(ell, floor) ** (atoms.p - 2.0)
     Ld = atoms.L.toarray()
     want = Ld.T @ (2.0 * w[:, None] * Ld)
     assert len(atoms) > rows  # more than one block, the last one partial
@@ -567,8 +599,8 @@ def test_gram_and_passes_make_no_row_length_copies(monkeypatch):
         tracemalloc.stop()
     # the sparse temporaries are one block long, not copies of L
     assert gram_peak < l_bytes / 4, (gram_peak, l_bytes)
-    # L v and one coefficient vector, not five or six of them
-    assert pass_peak < 3 * row_bytes, (pass_peak, row_bytes)
+    # L v, written over on slices, not five or six row-length vectors
+    assert pass_peak < 2 * row_bytes, (pass_peak, row_bytes)
 
 
 def _x_dependent_kernel():
@@ -626,19 +658,29 @@ def test_stencil_gram_matches_dense_product(monkeypatch, name):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_near_axis_angles_interpolate_in_padded_cells():
-    # the stencil cell of an inside row starts at -1..N-1 on every axis, and
-    # the default angle rule uses both ends: an angle whose component is
-    # ~1e-17 sits on a node, with a zero-weight corner outside the grid
-    g = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), 9)
+def test_near_axis_angles_snap_onto_the_node_line():
+    # the default angle rule has angles whose component along an axis is 0
+    # or ~1e-16: their shift along that axis snaps to 0 and their upper
+    # corners there get factor exactly 0, so the rows at the first and
+    # last node of the axis interpolate in cells of the grid
+    N = 9
+    g = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), N)
     scheme = get_scheme(builtin("separable-angular", {"c0": 1.0, "c1": 0.5}), g)
-    for axis, inside in enumerate(scheme._inside):
-        # (rung, node, angle): the lower corner of the cell along this axis
-        cell = np.arange(9)[None, :, None] + scheme._shift[:, None, :, axis]
-        assert cell[inside].min() == -1 and cell[inside].max() == 8
+    for axis in range(2):
         near_axis = np.abs(scheme.dirs[:, axis]) < 1e-12
-        for end in (-1, 8):
-            assert (inside & (cell == end) & near_axis).any(), (axis, end)
+        assert near_axis.sum() == 2
+        upper = (np.arange(4) >> axis) & 1 == 1
+        assert (scheme._shift[:, near_axis, axis] == 0).all()
+        assert (scheme._phi[:, near_axis][:, :, upper] == 0.0).all()
+        assert (scheme._phi[:, near_axis][:, :, ~upper] != 0.0).any(axis=2).all()
+        lo = scheme._box_lo[:, near_axis, axis]
+        hi = lo + scheme._box_len[:, near_axis, axis] - 1
+        assert (lo == 0).any() and (hi == N - 1).any()
+    # every cell x + m_jk of a row lies in the grid
+    lo = scheme._box_lo + scheme._shift
+    hi = lo + scheme._box_len - 1
+    rows = (scheme._box_len > 0).all(axis=2)
+    assert (lo[rows] >= 0).all() and (hi[rows] <= N - 1).all()
 
 
 def test_delta_makes_no_row_length_copies():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anisofrac.energy import get_scheme
+from anisofrac.energy import AtomSet, get_scheme
 from anisofrac.gridfn import FractionalParams, Grid, GridFunction, lp_norm
 from anisofrac.kernel import builtin
 from anisofrac.limits import LimitDensity
@@ -173,6 +173,29 @@ def test_uniqueness_proxy_random_inits():
             assert converged
             sols.append(v)
         assert np.abs(sols[0] - sols[1]).max() <= 1e-6
+
+
+def test_newton_step_forms_L_v_once_for_its_hessian(monkeypatch):
+    # the lagged weights and their floor come from one product L v: between
+    # a step's gradient and its Gram there is exactly one
+    g = Grid(1, ((-1.0, 1.0),), 33)
+    atoms = get_scheme(builtin("periodic-1d", {"A0": 2.0, "A1": 1.0}), g).atoms(
+        FractionalParams(0.5, 3.0))
+    events = []
+    forms, gradient, gram = AtomSet.forms, AtomSet.gradient, AtomSet._gram
+    monkeypatch.setattr(AtomSet, "forms",
+                        lambda self, v: events.append("L v") or forms(self, v))
+    monkeypatch.setattr(AtomSet, "gradient",
+                        lambda self, v: (gradient(self, v), events.append("gradient"))[0])
+    monkeypatch.setattr(AtomSet, "_gram",
+                        lambda self, w: events.append("gram") or gram(self, w))
+    b = g.trapezoid_weights()
+    *_, iterations, _, _ = _solve_atoms(atoms, 0.5, b, _free_mask(g), np.zeros(33), 1e-12, 4)
+    grams = [i for i, e in enumerate(events) if e == "gram"]
+    assert len(grams) == iterations == 4
+    for i in grams:
+        last_gradient = max(k for k in range(i) if events[k] == "gradient")
+        assert events[last_gradient + 1:i] == ["L v"], events[last_gradient + 1:i]
 
 
 def test_energy_comparison_sandwich(grid129, one129):
