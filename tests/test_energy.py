@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy import sparse
 from scipy.integrate import quad
 
 from anisofrac import energy
+from anisofrac._sphere import sphere_measure
 from anisofrac.energy import (
     EnergyScheme,
     QuadratureSettings,
@@ -16,6 +18,7 @@ from anisofrac.energy import (
     interpolation_check,
 )
 from anisofrac.gridfn import FractionalParams, Grid, GridFunction
+from anisofrac.homogenize import homogenized_kernel
 from anisofrac.kernel import Kernel, builtin
 from anisofrac.limits import LimitDensity
 from anisofrac.variational import LocalProblem, _local_atoms
@@ -185,6 +188,49 @@ def test_h_split_guard():
                         QuadratureSettings(h_split=1.0))
     with pytest.raises(ValueError, match="support"):
         tiny.report(u, FractionalParams(0.5, 2.0), 1.0)
+
+
+def _far_field_cases():
+    g1 = Grid(1, ((-1.0, 1.0),), 129)
+    g2 = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), 17)
+    yield "1d-hat", GridFunction.from_callable(g1, hat_profile)
+    yield "2d-bump", GridFunction.from_callable(
+        g2, lambda x, y: bump_profile(np.hypot(x, y) / 0.8)
+    )
+
+
+@pytest.mark.parametrize("c", [1.0, 2.5])
+def test_tail_of_a_constant_kernel_is_the_closed_form(c):
+    # beyond h_split the supports of u and its shift are disjoint, so the
+    # tail is 2 c |S^(n-1)| h_split^(-sp) / (sp) * sum w_x |u|^p; the far
+    # ladder's trapezoid in log r overshoots the exact r-integral by at
+    # most (sp dt)^2 / 12 relative, dt = ln 2 / 8
+    for name, u in _far_field_cases():
+        n = u.grid.dimension
+        scheme = EnergyScheme(builtin("constant", {"n": n, "c": c}), u.grid)
+        for p in (1.5, 2.0, 3.0):
+            mass = float(np.dot(scheme.w_x, np.abs(u.values.ravel()) ** p))
+            for s in (0.05, 0.5, 0.95):
+                sp = s * p
+                closed = 2.0 * c * sphere_measure(n) * scheme.h_split ** (-sp) / sp * mass
+                ratio = scheme.report(u, FractionalParams(s, p), 1.0).tail / closed - 1.0
+                assert 0.0 <= ratio < (sp * np.log(2.0) / 8.0) ** 2 / 12.0, (name, p, s)
+
+
+@pytest.mark.parametrize("averaged", [False, True], ids=["periodic-1d", "homogenized"])
+def test_1d_build_samples_the_kernel_in_few_calls(averaged):
+    # an averaged kernel loops over its shifts in Python on every call, so
+    # a build that sampled it once per rung would be many times slower
+    base = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
+    kern = homogenized_kernel(base) if averaged else base
+    calls = []
+
+    def evaluate(x, h):
+        calls.append(1)
+        return kern.evaluate(x, h)
+
+    EnergyScheme(dataclasses.replace(kern, evaluate=evaluate), Grid(1, ((-1.0, 1.0),), 257))
+    assert 0 < len(calls) <= 4
 
 
 def test_boundary_values_must_vanish(grid129):
