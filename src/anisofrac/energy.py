@@ -15,10 +15,11 @@ done in polar form on a geometric radius ladder:
     bulk   h_min..h_split     trapezoid in log r, piecewise-linear u
                               evaluated at the shifted points
     tail   h_split..h_max     supports of u and its shift are disjoint,
-                              so only |u(x)|^p enters; ladder continues
-           beyond h_max       closed form from the kernel's declared
-                              large-offset limit (bracketed by the
-                              bounds when no limit is declared)
+                              so only |u(x)|^p enters: far rungs of
+                              the same ladder, with no rows of L
+           beyond h_max       closed-form remainder from the kernel's
+                              declared large-offset limit (bracketed by
+                              the bounds when no limit is declared)
 
 ``value = near_diagonal + bulk + tail`` holds bit-exactly (single fixed
 summation order).  ``error_bound`` collects the surrogate remainder, the
@@ -36,15 +37,19 @@ values:
                                     stays in the box
     tail rows   v(x)                per node
 
-Each row carries a base weight and a label (the bulk rung and the
-parity of the angle), and the weight of a row at (s, p) is its base
-times a factor of its label.  A pair whose shifted point has left the
-box is |v(x)|^p with a doubled weight (v vanishes there, and the pair
-swap counts the mirrored pair a second time), so it has no row: its
-weight is folded into a per-(node, label) table, and the tail rows
-carry it together with their node's far-ladder sum.  A report is one
-product ``L v`` and a bincount by label; :meth:`EnergyScheme.atoms`
-hands the same ``L`` with the weights of one (s, p) to the solvers,
+Each near and bulk row carries a base weight and a label (the rung and
+the parity of the angle for a bulk row), and its weight at (s, p) is
+its base times the factor of its label.  Every pair that has no row is
+a |v(x)|^p term with a doubled weight (v vanishes at the far point, and
+the pair swap counts the mirrored pair a second time): a bulk pair
+whose shifted point has left the box, every pair of a far rung, and the
+remainder beyond h_max.  Their weights form one table, ``outside_w``,
+with a row per node and a column per label, and the tail row of x
+weighs ``outside_w[x] @ factor``.  One method gives every label's
+factor (:meth:`EnergyScheme.label_factors`).  A report is one product
+``L v``, a bincount by label and one product with ``outside_w``;
+:meth:`EnergyScheme.atoms` hands the same ``L`` with the weights of one
+(s, p) to the solvers,
 whose gradient is ``L^T (...)`` and whose Hessian is the Gram matrix
 ``L^T diag(2 w) L``.  All bulk rows of one (rung, angle) are one
 interpolation stencil shifted node by node over a box of nodes, so the
@@ -55,8 +60,9 @@ Only the near rows, and atom sets that are not a scheme's, take the
 sparse product ``L^T diag(2 w) L``.
 
 Cost model: the scheme samples the kernel on a (nodes x rungs x angles)
-lattice, one rung at a time, and ``L`` has one bulk row per lattice
-point whose shifted point stays in the box.  In 1D this is ~1e5 rows
+lattice, bulk and far rungs alike, in blocks of whole rungs, and ``L``
+has one bulk row per lattice point whose shifted point stays in the
+box.  In 1D this is ~1e5 rows
 for N = 257; in 2D it grows like N^2 * rungs * angles (1.75M bulk rows
 and 8.3M nonzeros at N = 33), which is why 2D grids are capped at
 N <= 48 (:data:`MAX_2D_NODES`).  The node boxes of the (rung, angle)
@@ -93,7 +99,6 @@ __all__ = [
     "interpolation_check",
 ]
 
-_CHUNK = 512  # x-nodes per block of the far-ladder sampling
 _FAR_OCTAVES = 10  # length of the far ladder beyond h_split
 _GRAM_ROWS = 250_000  # rows of L per block of the Gram Hessian
 _SLICE_ROWS = 65_536  # rows of L, or kernel samples, per slice of an elementwise pass
@@ -326,6 +331,7 @@ def _gather_bulk(bulk: np.ndarray, tables: list, jk: slice, at: np.ndarray) -> n
 
 
 def _resolve_geometry(grid: Grid, settings: QuadratureSettings):
+    """h_min, h_split, h_max and the bulk and far radius ladders."""
     spacing = min(grid.spacing)
     h_min = spacing * settings.h_min_fraction
     h_split = settings.h_split if settings.h_split is not None else 2.0 * grid.diameter
@@ -351,8 +357,10 @@ class EnergyScheme:
 
     Built once per (kernel, grid, settings); reports and atom sets for
     any (s, p) reuse ``L``, its base weights and labels and the node
-    tables ``far_mw`` and ``outside_w``, which is what makes the
-    parameter sweeps affordable.  The plain Gagliardo seminorm
+    table ``outside_w`` of the pairs without a row, which is what makes
+    the parameter sweeps affordable.  The radius ladder ``radii`` is the
+    bulk rungs ``r_bulk`` followed by the far rungs ``r_far``, with their
+    trapezoid weights in log r in ``rung_dt``.  The plain Gagliardo seminorm
     is the scheme of the constant kernel c = 1.  The package always uses
     the default settings (through :func:`get_scheme`); other settings
     serve refinement studies.
@@ -375,6 +383,11 @@ class EnergyScheme:
         )
         self.dt = math.log(self.r_bulk[1] / self.r_bulk[0])
         self.dt_far = math.log(self.r_far[1] / self.r_far[0])
+        self.radii = np.concatenate([self.r_bulk, self.r_far])
+        self.rung_dt = np.concatenate([
+            self.dt * _trapz_factors(self.r_bulk.shape[0]),
+            self.dt_far * _trapz_factors(self.r_far.shape[0]),
+        ])
         self.dirs, self.w_dirs = sphere_rule(n, settings.angular_points)
         self.nodes = grid.nodes()
         self.w_x = grid.trapezoid_weights()
@@ -387,59 +400,21 @@ class EnergyScheme:
             dtype=float,
         )
 
-        self._build_far()
         self._build_operator()
-
-    # -- kernel sampling ---------------------------------------------------
-
-    def _build_far(self):
-        """Far-ladder weights and the beyond-ladder bracket, per node.
-
-        Everything here multiplies |u(x)|^p at report time, so it is
-        u-independent and computed once.
-        """
-        n_nodes = self.nodes.shape[0]
-        n_far = self.r_far.shape[0]
-        far_mw = np.empty((n_nodes, n_far))
-        # mu: large-offset limit of the symmetrized weight; hw: observed
-        # deviation over the last octave, used as the bracket half-width.
-        if self.kern.tail_limit is not None:
-            t1 = np.asarray(
-                self.kern.tail_limit(self.nodes[:, None, :], self.dirs[None, :, :]),
-                dtype=float,
-            )
-            t2 = np.asarray(
-                self.kern.tail_limit(self.nodes[:, None, :], -self.dirs[None, :, :]),
-                dtype=float,
-            )
-            mu_dir = 0.5 * (t1 + t2)
-        else:
-            lo, hi = self.kern.bounds
-            mu_dir = np.full((n_nodes, self.dirs.shape[0]), 0.5 * (lo + hi))
-
-        last_octave = self.r_far >= self.r_far[-1] / 2.0
-        hw_dir = np.zeros((n_nodes, self.dirs.shape[0]))
-        for chunk in range(0, n_nodes, _CHUNK):
-            idx = np.arange(chunk, min(chunk + _CHUNK, n_nodes))
-            x = self.nodes[idx][:, None, None, :]
-            h = self.r_far[None, :, None, None] * self.dirs[None, None, :, :]
-            ms = self._msym(x, h)
-            far_mw[idx] = np.einsum("bjk,k->bj", ms, self.w_dirs)
-            hw_dir[idx] = np.abs(
-                ms[:, last_octave, :] - mu_dir[idx][:, None, :]
-            ).max(axis=1)
-        self.far_mw = far_mw
-        self.rem_mu = mu_dir @ self.w_dirs
-        self.rem_hw = hw_dir @ self.w_dirs
 
     # -- the form matrix ----------------------------------------------------
 
     def _build_operator(self):
-        """Assemble L, its base weights and its row labels.
+        """Assemble L, its base weights and row labels, and ``outside_w``.
 
         Rows: near (angle-major), then bulk in (rung, angle, node) order,
-        then tail.  Labels are 2 * rung + angle parity for bulk rows,
-        ``2 * n_bulk`` for near rows and ``2 * n_bulk + 1`` for tail rows.
+        then tail.  Labels: 2 * rung + angle parity over the bulk and far
+        rungs, then the remainder beyond h_max; these are the columns of
+        ``outside_w``.  Then come the near label and the tail label.  A
+        tail row has base 0: its weight is its node's row of ``outside_w``
+        at the factors of (s, p).  ``rem_hw`` is the last octave's largest
+        deviation from the tail limit, per node, which brackets the
+        remainder.
 
         For rung j and angle k, x - r_j w_k lies in the cell of the node
         x + m_jk with corner factors phi_jk at every node x, so the bulk
@@ -449,13 +424,14 @@ class EnergyScheme:
         onto it, so its upper corner has factor 0 and is left out.  The
         nodes whose shifted point stays in the box form a box per (j, k),
         ``_box_lo`` plus ``range(_box_len)`` along each axis; the pairs of
-        the other nodes go to ``outside_w``.
+        the other nodes, and every pair of a far rung, go to ``outside_w``.
         """
         grid = self.grid
         n, N = grid.dimension, grid.nodes_per_axis
         n_nodes = self.nodes.shape[0]
         n_ang = self.dirs.shape[0]
         n_bulk = self.r_bulk.shape[0]
+        n_rungs = self.radii.shape[0]
 
         q = -self.r_bulk[:, None, None] * self.dirs[None, :, :] / np.array(grid.spacing)
         near = np.round(q)
@@ -510,52 +486,69 @@ class EnergyScheme:
         data[:pos] = near_coef[near_keep]
         indices[:pos] = near_idx[near_keep]
         base[:n_near] = (self.w_dirs[:, None] * self.a_vals.T * self.w_x[None, :]).ravel()
-        label[:n_near] = 2 * n_bulk
+        label[:n_near] = 2 * n_rungs + 1
+
+        # mu: the large-offset limit of the symmetrized weight per (node,
+        # angle), or the middle of the bounds when the kernel declares none
+        if self.kern.tail_limit is not None:
+            x, w = self.nodes[:, None, :], self.dirs[None, :, :]
+            mu = 0.5 * (np.asarray(self.kern.tail_limit(x, w), dtype=float)
+                        + np.asarray(self.kern.tail_limit(x, -w), dtype=float))
+        else:
+            lo, hi = self.kern.bounds
+            mu = np.full((n_nodes, n_ang), 0.5 * (lo + hi))
+        self.outside_w = np.empty((n_nodes, 2 * n_rungs + 1))
+        self.outside_w[:, -1] = 2.0 * self.w_x * (mu @ self.w_dirs)
 
         # bulk rows: msym |v(x) - v(x - r w)|^p; the nodes outside the box
-        # of (j, k) add 2 msym to outside_w (v vanishes at the shifted
-        # point, and the pair swap counts the mirrored pair a second time)
+        # of (j, k), and all nodes on a far rung, add 2 msym to outside_w
         row = n_near
         at = np.unravel_index(np.arange(n_nodes), grid.shape)
         parity = np.arange(n_ang) % 2
-        self.outside_w = np.empty((n_nodes, 2 * n_bulk))
+        wxk = self.w_x[:, None] * self.w_dirs[None, :]
+        last_octave = self.radii >= self.radii[-1] / 2.0
+        hw = np.zeros((n_nodes, n_ang))
         # the kernel is sampled in blocks of whole rungs of about _SLICE_ROWS
         # points: few calls where an evaluation loops in Python (averaged
         # kernels), small temporaries on 2D grids
         rungs = max(1, _SLICE_ROWS // (n_nodes * n_ang))
-        for j in range(n_bulk):
+        for j in range(n_rungs):
             if j % rungs == 0:
-                h = self.r_bulk[j:j + rungs, None, None] * self.dirs[None, :, :]
-                mws = self.w_x[:, None, None] * self.w_dirs[None, None, :] * self._msym(
-                    self.nodes[:, None, None, :], h[None]
-                )
-            mw = mws[:, j % rungs]
-            inside = insides[0][j][at[0]]
-            for ins, i in zip(insides[1:], at[1:]):
-                inside &= ins[j][i]
-            out = np.where(inside, 0.0, 2.0 * mw)
+                h = self.radii[j:j + rungs, None, None] * self.dirs[None, :, :]
+                ms = self._msym(self.nodes[:, None, None, :], h[None])
+            m = ms[:, j % rungs]
+            mw = wxk * m
+            if last_octave[j]:
+                np.maximum(hw, np.abs(m - mu), out=hw)
+            out = 2.0 * mw
+            if j < n_bulk:
+                inside = insides[0][j][at[0]]
+                for ins, i in zip(insides[1:], at[1:]):
+                    inside &= ins[j][i]
+                out[inside] = 0.0
+                rows = slice(row, row + int(counts[j].sum()))
+                base[rows] = mw.T[inside.T]
+                label[rows] = np.repeat(2 * j + parity, counts[j])
+                for k in range(n_ang):
+                    x = np.flatnonzero(inside[:, k])
+                    w = widths[j, k]
+                    end = pos + x.size * w
+                    indices[pos:end].reshape(-1, w)[:] = x[:, None] + offsets[j, k, :w]
+                    data[pos:end].reshape(-1, w)[:] = coefs[j, k, :w]
+                    indptr[row:row + x.size] = np.arange(pos, end, w)
+                    pos = end
+                    row += x.size
             self.outside_w[:, 2 * j] = out[:, parity == 0].sum(axis=1)
             self.outside_w[:, 2 * j + 1] = out[:, parity == 1].sum(axis=1)
-            rows = slice(row, row + int(counts[j].sum()))
-            base[rows] = mw.T[inside.T]
-            label[rows] = np.repeat(2 * j + parity, counts[j])
-            for k in range(n_ang):
-                x = np.flatnonzero(inside[:, k])
-                w = widths[j, k]
-                end = pos + x.size * w
-                indices[pos:end].reshape(-1, w)[:] = x[:, None] + offsets[j, k, :w]
-                data[pos:end].reshape(-1, w)[:] = coefs[j, k, :w]
-                indptr[row:row + x.size] = np.arange(pos, end, w)
-                pos = end
-                row += x.size
 
-        # tail rows: v(x), weighted by the far ladder and outside_w
+        # tail rows: v(x), weighted by outside_w
         indptr[row:n_rows] = pos + np.arange(n_nodes)
         indptr[n_rows] = nnz
         data[pos:] = 1.0
         indices[pos:] = np.arange(n_nodes)
-        base[row:] = 2.0 * self.w_x
-        label[row:] = 2 * n_bulk + 1
+        base[row:] = 0.0
+        label[row:] = 2 * n_rungs + 2
+        self.rem_hw = hw @ self.w_dirs
 
         self.L = sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_nodes))
         self.base = base
@@ -623,19 +616,17 @@ class EnergyScheme:
                 )
         n_ang = self.dirs.shape[0]
         n_bulk = self.r_bulk.shape[0]
+        n_out = self.outside_w.shape[1]
         ell = self.L @ uflat
-        sums = np.bincount(
-            self.label, self.base * np.abs(ell) ** p, minlength=2 * n_bulk + 2
-        )
+        sums = np.bincount(self.label, self.base * np.abs(ell) ** p, minlength=n_out + 2)
         up = np.abs(ell[self.tail_rows]) ** p
-        sums[:2 * n_bulk] += up @ self.outside_w
+        sums[:n_out] += up @ self.outside_w
+        # labels: bulk rungs, then far rungs and the remainder (the tail)
+        bulk_labels = slice(0, 2 * n_bulk)
+        tail_labels = slice(2 * n_bulk, n_out)
+        far_even, far_odd = sums[2 * n_bulk:n_out - 1:2], sums[2 * n_bulk + 1:n_out - 1:2]
         cb = _trapz_factors(n_bulk)
-        cf = _trapz_factors(self.r_far.shape[0])
-        # tail: |u(x)|^p against the far ladder and the beyond-ladder limit
-        wu = self.w_x * up
-        far_sums = wu @ self.far_mw
-        rem_mu_sum = float(np.dot(wu, self.rem_mu))
-        rem_hw_sum = float(np.dot(wu, self.rem_hw))
+        rem_hw_sum = float(np.dot(self.w_x * up, self.rem_hw))
         # near surrogate: in 2D the bilinear cross term leaves an O(r)
         # residue in the difference quotient; in 1D the one-sided slopes
         # are the exact small-offset limit and only the kernel deviation
@@ -654,25 +645,20 @@ class EnergyScheme:
 
         out = []
         for s in s_values:
-            # near: a(x,w) |D_w u(x)|^p integrated in r over [0, h_min)
-            c_near = self.h_min ** (p * (1.0 - s)) / (p * (1.0 - s))
-            near = c_near * float(sums[2 * n_bulk])
+            factor = self.label_factors(s, p)
+            near = float(factor[n_out] * sums[n_out])
+            bulk = float(np.dot(factor[bulk_labels], sums[bulk_labels]))
+            tail = float(np.dot(factor[tail_labels], sums[tail_labels]))
 
-            # bulk ladder: per-rung sums, and the same over the even angles
-            # (rescaled to the full rule) for the angular residual
+            # ---- error terms ----
+            # per-rung sums of the bulk ladder, and the same over the even
+            # angles (rescaled to the full rule) for the angular residual
             rpow = self.r_bulk ** (-s * p)
             S_even = rpow * sums[0:2 * n_bulk:2]
             S = S_even + rpow * sums[1:2 * n_bulk:2]
             S_half = S_even * (n_ang / len(range(0, n_ang, 2)))
-            bulk = float(self.dt * np.dot(cb, S))
-
-            # tail: far ladder (disjoint supports -> 2 |u(x)|^p) + remainder
-            T = 2.0 * self.r_far ** (-s * p) * far_sums
-            far_val = float(self.dt_far * np.dot(cf, T))
-            rem_factor = self.h_max ** (-s * p) / (s * p)
-            tail = far_val + 2.0 * rem_mu_sum * rem_factor
-
-            # ---- error terms ----
+            # per-rung sums of the far ladder
+            T = self.r_far ** (-s * p) * (far_even + far_odd)
             h_pow = self.h_min ** (p * (1.0 - s) + 1.0)
             err = surro_sum * h_pow / (p * (1.0 - s))
             err += dev_sum * h_pow / (p * (1.0 - s) + 1.0)
@@ -683,7 +669,7 @@ class EnergyScheme:
             if n_ang >= 4:
                 err += abs(self.dt * float(np.dot(cb, S - S_half)))
             # far bracket width
-            err += 2.0 * rem_hw_sum * rem_factor
+            err += 2.0 * rem_hw_sum * float(factor[n_out - 1])
             out.append((near, bulk, tail, err))
         return out
 
@@ -719,7 +705,7 @@ class EnergyScheme:
                 h_min=self.h_min,
                 h_split=self.h_split,
                 h_max=self.h_max,
-                points=(self.r_bulk.shape[0] + self.r_far.shape[0]) * self.dirs.shape[0],
+                points=self.radii.shape[0] * self.dirs.shape[0],
             ),
         )
 
@@ -832,28 +818,35 @@ class EnergyScheme:
         G[np.diag_indices(n_nodes)] += diag
         return G
 
-    # -- atoms for the solvers ----------------------------------------------
+    # -- (s, p) factors and atoms for the solvers ---------------------------
+
+    def label_factors(self, s: float, p: float) -> np.ndarray:
+        """The factor at (s, p) of every label.
+
+        A row of ``L`` weighs its base times the factor of its label, and
+        the tail row of x weighs ``outside_w[x] @ factor[:n_out]`` over the
+        ``n_out`` columns of ``outside_w``.  A rung's factor is its
+        trapezoid weight in log r times r^(-sp), the same for both angle
+        parities.  The remainder's is h_max^(-sp) / (sp), the r-integral
+        beyond the far ladder.  The near label's is h_min^(p(1-s)) /
+        (p(1-s)), the r-integral of the surrogate below h_min.  The tail
+        label's is 0.
+        """
+        n_out = self.outside_w.shape[1]
+        factor = np.zeros(n_out + 2)
+        rung = self.rung_dt * self.radii ** (-s * p)
+        factor[0:n_out - 1:2] = rung
+        factor[1:n_out - 1:2] = rung
+        factor[n_out - 1] = self.h_max ** (-s * p) / (s * p)
+        factor[n_out] = self.h_min ** (p * (1.0 - s)) / (p * (1.0 - s))
+        return factor
 
     def atoms(self, fp: FractionalParams) -> AtomSet:
         """The quadrature at (s, p) as powered linear forms over ``L``."""
-        s, p = fp.s, fp.p
-        n_bulk = self.r_bulk.shape[0]
-        factor = np.empty(2 * n_bulk + 2)
-        rung = self.dt * _trapz_factors(n_bulk) * self.r_bulk ** (-s * p)
-        factor[0:2 * n_bulk:2] = rung
-        factor[1:2 * n_bulk:2] = rung
-        factor[2 * n_bulk] = self.h_min ** (p * (1.0 - s)) / (p * (1.0 - s))
-        factor[2 * n_bulk + 1] = 1.0
+        factor = self.label_factors(fp.s, fp.p)
         W = self.base * factor[self.label]
-        # tail ladder, remainder and the bulk pairs that left the box
-        # collapse to |v(x)|^p atoms
-        cf = _trapz_factors(self.r_far.shape[0])
-        W[self.tail_rows] *= (
-            self.far_mw @ (self.dt_far * cf * self.r_far ** (-s * p))
-            + self.rem_mu * (self.h_max ** (-s * p) / (s * p))
-        )
-        W[self.tail_rows] += self.outside_w @ factor[:2 * n_bulk]
-        return AtomSet(W, self.L, p, scheme=self)
+        W[self.tail_rows] = self.outside_w @ factor[:self.outside_w.shape[1]]
+        return AtomSet(W, self.L, fp.p, scheme=self)
 
 
 @lru_cache(maxsize=8)

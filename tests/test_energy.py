@@ -354,22 +354,30 @@ def test_bulk_rows_are_their_stencil(kernel_name, params, box, N):
 
 
 def test_outside_table_folds_the_doubled_rows():
-    # a pair whose shifted point has left the box has no row: its doubled
-    # weight 2 w_x w_k msym(x, r w) is summed into outside_w at (node,
-    # 2 * rung + angle parity)
+    # a pair that has no row is |v(x)|^p with a doubled weight, summed into
+    # outside_w at (node, label): a bulk pair whose shifted point has left
+    # the box and every pair of a far rung at 2 * rung + angle parity, and
+    # the remainder beyond h_max, 2 w_x sum_k w_k mu(x, w_k), in the last
+    # column
     g = Grid(2, ((-1.0, 1.0), (-0.5, 1.5)), 9)
     scheme = EnergyScheme(_x_dependent_kernel(), g, QuadratureSettings(angular_points=8))
     n_bulk, n_ang = scheme.r_bulk.shape[0], scheme.dirs.shape[0]
-    want = np.zeros((scheme.nodes.shape[0], 2 * n_bulk))
+    radii = np.concatenate([scheme.r_bulk, scheme.r_far])
+    want = np.zeros((scheme.nodes.shape[0], 2 * radii.shape[0] + 1))
     n_inside = 0
-    for j in range(n_bulk):
-        _, inside = _shifted_points(scheme, j)
-        ms = scheme._msym(scheme.nodes[:, None, :], scheme.r_bulk[j] * scheme.dirs[None, :, :])
+    for j, r in enumerate(radii):
+        if j < n_bulk:
+            _, inside = _shifted_points(scheme, j)
+        else:
+            inside = np.zeros((scheme.nodes.shape[0], n_ang), dtype=bool)
+        ms = scheme._msym(scheme.nodes[:, None, :], r * scheme.dirs[None, :, :])
         doubled = (scheme.w_x[:, None] * scheme.w_dirs[None, :] * ms) * 2.0
         for k in range(n_ang):
             want[:, 2 * j + k % 2] += np.where(inside[:, k], 0.0, doubled[:, k])
         n_inside += int(inside.sum())
-    assert np.count_nonzero(want) > 0
+    # the kernel declares no tail limit, so mu is the middle of its bounds
+    want[:, -1] = 2.0 * scheme.w_x * 1.0 * scheme.w_dirs.sum()
+    assert np.count_nonzero(want[:, :2 * n_bulk]) > 0
     assert np.allclose(scheme.outside_w, want, rtol=1e-14, atol=0.0)
     assert scheme.tail_rows.start - scheme.near_rows.stop == n_inside
 
