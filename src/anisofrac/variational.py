@@ -208,11 +208,13 @@ def _solve_atoms(
         H = atoms.reweighted_hessian(embed(z), 1e-10)
         H *= scale
         Hf = H[np.ix_(free, free)]
+        del H  # Hf is a copy; the solve and the line search need the memory
         Hf[np.diag_indices_from(Hf)] += 1e-14 * max(float(Hf.max()), 1.0)
         try:
             d = np.linalg.solve(Hf, -g)
         except np.linalg.LinAlgError:
             d = -g
+        del Hf
         gd = float(np.dot(g, d))
         if gd >= 0.0:
             d = -g

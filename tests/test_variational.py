@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -375,3 +377,23 @@ def test_local_forms_of_coordinate_functions(case):
         forms = atoms.forms(g.nodes()[:, axis])[block].reshape(n_cells, n_ang)
         want = np.broadcast_to(ld._dirs[:, axis], forms.shape)
         np.testing.assert_allclose(forms, want, rtol=0.0, atol=1e-12, err_msg=f"axis {axis}")
+
+
+def test_newton_steps_free_the_dense_hessian():
+    # a step keeps one dense matrix at a time: H is freed once its
+    # free-node block is taken, and that block once the step is solved
+    g = Grid(1, ((-1.0, 1.0),), 801)
+    one = GridFunction(g, np.ones(801), boundary_flag=False)
+    atoms = _local_atoms(LocalProblem(grid=g, source=one,
+                                      density=LimitDensity(builtin("constant", {"c": 1.5}), 3.0)))
+    b = g.trapezoid_weights()
+    h_bytes = 801 * 801 * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        *_, it, _, _ = _solve_atoms(atoms, 1.0, b, _free_mask(g), np.zeros(801), 1e-300, 3)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert it == 3
+    assert peak < 2.5 * h_bytes, peak / h_bytes
