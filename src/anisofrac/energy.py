@@ -49,9 +49,8 @@ weighs ``outside_w[x] @ factor``.  One method gives every label's
 factor (:meth:`EnergyScheme.label_factors`).  A report is one product
 ``L v``, a bincount by label and one product with ``outside_w``;
 :meth:`EnergyScheme.atoms` hands the same ``L`` with the weights of one
-(s, p) to the solvers,
-whose gradient is ``L^T (...)`` and whose Hessian is the Gram matrix
-``L^T diag(2 w) L``.  All bulk rows of one (rung, angle) are one
+(s, p) to the solvers, whose gradient is ``L^T (...)`` and whose
+Hessian is the Gram matrix ``L^T diag(2 w) L``.  All bulk rows of one (rung, angle) are one
 interpolation stencil shifted node by node over a box of nodes, so the
 scheme assembles that matrix without a sparse product over the bulk
 rows: a diagonal, a node-corner cross term gathered from one sparse x
@@ -62,12 +61,11 @@ sparse product ``L^T diag(2 w) L``.
 Cost model: the scheme samples the kernel on a (nodes x rungs x angles)
 lattice, bulk and far rungs alike, in blocks of whole rungs, and ``L``
 has one bulk row per lattice point whose shifted point stays in the
-box.  In 1D this is ~1e5 rows
-for N = 257; in 2D it grows like N^2 * rungs * angles (1.75M bulk rows
-and 8.3M nonzeros at N = 33), which is why 2D grids are capped at
-N <= 48 (:data:`MAX_2D_NODES`).  The node boxes of the (rung, angle)
-stencils size ``L``; the kernel samples are the largest single cost of
-the build.
+box.  In 1D this is ~1e5 rows for N = 257; in 2D it grows like
+N^2 * rungs * angles (1.75M bulk rows and 8.3M nonzeros at N = 33),
+which is why 2D grids are capped at N <= 48 (:data:`MAX_2D_NODES`).
+The node boxes of the (rung, angle) stencils size ``L``; the kernel
+samples are the largest single cost of the build.
 """
 
 from __future__ import annotations
