@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from anisofrac._sphere import sphere_rule
 from anisofrac.energy import anisotropic_energy
-from anisofrac.gridfn import FractionalParams
+from anisofrac.gridfn import FractionalParams, Grid
 from anisofrac.kernel import (
     BUILTIN_NAMES,
     Kernel,
@@ -94,6 +95,44 @@ def test_symmetrize_cancels_antisymmetric_part():
     assert np.allclose(ks.evaluate(x, h), 2.0, atol=1e-14)
     rep = verify_hypotheses(ks, 128)
     assert rep.h2_passed
+
+
+def _every_component_kernel(n):
+    # reads each component of x and of h, elementwise, so a slip in any
+    # axis of the swapped point x - h changes the value
+    def ev(x, h):
+        x = np.asarray(x, dtype=float)
+        h = np.asarray(h, dtype=float)
+        acc = 2.0
+        for a in range(n):
+            acc = acc + 0.2 * np.sin((a + 1.3) * x[..., a] + (a + 0.4) * h[..., a])
+            acc = acc + 0.1 * np.cos((a + 0.7) * h[..., a] - 0.9 * x[..., a])
+        return acc
+
+    return Kernel(
+        evaluate=ev, dimension=n, bounds=(2.0 - 0.3 * n, 2.0 + 0.3 * n),
+        radial_limit=lambda x, w: ev(x, 0.0 * np.asarray(w, dtype=float)),
+        name=f"every-component-{n}d",
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_symmetrize_is_the_pair_average_bit_for_bit(n):
+    k = _every_component_kernel(n)
+    ev, sym = k.evaluate, symmetrize(k).evaluate
+    grid = Grid(n, ((-1.0, 1.0),) * n, 9)
+    radii = 0.05 * 2.0 ** (np.arange(5) / 2.0)
+    dirs, _ = sphere_rule(n, 8)
+    # the scheme build's layout: nodes against (1, rungs, angles, n) offsets
+    build = (grid.nodes()[:, None, None, :], (radii[:, None, None] * dirs[None])[None])
+    pairs = _sample_pairs(n)
+    for x, h in (build, pairs):
+        got = sym(x, h)
+        want = 0.5 * (ev(x, h) + ev(x - h, -h))
+        assert got.shape == np.broadcast_shapes(x.shape, h.shape)[:-1]
+        assert got.dtype.kind == "f"
+        assert got.flags.writeable
+        assert np.array_equal(got, want)
 
 
 def test_symmetrize_preserves_energy(hat129):
