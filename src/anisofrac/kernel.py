@@ -10,8 +10,11 @@ the declaration on quasi-random samples.
 
 Evaluation maps are vectorized: ``evaluate(x, h)`` receives arrays of
 shape (..., n) (broadcastable against each other) and returns weights of
-the broadcast shape.  Kernels are immutable, so the scheme cache can
-key on them.
+the broadcast shape.  These may be views that are not contiguous (the
+symmetrized kernel hands over the swapped point as a view of an
+axis-first buffer), so a map reads them through indexing and ufuncs,
+not through their memory layout.  Kernels are immutable, so the scheme
+cache can key on them.
 
 The library assumes kernels are continuous in x; this is not checked.
 """
@@ -109,6 +112,14 @@ def symmetrize(k: Kernel) -> Kernel:
     The tail limit is always dropped, even for an input that is already
     symmetric: the swapped branch runs off to infinity in x, so a caller
     that needs the far field averages the declared limit over +-w itself.
+
+    The swapped point x - h is formed one axis at a time into an
+    axis-first buffer, and the kernel receives its (..., n) view.  A
+    single broadcast subtraction would run numpy's inner loop over the
+    trailing axis of length n, which on the scheme's node x rung x angle
+    lattice cost several times the kernel's own evaluation; per axis, the
+    loop runs over the lattice.  Subtraction is elementwise, so every
+    sample has the same bits either way.
     """
 
     ev = k.evaluate
@@ -116,8 +127,13 @@ def symmetrize(k: Kernel) -> Kernel:
     def evaluate(x, h):
         x = np.asarray(x, dtype=float)
         h = np.asarray(h, dtype=float)
+        xb, hb = np.broadcast_arrays(x, h)
+        y = np.empty((xb.shape[-1],) + xb.shape[:-1])
+        for a in range(xb.shape[-1]):
+            np.subtract(xb[..., a], hb[..., a], out=y[a])
         return 0.5 * (
-            np.asarray(ev(x, h), dtype=float) + np.asarray(ev(x - h, -h), dtype=float)
+            np.asarray(ev(x, h), dtype=float)
+            + np.asarray(ev(np.moveaxis(y, 0, -1), -h), dtype=float)
         )
 
     rad = k.radial_limit
