@@ -64,8 +64,13 @@ has one bulk row per lattice point whose shifted point stays in the
 box.  In 1D this is ~1e5 rows for N = 257; in 2D it grows like
 N^2 * rungs * angles (1.75M bulk rows and 8.3M nonzeros at N = 33),
 which is why 2D grids are capped at N <= 48 (:data:`MAX_2D_NODES`).
-The node boxes of the (rung, angle) stencils size ``L``; the kernel
-samples are the largest single cost of the build.
+The node boxes of the (rung, angle) stencils size ``L``.  Writing the
+bulk rows of ``L``, one (rung, angle) stencil at a time, is the largest
+part of the build, ahead of the kernel samples.  For the separable-angular
+kernel on a 2-vCPU host (numpy, medians of 8 builds): at N = 33 a build
+took 0.22-0.28 s, of which the row writes took 0.10-0.12 s and the kernel
+samples 0.06-0.07 s; at N = 44 it took 0.48-0.51 s, 0.20-0.21 s and
+0.14 s.
 """
 
 from __future__ import annotations
