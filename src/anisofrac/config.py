@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gridfn import Grid, GridFunction
+from .gridfn import Grid, GridFunction, parse_box
 from .kernel import BUILTIN_NAMES, builtin, builtin_param_names
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "compile_expression"]
@@ -368,11 +368,7 @@ def parse_config(text: str) -> ExperimentConfig:
     box = ((-1.0, 1.0),) * (n or 1)
     if box_val is not None:
         try:
-            parts = []
-            for chunk in box_val.split(";"):
-                a, b = chunk.split(":")
-                parts.append((float(a), float(b)))
-            box = tuple(parts)
+            box = parse_box(box_val)
         except ValueError:
             errors.append((ln_box, f"grid.box must look like 'a:b[;a:b]', got {box_val!r}"))
     if len(box) != (n or 1):

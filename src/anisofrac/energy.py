@@ -50,13 +50,14 @@ factor (:meth:`EnergyScheme.label_factors`).  A report is one product
 ``L v``, a bincount by label and one product with ``outside_w``;
 :meth:`EnergyScheme.atoms` hands the same ``L`` with the weights of one
 (s, p) to the solvers, whose gradient is ``L^T (...)`` and whose
-Hessian is the Gram matrix ``L^T diag(2 w) L``.  All bulk rows of one (rung, angle) are one
-interpolation stencil shifted node by node over a box of nodes, so the
-scheme assembles that matrix without a sparse product over the bulk
-rows: a diagonal, a node-corner cross term gathered from one sparse x
-dense product, and per-cell corner blocks (:meth:`EnergyScheme._gram`).
-Only the near rows, and atom sets that are not a scheme's, take the
-sparse product ``L^T diag(2 w) L``.
+Hessian is the Gram matrix ``L^T diag(2 w) L``.  All bulk rows of one
+(rung, angle) are one interpolation stencil shifted node by node over a
+box of nodes, so the scheme assembles that matrix without a sparse
+product over the bulk rows: a diagonal, a node-corner cross term
+gathered from one sparse x dense product, and per-cell corner blocks
+(:meth:`EnergyScheme._gram`).  The near rows, and atom sets that are not
+a scheme's (local atoms, the cell problem), take one sparse product
+``L^T diag(2 w) L`` each.
 
 Cost model: the scheme samples the kernel on a (nodes x rungs x angles)
 lattice, bulk and far rungs alike, in blocks of whole rungs, and ``L``
@@ -103,7 +104,7 @@ __all__ = [
 ]
 
 _FAR_OCTAVES = 10  # length of the far ladder beyond h_split
-_GRAM_ROWS = 250_000  # rows of L per block of the Gram Hessian
+_GRAM_ROWS = 250_000  # (rung-angle, node) pairs per block of the stencil Gram
 _SLICE_ROWS = 65_536  # rows of L, or kernel samples, per slice of an elementwise pass
 MAX_2D_NODES = 48  # nodes per axis of a 2D grid (see the cost model above)
 
@@ -273,36 +274,24 @@ class AtomSet:
 
     def _gram(self, w: np.ndarray) -> np.ndarray:
         """Dense L^T diag(2 w) L: from the bulk stencil for a scheme's atoms,
-        else from blocks of ``_GRAM_ROWS`` rows (:func:`_add_gram_rows`)."""
+        else the single sparse product (:func:`_gram_product`)."""
         if self.scheme is not None:
             return self.scheme._gram(w)
-        n_rows, n_cols = self.L.shape
-        G = np.zeros((n_cols, n_cols))
-        _add_gram_rows(G, self.L, w, slice(0, n_rows))
-        return G
+        return _gram_product(self.L, w)
 
 
-def _add_gram_rows(G: np.ndarray, L: sparse.csr_matrix, w: np.ndarray, rows: slice) -> None:
-    """Add L_r^T diag(2 w_r) L_r of the rows ``rows`` of L into G.
+def _gram_product(L: sparse.csr_matrix, w: np.ndarray) -> np.ndarray:
+    """Dense L^T diag(2 w) L as one sparse product of L^T and L scaled.
 
-    The rows go in blocks of ``_GRAM_ROWS``.  Each block L_c views the
-    index arrays of L and scales its own copy of the data, and the
-    entries of its sparse product are added into G, so the temporaries
-    stay one block long and a zero G plus a single block is the single
-    product L^T diag(2 w) L bit for bit.
+    ``scaled`` shares the index arrays of L; its data is each row's data
+    of L times 2 w.  The product is CSC, whose dense form defaults to
+    Fortran order; it is asked for in C order, which the row-block adds
+    of :meth:`EnergyScheme._gram` and the solvers' slices run faster on.
     """
-    n_cols = L.shape[1]
-    for a in range(rows.start, rows.stop, _GRAM_ROWS):
-        b = min(a + _GRAM_ROWS, rows.stop)
-        lo, hi = L.indptr[a], L.indptr[b]
-        indptr = L.indptr[a:b + 1] - lo
-        indices = L.indices[lo:hi]
-        data = np.repeat(2.0 * w[a:b], np.diff(indptr))
-        data *= L.data[lo:hi]
-        block = sparse.csr_matrix((L.data[lo:hi], indices, indptr), shape=(b - a, n_cols))
-        scaled = sparse.csr_matrix((data, indices, indptr), shape=(b - a, n_cols))
-        part = (block.T @ scaled).tocoo()
-        G[part.row, part.col] += part.data
+    data = np.repeat(2.0 * w, np.diff(L.indptr))
+    data *= L.data
+    scaled = sparse.csr_matrix((data, L.indices, L.indptr), shape=L.shape)
+    return (L.T @ scaled).toarray(order="C")
 
 
 class _StencilTables(NamedTuple):
@@ -781,14 +770,14 @@ class EnergyScheme:
                      rows that interpolate in it, like a mass matrix
 
         The cell of a row is the node x + m_jk, and a corner past the last
-        node has factor 0.  The near rows take the generic product.  Both
-        loops go in blocks of about ``_GRAM_ROWS`` (rung-angle, node) pairs.
+        node has factor 0.  ``G`` starts as the near rows' single product
+        (:func:`_gram_product`).  Both bulk loops go in blocks of about
+        ``_GRAM_ROWS`` (rung-angle, node) pairs.
         """
         tab = self._stencil
         n_nodes = self.nodes.shape[0]
         n_jk = tab.phiphi.shape[0]
-        G = np.zeros((n_nodes, n_nodes))
-        _add_gram_rows(G, self.L, w, self.near_rows)
+        G = _gram_product(self.L[self.near_rows], w[self.near_rows])
         diag = 2.0 * w[self.tail_rows]
         bulk = w[self.near_rows.stop:self.tail_rows.start]
 

@@ -16,7 +16,6 @@ energies integrate over pairs of points, so n = 2 already means
 from __future__ import annotations
 
 import functools
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -30,6 +29,7 @@ __all__ = [
     "lp_norm",
     "lp_distance",
     "gradient_lp",
+    "parse_box",
     "write_csv",
     "read_csv",
 ]
@@ -169,9 +169,6 @@ class GridFunction:
         vals = np.asarray(fn(*np.meshgrid(*grid.axes(), indexing="ij")), dtype=float)
         return cls(grid, vals, boundary_flag)
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.eval(points)
-
     def eval(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at points of shape (..., n); exactly 0 outside the box."""
         pts = np.asarray(points, dtype=float)
@@ -239,7 +236,8 @@ def _format_box(box: Sequence[tuple[float, float]]) -> str:
     return ";".join(f"{a:.17g}:{b:.17g}" for a, b in box)
 
 
-def _parse_box(text: str) -> tuple[tuple[float, float], ...]:
+def parse_box(text: str) -> tuple[tuple[float, float], ...]:
+    """Parse ``a:b[;a:b]``, one interval per axis; raises ValueError."""
     out = []
     for part in text.split(";"):
         a, b = part.split(":")
@@ -269,15 +267,27 @@ def read_csv(path_or_file) -> GridFunction:
             text = fh.read()
     else:
         text = path_or_file.read()
-    lines = io.StringIO(text).read().splitlines()
+    lines = text.splitlines()
     if not lines or not lines[0].startswith("# grid"):
         raise ValueError("missing '# grid' header line")
-    fields = dict(tok.split("=", 1) for tok in lines[0][2:].split()[1:])
-    n = int(fields["n"])
-    box = _parse_box(fields["box"])
-    N = int(fields["N"])
-    grid = Grid(n, box, N)
+    fields = {}
+    for tok in lines[0][2:].split()[1:]:
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise ValueError(f"malformed header field {tok!r}: expected key=value")
+        fields[key] = value
+
+    def header_field(key, parse):
+        if key not in fields:
+            raise ValueError(f"header has no {key}= field")
+        try:
+            return parse(fields[key])
+        except ValueError:
+            raise ValueError(f"malformed header field {key}={fields[key]!r}") from None
+
+    grid = Grid(header_field("n", int), header_field("box", parse_box), header_field("N", int))
+    count = math.prod(grid.shape)
     vals = np.array([float(s) for s in lines[1:] if s.strip()])
-    if vals.size != N ** n:
-        raise ValueError(f"expected {N ** n} values, found {vals.size}")
+    if vals.size != count:
+        raise ValueError(f"expected {count} values, found {vals.size}")
     return GridFunction(grid, vals.reshape(grid.shape), boundary_flag=False)

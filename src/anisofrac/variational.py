@@ -13,11 +13,13 @@ density integral, so the minimizers converge to the minimizer of
 as s -> 1.  One reweighted-Newton engine, ``_solve_atoms``, minimizes
 every discrete energy of the package written as an ``AtomSet``: the
 nonlocal and local problems here and the periodic cell problem of
-:mod:`anisofrac.homogenize`.  It works on a free-node mask with fixed
-values on the other nodes.  For p = 2 it assembles the dense symmetric
-system and solves it directly; otherwise it takes Newton steps on the
-lagged-weight (IRLS) Hessian with a backtracking (Armijo) line search
-on the exact objective, evaluated as a cancellation-free difference.
+:mod:`anisofrac.homogenize`.  Its one iterate is the full node vector:
+a mask marks the free nodes, the others keep their fixed values, and
+every Newton direction is zero on them.  For p = 2 it assembles the
+dense symmetric system and solves it directly; otherwise it takes Newton
+steps on the lagged-weight (IRLS) Hessian with a backtracking (Armijo)
+line search on the exact objective, evaluated as a cancellation-free
+difference.
 
 The nonlocal discrete gradient is the derivative of the quadrature
 itself: the principal-value singularity never appears because the
@@ -151,91 +153,75 @@ def _solve_atoms(
 ) -> tuple[np.ndarray, float, float, int, bool, tuple[float, ...]]:
     """Minimize scale * sum W |ell(v)|^p - b . v over the free nodes.
 
-    Nodes outside the boolean mask ``free`` keep their values from
-    ``fixed``.  When ``atoms.p`` is 2 the objective is quadratic and one
-    dense direct solve minimizes it; otherwise damped Newton steps start
-    from ``z0`` on the free nodes (zero by default).  Returns the full
-    node vector of the minimizer, the objective, the sup-norm of the
-    gradient over the free nodes, the iteration count, the convergence
-    flag and the objective trace.
+    The iterate is the full node vector v: nodes outside the boolean mask
+    ``free`` hold their values from ``fixed`` throughout, and every
+    Newton direction is zero on them.  When ``atoms.p`` is 2 the
+    objective is quadratic and one dense direct solve minimizes it;
+    otherwise damped Newton steps start from ``z0`` on the free nodes
+    (zero by default).  Returns the minimizer v, the objective, the
+    sup-norm of the gradient over the free nodes, the iteration count,
+    the convergence flag and the objective trace.
     """
-    base = np.where(free, 0.0, fixed)
+    v = np.where(free, 0.0, fixed)
 
-    def embed(z):
-        v = base.copy()
-        v[free] = z
-        return v
-
-    def embed_dir(dz):
-        dv = np.zeros(base.size)
-        dv[free] = dz
-        return dv
-
-    def fun(z):
-        v = embed(z)
-        return scale * atoms.objective(v) - float(np.dot(b, v))
-
-    def grad(z):
-        v = embed(z)
+    def grad(v):
         return (scale * atoms.gradient(v) - b)[free]
-
-    def delta(z, dz, t):
-        dv = embed_dir(dz)
-        return scale * atoms.delta(embed(z), dv, t) - t * float(np.dot(b, dv))
 
     if atoms.p == 2.0:
         # Newton would take the same step from the same Hessian with more
-        # passes over L
+        # passes over L; the right-hand side sees the fixed values alone
         H = atoms.hessian_dense()
         H *= scale
-        z = np.linalg.solve(H[np.ix_(free, free)], b[free] - (H @ base)[free])
+        v[free] = np.linalg.solve(H[np.ix_(free, free)], b[free] - (H @ v)[free])
         del H  # the residual's passes over L need the memory
-        f = fun(z)
-        res = float(np.max(np.abs(grad(z)), initial=0.0))
-        return embed(z), f, res, 1, res <= tol, (f,)
+        f = scale * atoms.objective(v) - float(np.dot(b, v))
+        res = float(np.max(np.abs(grad(v)), initial=0.0))
+        return v, f, res, 1, res <= tol, (f,)
 
     # damped Newton: direction from the reweighted form sum W |ell|^{p-2},
     # Armijo backtracking on the exact objective evaluated as a
     # cancellation-free difference
-    z = np.zeros(int(free.sum())) if z0 is None else np.asarray(z0, dtype=float)
-    f = fun(z)
+    if z0 is not None:
+        v[free] = z0
+    f = scale * atoms.objective(v) - float(np.dot(b, v))
     trace = [f]
     it = 0
-    g = grad(z)
+    g = grad(v)
     converged = float(np.max(np.abs(g), initial=0.0)) <= tol
     while not converged and it < max_iter:
         it += 1
-        H = atoms.reweighted_hessian(embed(z), 1e-10)
+        H = atoms.reweighted_hessian(v, 1e-10)
         H *= scale
         Hf = H[np.ix_(free, free)]
         del H  # Hf is a copy; the solve and the line search need the memory
         Hf[np.diag_indices_from(Hf)] += 1e-14 * max(float(Hf.max()), 1.0)
+        d = np.zeros(v.size)
         try:
-            d = np.linalg.solve(Hf, -g)
+            d[free] = np.linalg.solve(Hf, -g)
         except np.linalg.LinAlgError:
-            d = -g
+            d[free] = -g
         del Hf
-        gd = float(np.dot(g, d))
+        gd = float(np.dot(g, d[free]))
         if gd >= 0.0:
-            d = -g
-            gd = float(np.dot(g, d))
+            d[free] = -g
+            gd = float(np.dot(g, d[free]))
         t = 1.0
         accepted = False
         for _ in range(60):
-            df = delta(z, d, t)
+            df = scale * atoms.delta(v, d, t) - t * float(np.dot(b, d))
             if np.isfinite(df) and df <= 1e-4 * t * gd:
                 accepted = True
                 break
             t *= 0.5
         if not accepted or df > 0.0:
             break
-        z = z + t * d
+        v[free] += t * d[free]
         f = f + df
         trace.append(f)
-        g = grad(z)
+        g = grad(v)
         converged = float(np.max(np.abs(g), initial=0.0)) <= tol
     res = float(np.max(np.abs(g), initial=0.0))
-    return embed(z), f, res, it, converged, tuple(trace)
+    return v, f, res, it, converged, tuple(trace)
 
 
 def _solve_dirichlet(atoms: AtomSet, scale: float, source: GridFunction) -> SolveResult:

@@ -144,6 +144,33 @@ def test_expression_grammar():
     assert k(np.array([0.5]))[0] == pytest.approx(0.75)
 
 
+def test_expression_parentheses_and_binary_minus_in_2d():
+    f = compile_expression("(x - y) * (x + y)", 2)
+    x, y = np.meshgrid(np.linspace(-1.0, 1.0, 5), np.linspace(-0.5, 2.0, 4), indexing="ij")
+    assert np.array_equal(f(x, y), (x - y) * (x + y))
+    np.testing.assert_allclose(f(x, y), x ** 2 - y ** 2, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("body, line, message", [
+    ("[params]\njunk", 5, "expected 'key = value', got 'junk'"),
+    ("[grid]\nn = 3", 5, "grid.n must be 1 or 2"),
+    ("[grid]\nbox = 1-2", 5, "grid.box must look like 'a:b[;a:b]', got '1-2'"),
+    ("[grid]\nn = 2\nbox = -1:1", 6, "grid.box lists 1 axes but n = 2"),
+    ("[grid]\nN = 2", 5, "grid.N must be >= 3"),
+    ("[params]\nseed = 1.5", 5, "params.seed must be an integer, got '1.5'"),
+    ("[params]\ns_list = a, b", 5, "params.s_list must be a comma-separated number list"),
+    ("[params]\nu = frob(x)", 5, "params.u: unknown name 'frob' in expression"),
+    ("[params]\nu = const(1, 2)", 5, "params.u: const takes one argument"),
+    ("[params]\nf = sin(1, 2)", 5, "params.f: sin takes one argument"),
+    ("[params]\nu = x x", 5, "params.u: trailing 'x' in expression"),
+], ids=["no-equals", "grid-n", "box-grammar", "box-axes", "grid-N", "seed-float",
+        "s_list-words", "unknown-name", "const-arity", "sin-arity", "trailing-token"])
+def test_config_error_messages_and_lines(body, line, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config("[kernel]\nname = constant\n\n" + body + "\n")
+    assert exc.value.errors == [(line, message)]
+
+
 def test_expression_rejections():
     for bad in ("y", "sin(x", "x ? 2", "frob(x)", "bump(0)"):
         with pytest.raises((ConfigError, ValueError)):

@@ -566,9 +566,10 @@ def _gram_atoms(case):
         g = Grid(1, ((-1.0, 1.0),), 33)
         kern = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
         return get_scheme(kern, g).atoms(FractionalParams(0.5, 2.0)), None
-    if case == "local-2d":
-        g = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), 9)
-        one = GridFunction(g, np.ones((9, 9)), boundary_flag=False)
+    if case.startswith("local-2d"):
+        N = 33 if case == "local-2d-N33" else 9
+        g = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), N)
+        one = GridFunction(g, np.ones((N, N)), boundary_flag=False)
         kern = builtin("separable-angular", {"c0": 1.0, "c1": 0.5})
         return _local_atoms(LocalProblem(grid=g, source=one,
                                          density=LimitDensity(kern, 2.0))), None
@@ -591,20 +592,23 @@ def test_blocked_gram_matches_dense_product(monkeypatch, case, rows):
         w = atoms.W * (atoms.p / 2.0) * np.maximum(ell, floor) ** (atoms.p - 2.0)
     Ld = atoms.L.toarray()
     want = Ld.T @ (2.0 * w[:, None] * Ld)
-    assert len(atoms) > rows  # more than one block, the last one partial
-    monkeypatch.setattr(energy, "_GRAM_ROWS", rows)
+    if atoms.scheme is not None:  # the blocks of the stencil Gram
+        assert len(atoms) > rows  # more than one block, the last one partial
+        monkeypatch.setattr(energy, "_GRAM_ROWS", rows)
     got = atoms.hessian_dense() if v is None else atoms.reweighted_hessian(v, 1e-8)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("case", ["cell-1d", "local-2d"])
+@pytest.mark.parametrize("case", ["cell-1d", "local-2d", "local-2d-N33"])
 def test_one_block_gram_is_the_single_product(case):
+    # local 2D N=33: 524,288 rows, all in the one product
     atoms, _ = _gram_atoms(case)
     L = atoms.L
-    assert len(atoms) <= energy._GRAM_ROWS
     data = np.repeat(2.0 * atoms.W, np.diff(L.indptr)) * L.data
     scaled = sparse.csr_matrix((data, L.indices, L.indptr), shape=L.shape)
-    assert np.array_equal(atoms.hessian_dense(), (L.T @ scaled).toarray())
+    got = atoms.hessian_dense()
+    assert np.array_equal(got, (L.T @ scaled).toarray())
+    assert got.flags.c_contiguous
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -691,9 +695,9 @@ def test_stencil_gram_matches_dense_product(monkeypatch, name):
     scheme = EnergyScheme(make_kernel(), g)
     atoms = scheme.atoms(FractionalParams(0.5, p))
     generic = []
-    real_add = energy._add_gram_rows
-    monkeypatch.setattr(energy, "_add_gram_rows",
-                        lambda G, L, w, rows: generic.append(rows) or real_add(G, L, w, rows))
+    real_product = energy._gram_product
+    monkeypatch.setattr(energy, "_gram_product",
+                        lambda L, w: generic.append((L, w)) or real_product(L, w))
     if p == 2.0:
         w = atoms.W
         got = atoms.hessian_dense()
@@ -702,8 +706,12 @@ def test_stencil_gram_matches_dense_product(monkeypatch, name):
         ell = atoms.forms(v)
         w = atoms.W * (p / 2.0) * np.maximum(np.abs(ell), 1e-8) ** (p - 2.0)
         got = atoms.reweighted_hessian(v, 1e-8)
-    # only the near rows take the generic product
-    assert generic == [scheme.near_rows]
+    # only the near rows take the single sparse product
+    assert len(generic) == 1
+    L_near, w_near = generic[0]
+    assert L_near.shape == (scheme.near_rows.stop, g.nodes().shape[0])
+    assert (L_near != atoms.L[scheme.near_rows]).nnz == 0
+    assert w_near.shape == (scheme.near_rows.stop,)
     # a second call reuses the scheme's tables and gets the same matrix
     again = atoms.hessian_dense() if p == 2.0 else atoms.reweighted_hessian(v, 1e-8)
     assert np.array_equal(again, got)

@@ -1,4 +1,5 @@
 import io
+import re
 import math
 
 import numpy as np
@@ -153,3 +154,15 @@ def test_csv_rejects_garbage(tmp_path):
     path.write_text("no header\n1\n2\n")
     with pytest.raises(ValueError):
         read_csv(path)
+
+
+@pytest.mark.parametrize("header, message", [
+    ("# grid n=1 box=-1:1", "no N= field"),
+    ("# grid n=1 box=-1:1 N", "malformed header field 'N'"),
+    ("# grid box=-1:1 N=3", "no n= field"),
+    ("# grid n=one box=-1:1 N=3", "malformed header field n='one'"),
+    ("# grid n=1 box=-1-1 N=3", "malformed header field box='-1-1'"),
+], ids=["no-N", "bare-N", "no-n", "bad-n", "bad-box"])
+def test_csv_header_errors_name_the_field(header, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_csv(io.StringIO(header + "\n0\n1\n0\n"))

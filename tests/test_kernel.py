@@ -273,6 +273,28 @@ def test_matrix_alpha_1d_bounds_and_symmetry():
     assert rep.h2_violation <= 1e-12
 
 
+def test_matrix_alpha_2d_diagonal_field():
+    # M = diag(d1, d2), alpha = 1.5: m(x, h) = |diag(d1, d2) h/|h||^alpha
+    d1, d2, alpha = 2.0, 0.5, 1.5
+    k = builtin("matrix-alpha", {"n": 2, "alpha": alpha, "d1": d1, "d2": d2})
+    assert k.bounds == (0.5 ** alpha, 2.0 ** alpha)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1.0, 1.0, size=(20, 2))
+    h = rng.uniform(-1.0, 1.0, size=(20, 2))
+    unit = h / np.linalg.norm(h, axis=1, keepdims=True)
+    want = np.hypot(d1 * unit[:, 0], d2 * unit[:, 1]) ** alpha
+    np.testing.assert_allclose(k.evaluate(x, h), want, rtol=1e-14, atol=0.0)
+    # the radial limit at a unit w is the weight itself, at any radius
+    np.testing.assert_allclose(k.radial_limit(x, unit), k.evaluate(x, unit), rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(k.radial_limit(x, unit), k.evaluate(x, 1e-3 * h), rtol=1e-14,
+                               atol=0.0)
+    rep = verify_hypotheses(k, 256)
+    assert rep.passed, rep
+    for d1 in (0.0, -1.0):
+        with pytest.raises(ValueError, match="d1, d2 > 0"):
+            builtin("matrix-alpha", {"n": 2, "d1": d1})
+
+
 def test_separable_angular_passes():
     k = builtin("separable-angular", {"n": 2, "c0": 1.0, "c1": 0.5})
     rep = verify_hypotheses(k, 256)

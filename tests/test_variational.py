@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from anisofrac import homogenize
 from anisofrac.energy import AtomSet, get_scheme
 from anisofrac.gridfn import FractionalParams, Grid, GridFunction, lp_norm
 from anisofrac.kernel import builtin
@@ -175,6 +176,37 @@ def test_uniqueness_proxy_random_inits():
             assert converged
             sols.append(v)
         assert np.abs(sols[0] - sols[1]).max() <= 1e-6
+
+
+@pytest.mark.parametrize("case", ["cell p=1.5", "cell p=3", "dirichlet 1D p=3"])
+def test_fixed_nodes_keep_their_values_bit_for_bit(monkeypatch, case):
+    # every Newton direction is zero on the fixed nodes, so the iterate
+    # never writes them: the cell problem's pinned 0 and constant node 1,
+    # and a Dirichlet boundary with one signed zero
+    runs = []
+
+    def spy(atoms, scale, b, free, fixed, *args, **kwargs):
+        out = _solve_atoms(atoms, scale, b, free, fixed, *args, **kwargs)
+        runs.append((free, fixed, out))
+        return out
+
+    if case.startswith("cell"):
+        monkeypatch.setattr(homogenize, "_solve_atoms", spy)
+        p = float(case.split("=")[1])
+        homogenize.cell_problem_1d(
+            homogenize.PeriodicCoefficient(A=lambda y: 2.0 + np.sin(2 * np.pi * y), p=p), 1.0)
+    else:
+        g = Grid(1, ((-1.0, 1.0),), 65)
+        atoms = get_scheme(builtin("periodic-1d", {"A0": 2.0, "A1": 1.0}), g).atoms(
+            FractionalParams(0.5, 3.0))
+        fixed = np.zeros(65)
+        fixed[0] = -0.0
+        spy(atoms, 0.5, g.trapezoid_weights(), _free_mask(g), fixed, 1e-10, 200)
+    (free, fixed, (v, _, _, iterations, converged, _)), = runs
+    assert converged and iterations > 1
+    assert v[~free].tobytes() == fixed[~free].tobytes()
+    if case.startswith("cell"):
+        assert v[-1] == 1.0 and v[0] == 0.0
 
 
 def test_newton_step_forms_L_v_once_for_its_hessian(monkeypatch):
