@@ -199,6 +199,58 @@ def test_cli_energy_breakdown(tmp_path):
     assert vals[2] == pytest.approx(vals[4] + vals[5] + vals[6], rel=1e-15)
 
 
+_SWEEP_HEADER = "param,value,extrapolated,reference,rel_error"
+_GRID_HEADER = "# grid n=1 box=-1:1 N=33"
+
+# subcommand -> (kernel, params, what, CSV header, summary prefix)
+_CONTRACT = {
+    "energy": ("constant", "s = 0.5", "energy report", "s,p,value,error_bound",
+               "energy s=0.5 p=2:"),
+    "bbm-sweep": ("constant", "s_list = 0.75, 0.875, 0.9375", "sweep table",
+                  _SWEEP_HEADER, "bbm-sweep: 3 rows"),
+    "ms-sweep": ("constant", "s_list = 0.25, 0.125, 0.0625", "sweep table",
+                 _SWEEP_HEADER, "ms-sweep: 3 rows"),
+    "solve-nonlocal": ("constant", "s = 0.5", "minimizer", _GRID_HEADER,
+                       "solve-nonlocal s=0.5 p=2:"),
+    "solve-local": ("constant", "", "minimizer", _GRID_HEADER, "solve-local p=2:"),
+    "localize": ("periodic-1d", "s_list = 0.75, 0.875, 0.9375", "distance table",
+                 _SWEEP_HEADER, "localize: 3 rows"),
+    "homogenize": ("periodic-1d", "", "coefficients",
+                   "A_star_formula,A_star_oracle,A_bar,gap", "homogenize p=2:"),
+    "commute": ("periodic-1d", "s_list = 0.75, 0.875, 0.9375\neps_list = 0.25",
+                "commute table", "path,param,value", "commute p=2:"),
+    "verify-kernel": ("constant", "", "hypothesis report",
+                      "h1_violation,h2_violation,h3_slope,h3_residual,"
+                      "bounds_violation,passed", "verify-kernel constant(1):"),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(_CONTRACT))
+def test_cli_output_contract(tmp_path, capsys, subcommand):
+    # what every subcommand writes and prints: with --out, one "<what> ->
+    # <path>" line, then the same stdout as without --out, which ends in
+    # the summary line and writes no file
+    assert set(_CONTRACT) == set(cli.SUBCOMMANDS)
+    kernel, params, what, header, prefix = _CONTRACT[subcommand]
+    cfg = _write(tmp_path, "c.ini", f"[kernel]\nname = {kernel}\n\n[grid]\nN = 33\n\n"
+                 f"[params]\n{params}\n")
+    out = tmp_path / "out.csv"
+    assert cli.main([subcommand, "--config", cfg, "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{what} -> {out}"
+    assert lines[-1].startswith(prefix)
+    assert out.read_text().splitlines()[0] == header
+    if subcommand == "energy":
+        assert lines[1:-1] == out.read_text().splitlines()
+    else:
+        assert len(lines) == 2
+
+    out.unlink()
+    assert cli.main([subcommand, "--config", cfg]) == 0
+    assert capsys.readouterr().out.splitlines() == lines[1:]
+    assert os.listdir(tmp_path) == ["c.ini"]
+
+
 def test_cli_output_section_exit_2_no_output(tmp_path, monkeypatch, capsys):
     # the output path has one way in, --out
     monkeypatch.chdir(tmp_path)
