@@ -1,14 +1,16 @@
 """Command-line entry point.
 
 One config file describes one experiment; the subcommand picks what to
-run.  Tables land in CSV files (written atomically: temp file in the
-target directory, then rename), and every run prints a one-line
-summary.  Exit status: 0 on success, 2 on a config or validation
-error (an output path that cannot take the file included: it is
-checked before the experiment runs), 3 when a solver stopped without
-reaching its tolerance (inside a sweep or the commute experiment too;
-the table is still written), 4 on any other error, with a one-line
-message on stderr.
+run.  Each experiment returns its table and summary, and ``run`` alone
+writes and prints them.  Tables land in CSV files (written atomically:
+temp file in the target directory, then rename).  With ``--out`` the
+first stdout line is ``<what> -> <path>``; then ``energy`` echoes its
+CSV, and every subcommand prints one summary line.  Exit status: 0 on
+success, 2 on a config or validation error (an output path that cannot
+take the file included: it is checked before the experiment runs), 3
+when a solver stopped without reaching its tolerance (inside a sweep or
+the commute experiment too; the table is still written), 4 on any other
+error, with a one-line message on stderr.
 
 Every experiment runs on one thread; ``--threads`` is accepted for
 compatibility with older scripts and ignored.
@@ -21,7 +23,7 @@ import io
 import os
 import sys
 import tempfile
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .config import ConfigError, ExperimentConfig, parse_config
 from .energy import anisotropic_energy, get_scheme
@@ -56,15 +58,35 @@ SUBCOMMANDS = (
 )
 
 
+class Outcome(NamedTuple):
+    """One experiment's result; ``run`` writes, prints and picks the exit status."""
+
+    csv: str  # the table written to ``--out``
+    what: str  # what the table holds, for the "<what> -> <path>" line
+    summary: str  # printed to stdout
+    converged: bool = True
+
+
 def _fmt(v) -> str:
     if v is None:
         return ""
     return format(float(v), ".17g")
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text: numbers at full precision, ``None`` empty, strings as they are."""
+    lines = [header] + [
+        ",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _temp_file(directory: str) -> tuple[int, str]:
+    return tempfile.mkstemp(dir=directory, prefix=".anisofrac-", suffix=".tmp")
+
+
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".anisofrac-", suffix=".tmp")
+    fd, tmp = _temp_file(os.path.dirname(os.path.abspath(path)))
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -82,156 +104,126 @@ def _check_out_path(path: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise ValueError(f"output path {path!r}: directory {directory!r} does not exist")
+    # the write itself is the only test that holds for every user, root too
+    try:
+        fd, tmp = _temp_file(directory)
+    except OSError as exc:
+        raise ValueError(
+            f"output path {path!r}: cannot write in {directory!r} ({exc.strerror or exc})"
+        ) from None
+    os.close(fd)
+    os.unlink(tmp)
 
 
-def _table_csv(table: ConvergenceTable) -> str:
-    lines = ["param,value,extrapolated,reference,rel_error"]
-    for r in table.rows:
-        lines.append(
-            ",".join(
-                [_fmt(r.param), _fmt(r.value), _fmt(r.extrapolated),
-                 _fmt(r.reference), _fmt(r.rel_error)]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _emit(cfg: ExperimentConfig, text: str, what: str) -> None:
-    if cfg.out_path:
-        _atomic_write(cfg.out_path, text)
-        print(f"{what} -> {cfg.out_path}")
-
-
-def _run_energy(cfg: ExperimentConfig) -> int:
-    kern = cfg.make_kernel()
-    u = cfg.sample_u()
+def _order(cfg: ExperimentConfig, subcommand: str) -> FractionalParams:
     if cfg.s is None:
-        raise ValueError("energy needs params.s")
-    rep = anisotropic_energy(kern, u, FractionalParams(cfg.s, cfg.p))
+        raise ValueError(f"{subcommand} needs params.s")
+    return FractionalParams(cfg.s, cfg.p)
+
+
+def _sweep_csv(table: ConvergenceTable) -> str:
+    return _csv("param,value,extrapolated,reference,rel_error", [
+        (r.param, r.value, r.extrapolated, r.reference, r.rel_error) for r in table.rows
+    ])
+
+
+def _run_energy(cfg: ExperimentConfig) -> Outcome:
+    rep = anisotropic_energy(cfg.make_kernel(), cfg.sample_u(), _order(cfg, "energy"))
     cols = ["s", "p", "value", "error_bound"]
     vals = [cfg.s, cfg.p, rep.value, rep.error_bound]
     if cfg.breakdown:
         cols += ["near_diagonal", "bulk", "tail"]
         vals += [rep.near_diagonal, rep.bulk, rep.tail]
-    text = ",".join(cols) + "\n" + ",".join(_fmt(v) for v in vals) + "\n"
-    _emit(cfg, text, "energy report")
-    print(text, end="")
-    print(
+    text = _csv(",".join(cols), [vals])
+    # stdout echoes the report before the summary line
+    return Outcome(text, "energy report", text + (
         f"energy s={cfg.s:g} p={cfg.p:g}: value={rep.value:.8g} "
         f"(error bound {rep.error_bound:.2g})"
-    )
-    return EXIT_OK
+    ))
 
 
-def _run_sweep(cfg: ExperimentConfig, sweep, name: str) -> int:
+def _run_sweep(cfg: ExperimentConfig, sweep, name: str) -> Outcome:
     table = sweep(cfg.make_kernel(), cfg.sample_u(), cfg.p, cfg.s_list)
-    _emit(cfg, _table_csv(table), "sweep table")
     last = table.final
-    print(
+    return Outcome(_sweep_csv(table), "sweep table", (
         f"{name}: {len(table.rows)} rows, best={table.best_estimate():.8g} "
         f"reference={last.reference:.8g} rel_error={last.rel_error:.3g}"
-    )
-    return EXIT_OK
+    ))
 
 
-def _run_solve(cfg: ExperimentConfig, res, what: str) -> int:
+def _solved(res, what: str) -> Outcome:
     buf = io.StringIO()
     write_csv(res.minimizer, buf)
-    _emit(cfg, buf.getvalue(), "minimizer")
-    print(
+    return Outcome(buf.getvalue(), "minimizer", (
         f"{what}: objective={res.objective:.8g} "
         f"residual={res.residual:.2g} iterations={res.iterations} "
         f"converged={res.converged}"
-    )
-    return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
+    ), res.converged)
 
 
-def _run_solve_nonlocal(cfg: ExperimentConfig) -> int:
-    kern = cfg.make_kernel()
-    f = cfg.sample_f()
-    if cfg.s is None:
-        raise ValueError("solve-nonlocal needs params.s")
-    res = solve_nonlocal(
-        NonlocalProblem(
-            kern=kern, fp=FractionalParams(cfg.s, cfg.p), grid=cfg.grid, source=f
-        )
-    )
-    return _run_solve(cfg, res, f"solve-nonlocal s={cfg.s:g} p={cfg.p:g}")
+def _run_solve_nonlocal(cfg: ExperimentConfig) -> Outcome:
+    res = solve_nonlocal(NonlocalProblem(
+        kern=cfg.make_kernel(), source=cfg.sample_f(),
+        fp=_order(cfg, "solve-nonlocal"), grid=cfg.grid,
+    ))
+    return _solved(res, f"solve-nonlocal s={cfg.s:g} p={cfg.p:g}")
 
 
-def _run_solve_local(cfg: ExperimentConfig) -> int:
-    kern = cfg.make_kernel()
-    f = cfg.sample_f()
-    res = solve_local(
-        LocalProblem(grid=cfg.grid, source=f, density=LimitDensity(kern, cfg.p))
-    )
-    return _run_solve(cfg, res, f"solve-local p={cfg.p:g}")
+def _run_solve_local(cfg: ExperimentConfig) -> Outcome:
+    res = solve_local(LocalProblem(
+        density=LimitDensity(cfg.make_kernel(), cfg.p), source=cfg.sample_f(), grid=cfg.grid,
+    ))
+    return _solved(res, f"solve-local p={cfg.p:g}")
 
 
-def _run_localize(cfg: ExperimentConfig) -> int:
+def _run_localize(cfg: ExperimentConfig) -> Outcome:
     table = localization_sweep(cfg.make_kernel(), cfg.p, cfg.sample_f(), cfg.s_list)
-    _emit(cfg, _table_csv(table), "distance table")
-    print(
+    return Outcome(_sweep_csv(table), "distance table", (
         f"localize: {len(table.rows)} rows, final distance={table.final.value:.8g} "
         f"converged={table.converged}"
-    )
-    return EXIT_OK if table.converged else EXIT_NO_CONVERGENCE
+    ), table.converged)
 
 
-def _run_homogenize(cfg: ExperimentConfig) -> int:
+def _run_homogenize(cfg: ExperimentConfig) -> Outcome:
     eff = effective_coefficients(coefficient_from_kernel(cfg.make_kernel(), cfg.p))
-    text = (
-        "A_star_formula,A_star_oracle,A_bar,gap\n"
-        + ",".join(_fmt(v) for v in (eff.A_star_formula, eff.A_star, eff.A_bar, eff.gap))
-        + "\n"
-    )
-    _emit(cfg, text, "coefficients")
-    print(
+    text = _csv("A_star_formula,A_star_oracle,A_bar,gap",
+                [(eff.A_star_formula, eff.A_star, eff.A_bar, eff.gap)])
+    return Outcome(text, "coefficients", (
         f"homogenize p={cfg.p:g}: A*={eff.A_star:.8g} "
         f"(formula {eff.A_star_formula:.8g}), "
         f"A_bar={eff.A_bar:.8g}, gap={eff.gap:.8g}"
-    )
-    return EXIT_OK
+    ))
 
 
-def _run_commute(cfg: ExperimentConfig) -> int:
+def _run_commute(cfg: ExperimentConfig) -> Outcome:
     res = commute_experiment(cfg.make_kernel(), cfg.p, cfg.sample_f(), cfg.eps_list,
                              cfg.s_list)
-    lines = ["path,param,value"]
-    for e in res.eps_path:
-        lines.append(f"eps,{_fmt(e.param)},{_fmt(e.value)}")
-    for e in res.s_path:
-        lines.append(f"s,{_fmt(e.param)},{_fmt(e.value)}")
-    lines.append(f"summary,distance,{_fmt(res.distance)}")
-    _emit(cfg, "\n".join(lines) + "\n", "commute table")
-    print(
+    text = _csv("path,param,value", [
+        *(("eps", e.param, e.value) for e in res.eps_path),
+        *(("s", e.param, e.value) for e in res.s_path),
+        ("summary", "distance", res.distance),
+    ])
+    return Outcome(text, "commute table", (
         f"commute p={cfg.p:g}: |u*-ubar|={res.distance:.8g} "
         f"gap={res.coefficients.gap:.8g} eps-path rel={res.eps_final_rel:.3g} "
         f"s-path rel={res.s_final_rel:.3g} converged={res.converged}"
-    )
-    return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
+    ), res.converged)
 
 
-def _run_verify_kernel(cfg: ExperimentConfig) -> int:
+def _run_verify_kernel(cfg: ExperimentConfig) -> Outcome:
     kern = cfg.make_kernel()
     rep = verify_hypotheses(kern, cfg.samples, seed=cfg.seed)
-    text = (
-        "h1_violation,h2_violation,h3_slope,h3_residual,bounds_violation,passed\n"
-        + ",".join(
-            [_fmt(rep.h1_violation), _fmt(rep.h2_violation), _fmt(rep.h3_slope),
-             _fmt(rep.h3_residual), _fmt(rep.bounds_violation),
-             "1" if rep.passed else "0"]
-        )
-        + "\n"
+    text = _csv(
+        "h1_violation,h2_violation,h3_slope,h3_residual,bounds_violation,passed",
+        [(rep.h1_violation, rep.h2_violation, rep.h3_slope, rep.h3_residual,
+          rep.bounds_violation, "1" if rep.passed else "0")],
     )
-    _emit(cfg, text, "hypothesis report")
     verdict = "passes" if rep.passed else f"FAILS (witness {rep.witness})"
-    print(
+    return Outcome(text, "hypothesis report", (
         f"verify-kernel {kern.name}: {verdict} "
         f"[H1 {rep.h1_violation:.2g}, H2 {rep.h2_violation:.2g}, "
         f"H3 slope {rep.h3_slope:.3g} residual {rep.h3_residual:.2g}]"
-    )
-    return EXIT_OK
+    ))
 
 
 _RUNNERS = {
@@ -248,13 +240,18 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig, subcommand: str) -> int:
-    """Execute one experiment; returns the process exit status."""
+    """Execute one experiment, write its table and summary; returns the exit status."""
     try:
-        return _RUNNERS[subcommand](cfg)
+        outcome = _RUNNERS[subcommand](cfg)
     finally:
         # each experiment builds its own kernel, so its schemes (~150 MB
         # of form matrix at 2D N=33) can never be hit again
         get_scheme.cache_clear()
+    if cfg.out_path:
+        _atomic_write(cfg.out_path, outcome.csv)
+        print(f"{outcome.what} -> {cfg.out_path}")
+    print(outcome.summary)
+    return EXIT_OK if outcome.converged else EXIT_NO_CONVERGENCE
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -298,7 +298,7 @@ class _StencilTables(NamedTuple):
     """Index tables of :meth:`EnergyScheme._gram` (see :meth:`EnergyScheme._stencil`)."""
 
     at: np.ndarray  # per node, its index along each axis
-    by_node: list  # per axis, (inside, row part) of (rung-angle, node index x_a)
+    by_node: list  # per axis, row part of (rung-angle, node index x_a)
     by_cell: list  # the same at the index x_a + m_jk,a of the row's cell
     cross: sparse.csr_matrix  # 2 phi, (displacement, (rung, angle))
     node_d: np.ndarray  # per node, its displacement number minus that of 0
@@ -313,13 +313,12 @@ def _gather_bulk(bulk: np.ndarray, tables: list, jk: slice, at: np.ndarray) -> n
     ``tables`` is ``by_node`` or ``by_cell`` of :class:`_StencilTables`, so
     the node is x or the cell x + m_jk of the row; ``at`` holds the
     nodes' indices along each axis.  The row number of (j, k) at x is a
-    sum of one term per axis.
+    sum of one term per axis; a pair with no row sums past the bulk rows.
     """
-    has, row = True, 0
-    for (inside, part), i in zip(tables, at.T):
-        has = has & inside[jk][:, i]
-        row = row + part[jk][:, i]
-    return np.where(has, bulk.take(row, mode="clip"), 0.0)
+    row = sum(part[jk][:, i] for part, i in zip(tables, at.T))
+    out = bulk.take(row, mode="clip")
+    out[row >= len(bulk)] = 0.0
+    return out
 
 
 def _resolve_geometry(grid: Grid, settings: QuadratureSettings):
@@ -712,8 +711,9 @@ class EnergyScheme:
         corners = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
         at = np.stack(np.unravel_index(np.arange(self.nodes.shape[0]), self.grid.shape), axis=1)
         # the rows of (j, k) are the nodes of its box in row-major order:
-        # per axis, whether a node index lies in the box and the row
-        # number's term of that index, tabulated at x_a and at x_a + m_jk,a
+        # per axis, the row number's term of a node index, tabulated at x_a
+        # and at x_a + m_jk,a; an index off the box gets the number of bulk
+        # rows, so the sum of the terms runs past them
         lo = self._box_lo.reshape(n_jk, 1, n)
         length = self._box_len.reshape(n_jk, 1, n)
         stride = np.ones_like(length)
@@ -725,8 +725,8 @@ class EnergyScheme:
                     np.arange(N)[None, :, None] - lo - self._shift.reshape(n_jk, 1, n)):
             part = rel * stride
             part[..., 0] += (np.cumsum(count) - count)[:, None]
-            tables.append(list(zip(np.moveaxis((rel >= 0) & (rel < length), 2, 0),
-                                   np.moveaxis(part, 2, 0))))
+            part[(rel < 0) | (rel >= length)] = count.sum()
+            tables.append(list(np.moveaxis(part, 2, 0)))
         # cross: displacements d = m_jk + c of the nonzero corners that stay
         # in [-(N-1), N-1]^n, numbered row-major; S carries 2 phi
         span = (2 * N - 1) ** np.arange(n - 1, -1, -1)

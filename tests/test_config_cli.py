@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -407,18 +408,27 @@ def test_cli_internal_runtime_error_exit_4(tmp_path, monkeypatch, capsys):
     assert err.splitlines() == ["internal error: RuntimeError: injected fault second line"]
 
 
-@pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing dir", "directory"])
+@pytest.mark.parametrize("target", ["missing/x.csv", ".", "x.csv"],
+                         ids=["missing dir", "directory", "refused"])
 def test_cli_unwritable_out_exit_2_before_run(tmp_path, monkeypatch, capsys, target):
     # the output path is checked before the experiment, not after it
     calls = []
     monkeypatch.setitem(cli._RUNNERS, "energy", lambda cfg: calls.append(cfg) or 0)
     cfg = _write(tmp_path, "e.ini", "[kernel]\nname = constant\n\n[params]\ns = 0.5\n")
+    if target == "x.csv":
+        # what a read-only or foreign-owned directory gives a user other
+        # than root, who may write anywhere
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(tempfile, "mkstemp", refuse)
     out = str(tmp_path / target)
     rc = cli.main(["energy", "--config", cfg, "--out", out])
     assert rc == 2
     assert calls == []
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and out in err[0]
+    assert os.listdir(tmp_path) == ["e.ini"]
 
 
 def test_cli_solve_nonconvergence_exit_3(tmp_path, monkeypatch):
