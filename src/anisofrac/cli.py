@@ -163,15 +163,14 @@ def _solved(res, what: str) -> Outcome:
 
 def _run_solve_nonlocal(cfg: ExperimentConfig) -> Outcome:
     res = solve_nonlocal(NonlocalProblem(
-        kern=cfg.make_kernel(), source=cfg.sample_f(),
-        fp=_order(cfg, "solve-nonlocal"), grid=cfg.grid,
+        kern=cfg.make_kernel(), source=cfg.sample_f(), fp=_order(cfg, "solve-nonlocal"),
     ))
     return _solved(res, f"solve-nonlocal s={cfg.s:g} p={cfg.p:g}")
 
 
 def _run_solve_local(cfg: ExperimentConfig) -> Outcome:
     res = solve_local(LocalProblem(
-        density=LimitDensity(cfg.make_kernel(), cfg.p), source=cfg.sample_f(), grid=cfg.grid,
+        density=LimitDensity(cfg.make_kernel(), cfg.p), source=cfg.sample_f(),
     ))
     return _solved(res, f"solve-local p={cfg.p:g}")
 

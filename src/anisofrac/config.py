@@ -18,7 +18,7 @@ Grid functions are written in a fixed grammar::
 
 ``bump(c, r)`` (1D) and ``bump(cx, cy, r)`` (2D) are the smooth bumps
 exp(-1/(1 - t^2)) with t the scaled distance to the center, cut to zero
-at |t| >= 1.
+at |t| >= 1.  A bare NUMBER is a constant function, like ``const``.
 """
 
 from __future__ import annotations
@@ -195,13 +195,21 @@ class _Parser:
 def compile_expression(src: str, dimension: int) -> Callable[..., np.ndarray]:
     """Compile an expression to a sampler fn(*coords) -> array.
 
-    ``coords`` holds one coordinate array per axis: x, then y in 2D.
+    ``coords`` holds one coordinate array per axis: x, then y in 2D.  The
+    result has the coordinates' broadcast shape, so a bare number is a
+    constant function.  Overflow and invalid operations give inf and nan
+    without a warning; the energies and the problems reject them.
     """
     ast = _Parser(_tokenize(src), dimension).parse()
-    return lambda *coords: np.asarray(
-        ast({name: np.asarray(c, dtype=float) for name, c in zip("xy", coords)}),
-        dtype=float,
-    )
+
+    def sample(*coords):
+        env = {name: np.asarray(c, dtype=float) for name, c in zip("xy", coords)}
+        with np.errstate(all="ignore"):
+            out = np.asarray(ast(env), dtype=float)
+        shape = np.broadcast_shapes(*(c.shape for c in env.values()))
+        return np.array(np.broadcast_to(out, shape))
+
+    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +390,11 @@ def parse_config(text: str) -> ExperimentConfig:
     grid = None
     if len(errors) == grid_errors:
         try:
-            grid = Grid(n, box, N)
+            grid = Grid(box, N)
         except ValueError as exc:
             errors.append((ln_box if box_val else 1, str(exc)))
     if grid is None:
-        grid = Grid(1, ((-1.0, 1.0),), 129)
+        grid = Grid(((-1.0, 1.0),), 129)
 
     # params
     cfg = ExperimentConfig(kernel_name=name, kernel_params=kernel_params, grid=grid)

@@ -122,17 +122,17 @@ def check_grid_cap(grid: Grid) -> None:
 class QuadratureSettings:
     """Construction parameters of :class:`EnergyScheme`.
 
-    The ladder ratio is 2**(1/points_per_octave); h_min is (grid
-    spacing) * h_min_fraction and h_split defaults to twice the box
-    diameter, beyond which the shifted support has left the box.
-    ``angular_points`` is the size of the circle rule in 2D; in 1D the
-    sphere is the two points +-1 whatever its value.
+    The ladder ratio is 2**(1/points_per_octave) and h_min is (grid
+    spacing) * h_min_fraction.  h_split is not a setting: it is always
+    twice the box diameter, beyond which the shifted support of every
+    admissible function has left the box.  ``angular_points`` is the
+    size of the circle rule in 2D; in 1D the sphere is the two points
+    +-1 whatever its value.
     """
 
     points_per_octave: int = 8
     h_min_fraction: float = 0.125
     angular_points: int = 32
-    h_split: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -145,14 +145,17 @@ class QuadratureRecord:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Energy value with its three-part split and error estimate."""
+    """Energy value, ``near_diagonal + bulk + tail``, with its split and error estimate."""
 
-    value: float
     near_diagonal: float
     bulk: float
     tail: float
     error_bound: float
     quadrature_settings: QuadratureRecord
+
+    @property
+    def value(self) -> float:
+        return self.near_diagonal + self.bulk + self.tail
 
     def __post_init__(self):
         if self.error_bound < 0.0:
@@ -325,7 +328,7 @@ def _resolve_geometry(grid: Grid, settings: QuadratureSettings):
     """h_min, h_split, h_max and the bulk and far radius ladders."""
     spacing = min(grid.spacing)
     h_min = spacing * settings.h_min_fraction
-    h_split = settings.h_split if settings.h_split is not None else 2.0 * grid.diameter
+    h_split = 2.0 * grid.diameter
     if not 0.0 < h_min < h_split:
         raise ValueError("need 0 < h_min < h_split")
     dt = math.log(2.0) / settings.points_per_octave
@@ -589,22 +592,13 @@ class EnergyScheme:
         """
         if u.grid != self.grid:
             raise ValueError("grid function does not live on the scheme grid")
+        if not np.all(np.isfinite(u.values)):
+            raise ValueError("function values must be finite")
         if np.any(u.values[self.grid.boundary()] != 0.0):
             raise ValueError(
                 "energies need compactly supported functions: boundary values must be 0"
             )
         uflat = u.values.ravel()
-        nz = np.nonzero(uflat)[0]
-        if nz.size:
-            pts = self.nodes[nz]
-            supp_diam = float(
-                np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))
-            ) + max(self.grid.spacing)
-            if self.h_split < 2.0 * supp_diam - 1e-12:
-                raise ValueError(
-                    f"h_split={self.h_split:g} is below twice the support "
-                    f"diameter {supp_diam:g}; enlarge h_split"
-                )
         n_ang = self.dirs.shape[0]
         n_bulk = self.r_bulk.shape[0]
         n_out = self.outside_w.shape[1]
@@ -682,15 +676,11 @@ class EnergyScheme:
         return float(np.abs(m - self.a_vals).max() / self.h_min)
 
     def report(self, u: GridFunction, fp: FractionalParams, prefactor: float) -> EnergyReport:
-        (near_raw, bulk_raw, tail_raw, err), = self.raw_components(u, fp.p, [fp.s])
-        near = prefactor * near_raw
-        bulk = prefactor * bulk_raw
-        tail = prefactor * tail_raw
+        (near, bulk, tail, err), = self.raw_components(u, fp.p, [fp.s])
         return EnergyReport(
-            value=near + bulk + tail,
-            near_diagonal=near,
-            bulk=bulk,
-            tail=tail,
+            near_diagonal=prefactor * near,
+            bulk=prefactor * bulk,
+            tail=prefactor * tail,
             error_bound=abs(prefactor) * err,
             quadrature_settings=QuadratureRecord(
                 h_min=self.h_min,

@@ -37,17 +37,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform tensor grid on a box, same node count per axis."""
+    """Uniform tensor grid on a box, same node count per axis; the box's
+    (a, b) pairs, one per axis, fix the :attr:`dimension`."""
 
-    dimension: int
     box: tuple[tuple[float, float], ...]
     nodes_per_axis: int
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
-        if len(self.box) != self.dimension:
-            raise ValueError("box must list one (a, b) pair per axis")
         if self.nodes_per_axis < 3:
             raise ValueError("need at least 3 nodes per axis")
         for a, b in self.box:
@@ -55,6 +53,10 @@ class Grid:
                 raise ValueError(f"box interval ({a}, {b}) must be finite")
             if not b > a:
                 raise ValueError(f"degenerate box interval ({a}, {b})")
+
+    @property
+    def dimension(self) -> int:
+        return len(self.box)
 
     @property
     def spacing(self) -> tuple[float, ...]:
@@ -285,7 +287,10 @@ def read_csv(path_or_file) -> GridFunction:
         except ValueError:
             raise ValueError(f"malformed header field {key}={fields[key]!r}") from None
 
-    grid = Grid(header_field("n", int), header_field("box", parse_box), header_field("N", int))
+    n = header_field("n", int)
+    grid = Grid(header_field("box", parse_box), header_field("N", int))
+    if n != grid.dimension:
+        raise ValueError(f"header field n={n} does not match box={fields['box']}")
     count = math.prod(grid.shape)
     vals = np.array([float(s) for s in lines[1:] if s.strip()])
     if vals.size != count:

@@ -273,7 +273,7 @@ def _eps_grid(base: Grid, period: float) -> Grid:
     N = max(base.nodes_per_axis, need)
     if N % 2 == 0:
         N += 1
-    return Grid(1, base.box, N)
+    return Grid(base.box, N)
 
 
 def commute_experiment(
@@ -319,7 +319,7 @@ def commute_experiment(
         # the constant kernel c has the 1D density (2c/p)|xi|^p
         kern = builtin("constant", {"c": p * A / 2.0})
         return solve_local(
-            LocalProblem(grid=grid, source=f, density=LimitDensity(kern, p))
+            LocalProblem(source=f, density=LimitDensity(kern, p))
         )
 
     res_star, res_bar = solve_constant(coeffs.A_star), solve_constant(coeffs.A_bar)
@@ -333,7 +333,7 @@ def commute_experiment(
         g_eps = _eps_grid(grid, k_eps.period[0])
         f_eps = _resample(f, g_eps)
         ld = LimitDensity(k_eps, p)
-        res_eps = solve_local(LocalProblem(grid=g_eps, source=f_eps, density=ld))
+        res_eps = solve_local(LocalProblem(source=f_eps, density=ld))
         rel = lp_distance(res_eps.minimizer, _resample(u_star, g_eps), p) / norm_star
         return PathEntry(eps, rel, res_eps.converged)
 

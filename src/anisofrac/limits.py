@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -310,13 +310,14 @@ def _energy_sweep(
     p: float,
     s_list: Sequence[float],
     t_of_s,
-    reference: float,
+    reference: Callable[[], float],
 ) -> ConvergenceTable:
-    """t(s) times the weighted double integral for each s, from one scheme."""
+    """t(s) times the weighted double integral for each s, from one scheme;
+    ``reference()`` runs once the energies have rejected a non-finite u."""
     parts = get_scheme(k, u.grid).raw_components(u, p, s_list)
     values = [t_of_s(s) * (near + bulk + tail)
               for s, (near, bulk, tail, _) in zip(s_list, parts)]
-    return _assemble_table(s_list, values, reference, t_of_s)
+    return _assemble_table(s_list, values, reference(), t_of_s)
 
 
 def bbm_sweep(
@@ -334,9 +335,11 @@ def bbm_sweep(
     s_list = list(s_list) if s_list is not None else default_bbm_s_list()
     _check_orders(s_list, toward_one=True)
     ld = LimitDensity(k, p)
-    centers, grads, vols = u.cell_gradients()
-    dens = limit_density(ld, centers, grads)
-    reference = float(np.dot(vols, np.atleast_1d(dens)))
+
+    def reference() -> float:
+        centers, grads, vols = u.cell_gradients()
+        return float(np.dot(vols, np.atleast_1d(limit_density(ld, centers, grads))))
+
     return _energy_sweep(k, u, p, s_list, lambda s: 1.0 - s, reference)
 
 
@@ -357,5 +360,8 @@ def ms_sweep(
     _check_orders(s_list, toward_one=False)
     b_vals = ms_weight_limit(k, u.grid.nodes(), p)
     w_x = u.grid.trapezoid_weights()
-    reference = float(np.dot(w_x, np.abs(u.values.ravel()) ** p * b_vals))
+
+    def reference() -> float:
+        return float(np.dot(w_x, np.abs(u.values.ravel()) ** p * b_vals))
+
     return _energy_sweep(k, u, p, s_list, lambda s: s, reference)

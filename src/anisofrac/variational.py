@@ -69,40 +69,48 @@ class IncreasingObjectiveError(RuntimeError):
     """A descent trace went up: a fault of the solver (CLI exit status 4)."""
 
 
+def _check_source(source: GridFunction) -> None:
+    if not np.all(np.isfinite(source.values)):
+        raise ValueError("source values must be finite")
+
+
 @dataclass(frozen=True)
 class NonlocalProblem:
     """Nonlocal Dirichlet problem on the default quadrature of (kern, grid).
 
-    Solved to :data:`DEFAULT_TOL` in at most :data:`DEFAULT_MAX_ITER`
-    Newton steps, like :class:`LocalProblem`.
+    The grid is the source's.  Solved to :data:`DEFAULT_TOL` in at most
+    :data:`DEFAULT_MAX_ITER` Newton steps, like :class:`LocalProblem`.
     """
 
     kern: Kernel
     fp: FractionalParams
-    grid: Grid
     source: GridFunction
+
+    @property
+    def grid(self) -> Grid:
+        return self.source.grid
 
     def __post_init__(self):
         if self.fp.p <= 1.0:
             raise ValueError("the solver needs p > 1 (strict convexity)")
-        if self.source.grid != self.grid:
-            raise ValueError("source must live on the problem grid")
-        if not np.all(np.isfinite(self.source.values)):
-            raise ValueError("source values must be finite")
+        _check_source(self.source)
 
 
 @dataclass(frozen=True)
 class LocalProblem:
     """Local limit problem: int A(x, grad v) dx - int f v, A from ``density``.
 
-    p is the density's.  A constant 1D coefficient A|xi|^p is the
-    density of the constant kernel c = p A / 2.  For p != 2 only 1D
-    grids are supported.
+    The grid is the source's, and p is the density's.  A constant 1D
+    coefficient A|xi|^p is the density of the constant kernel
+    c = p A / 2.  For p != 2 only 1D grids are supported.
     """
 
-    grid: Grid
     source: GridFunction
     density: LimitDensity
+
+    @property
+    def grid(self) -> Grid:
+        return self.source.grid
 
     @property
     def p(self) -> float:
@@ -116,8 +124,7 @@ class LocalProblem:
         if self.p != 2.0 and self.grid.dimension != 1:
             raise ValueError("p != 2 local solves are 1D only")
         check_grid_cap(self.grid)
-        if self.source.grid != self.grid:
-            raise ValueError("source must live on the problem grid")
+        _check_source(self.source)
 
 
 @dataclass(frozen=True)
@@ -338,17 +345,13 @@ def localization_sweep(
     """
     s_list = list(s_list) if s_list is not None else default_bbm_s_list()
     _check_orders(s_list, toward_one=True)
-    grid = f.grid
     local_converged = True
     if local_solution is None:
-        ld = LimitDensity(k, p)
-        local = solve_local(LocalProblem(grid=grid, source=f, density=ld))
+        local = solve_local(LocalProblem(source=f, density=LimitDensity(k, p)))
         local_solution, local_converged = local.minimizer, local.converged
 
     def distance(s: float) -> tuple[float, bool]:
-        res = solve_nonlocal(
-            NonlocalProblem(kern=k, fp=FractionalParams(s, p), grid=grid, source=f)
-        )
+        res = solve_nonlocal(NonlocalProblem(kern=k, fp=FractionalParams(s, p), source=f))
         return lp_distance(res.minimizer, local_solution, p), res.converged
 
     results = [distance(s) for s in s_list]

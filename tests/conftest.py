@@ -18,7 +18,7 @@ def hat_profile(t):
 
 @pytest.fixture(scope="session")
 def grid129():
-    return Grid(1, ((-1.0, 1.0),), 129)
+    return Grid(((-1.0, 1.0),), 129)
 
 
 @pytest.fixture(scope="session")

@@ -44,7 +44,7 @@ def _report(num, label, ok, detail, budget, elapsed):
 
 def test_criterion_1_gradient_constant_recovery():
     t0 = time.time()
-    grid = Grid(1, ((-1.0, 1.0),), 257)
+    grid = Grid(((-1.0, 1.0),), 257)
     u = GridFunction.from_callable(grid, bump_profile)
     k = builtin("constant", {"c": 1.0})
     table = bbm_sweep(k, u, 2.0, s_list=default_bbm_s_list())
@@ -57,7 +57,7 @@ def test_criterion_1_gradient_constant_recovery():
 
 def test_criterion_2_anisotropic_localization():
     t0 = time.time()
-    grid = Grid(1, ((-1.0, 1.0),), 257)
+    grid = Grid(((-1.0, 1.0),), 257)
     u = GridFunction.from_callable(grid, bump_profile)
     k = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
     table = bbm_sweep(k, u, 2.0, s_list=default_bbm_s_list())
@@ -73,7 +73,7 @@ def test_criterion_2_anisotropic_localization():
 
 def test_criterion_3_mass_constant_recovery():
     t0 = time.time()
-    grid = Grid(1, ((0.75, 2.25),), 257)
+    grid = Grid(((0.75, 2.25),), 257)
     u = GridFunction.from_callable(grid, lambda x: bump_profile((x - 1.5) / 0.5))
     k = builtin("constant", {"c": 1.0})
     table = ms_sweep(k, u, 2.0, s_list=default_ms_s_list())
@@ -117,7 +117,7 @@ def test_criterion_5_interpolation_inequality_suite():
         builtin("periodic-1d", {"A0": 2.0, "A1": 1.0}),
         builtin("matrix-alpha", {"n": 1, "alpha": 2.0, "m0": 1.0, "m1": 0.5}),
     ]
-    grid = Grid(1, ((-1.0, 1.0),), 65)
+    grid = Grid(((-1.0, 1.0),), 65)
     xs = np.linspace(-1, 1, 65)
     shapes = [
         hat_profile(xs),
@@ -143,12 +143,12 @@ def test_criterion_5_interpolation_inequality_suite():
 
 def test_criterion_6_solver_localization():
     t0 = time.time()
-    grid = Grid(1, ((-1.0, 1.0),), 129)
+    grid = Grid(((-1.0, 1.0),), 129)
     one = GridFunction(grid, np.ones(129), boundary_flag=False)
     k = builtin("constant", {"c": 1.0})
     s = 1.0 - 2.0 ** -7
     res = solve_nonlocal(
-        NonlocalProblem(kern=k, fp=FractionalParams(s, 2.0), grid=grid, source=one)
+        NonlocalProblem(kern=k, fp=FractionalParams(s, 2.0), source=one)
     )
     xs = np.linspace(-1, 1, 129)
     exact = (1.0 - xs ** 2) / 4.0
@@ -165,7 +165,7 @@ def test_criterion_7_homogenized_coefficients():
     ok = abs(eff.A_star - SQRT3) / SQRT3 < 0.01
     ok &= abs(eff.A_star_formula - SQRT3) / SQRT3 < 0.01
     ok &= abs(eff.A_bar - 2.0) < 1e-10
-    grid = Grid(1, ((-1.0, 1.0),), 257)
+    grid = Grid(((-1.0, 1.0),), 257)
     one = GridFunction(grid, np.ones(257), boundary_flag=False)
     res = commute_experiment(k, 2.0, one, eps_list=[0.25],
                              s_list=[0.75, 0.875, 0.9375])
@@ -181,7 +181,7 @@ def test_criterion_7_homogenized_coefficients():
 def test_criterion_8_non_commutation_paths():
     t0 = time.time()
     k = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
-    grid = Grid(1, ((-1.0, 1.0),), 257)
+    grid = Grid(((-1.0, 1.0),), 257)
     one = GridFunction(grid, np.ones(257), boundary_flag=False)
     res = commute_experiment(
         k, 2.0, one,

@@ -560,6 +560,54 @@ def test_cli_nonfinite_number_exit_2(tmp_path, capsys, subcommand, section, key,
     assert f"line {line}:" in err and "finite" in err
 
 
+@pytest.mark.parametrize("subcommand, key, expr, message", [
+    ("energy", "u", "const(1e308) * 10 * bump(0, 0.5)", "function values must be finite"),
+    ("bbm-sweep", "u", "const(1e308) * 10 * bump(0, 0.5)", "function values must be finite"),
+    ("ms-sweep", "u", "const(1e308) * 10 * bump(0, 0.5)", "function values must be finite"),
+    ("solve-nonlocal", "f", "const(1e308) * 10", "source values must be finite"),
+    ("solve-local", "f", "const(1e308) * 10", "source values must be finite"),
+    ("localize", "f", "const(1e308) * 10", "source values must be finite"),
+    ("commute", "f", "const(1e308) * 10", "source values must be finite"),
+])
+def test_cli_nonfinite_function_exit_2_before_any_solve(
+    tmp_path, monkeypatch, capsys, subcommand, key, expr, message
+):
+    # the expression parses; its values overflow to inf, and inf * 0 is nan
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a problem with a non-finite source")
+
+    monkeypatch.setattr(variational, "_solve_atoms", no_solve)
+    cfg = _write(
+        tmp_path, "n.ini",
+        "[kernel]\nname = periodic-1d\nA0 = 2.0\nA1 = 1.0\n\n[grid]\nN = 33\n\n"
+        f"[params]\ns = 0.5\n{key} = {expr}\n",
+    )
+    out = tmp_path / "never.csv"
+    assert cli.main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_cli_bare_number_is_a_constant_source(tmp_path):
+    outputs = []
+    for name, f in (("bare", "2"), ("const", "const(2)")):
+        cfg = _write(
+            tmp_path, f"{name}.ini",
+            f"[kernel]\nname = periodic-1d\n\n[grid]\nN = 33\n\n[params]\nf = {f}\n",
+        )
+        out = tmp_path / f"{name}.csv"
+        assert cli.main(["solve-local", "--config", cfg, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_expression_has_the_shape_of_its_coordinates():
+    x, y = np.meshgrid(np.linspace(-1.0, 1.0, 5), np.linspace(-0.5, 2.0, 4), indexing="ij")
+    out = compile_expression("pi", 2)(x, y)
+    assert out.shape == x.shape
+    assert np.all(out == np.pi)
+
+
 def test_cli_solve_nonlocal_2d_at_the_grid_cap(tmp_path):
     cfg = _write(
         tmp_path, "cap.ini",

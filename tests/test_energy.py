@@ -140,7 +140,7 @@ def test_shift_invariance_translation_kernel(grid129):
 def test_anisotropic_brute_force_equivalence():
     # N <= 64, weighted by the oscillating kernel, against the naive
     # excised double sum with adaptive far legs
-    grid = Grid(1, ((-1.0, 1.0),), 57)
+    grid = Grid(((-1.0, 1.0),), 57)
     xs = np.linspace(-1, 1, 57)
     u = GridFunction(grid, hat_profile(xs))
     k = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
@@ -167,7 +167,7 @@ def test_monotone_refinement(hat129):
     assert abs(r2.value - r1.value) <= r1.error_bound
     # 2D: the default scheme against twice the rungs, half h_min and twice
     # the angles, on the anisotropic kernel
-    g = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), 17)
+    g = Grid(((-1.0, 1.0), (-1.0, 1.0)), 17)
     u = GridFunction.from_callable(g, lambda x, y: bump_profile(np.hypot(x, y) / 0.8))
     k = builtin("separable-angular", {"c0": 1.0, "c1": 0.5})
     fine = EnergyScheme(
@@ -181,18 +181,9 @@ def test_monotone_refinement(hat129):
         assert abs(r2.value - r1.value) <= r1.error_bound, s
 
 
-def test_h_split_guard():
-    grid = Grid(1, ((-1.0, 1.0),), 65)
-    u = GridFunction(grid, hat_profile(np.linspace(-1, 1, 65)))
-    tiny = EnergyScheme(builtin("constant", {"n": 1}), grid,
-                        QuadratureSettings(h_split=1.0))
-    with pytest.raises(ValueError, match="support"):
-        tiny.report(u, FractionalParams(0.5, 2.0), 1.0)
-
-
 def _far_field_cases():
-    g1 = Grid(1, ((-1.0, 1.0),), 129)
-    g2 = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), 17)
+    g1 = Grid(((-1.0, 1.0),), 129)
+    g2 = Grid(((-1.0, 1.0), (-1.0, 1.0)), 17)
     yield "1d-hat", GridFunction.from_callable(g1, hat_profile)
     yield "2d-bump", GridFunction.from_callable(
         g2, lambda x, y: bump_profile(np.hypot(x, y) / 0.8)
@@ -229,7 +220,7 @@ def test_1d_build_samples_the_kernel_in_few_calls(averaged):
         calls.append(1)
         return kern.evaluate(x, h)
 
-    EnergyScheme(dataclasses.replace(kern, evaluate=evaluate), Grid(1, ((-1.0, 1.0),), 257))
+    EnergyScheme(dataclasses.replace(kern, evaluate=evaluate), Grid(((-1.0, 1.0),), 257))
     assert 0 < len(calls) <= 4
 
 
@@ -240,7 +231,7 @@ def test_boundary_values_must_vanish(grid129):
 
 
 def test_boundary_values_must_vanish_2d():
-    g = Grid(2, ((-1.0, 1.0), (-0.5, 1.5)), 7)
+    g = Grid(((-1.0, 1.0), (-0.5, 1.5)), 7)
     interior = np.zeros(g.shape)
     interior[1:-1, 1:-1] = 1.0
     gagliardo(GridFunction(g, interior, boundary_flag=False), FractionalParams(0.5, 2.0))
@@ -281,7 +272,7 @@ def test_bulk_rows_are_shifted_differences():
     # stays in the box, in that order
     from scipy.interpolate import RegularGridInterpolator
 
-    g = Grid(2, ((-1.0, 1.0), (-0.5, 1.5)), 9)
+    g = Grid(((-1.0, 1.0), (-0.5, 1.5)), 9)
     rng = np.random.default_rng(7)
     u = GridFunction(g, rng.standard_normal(g.shape))
     scheme = EnergyScheme(builtin("constant", {"n": 2}), g,
@@ -320,7 +311,7 @@ def test_bulk_rows_are_their_stencil(kernel_name, params, box, N):
     # nonzero factor, for exactly the nodes whose shifted point stays in
     # the box; its columns lie in the grid along every axis, and L stores
     # no zero and no single-entry bulk row
-    g = Grid(len(box), box, N)
+    g = Grid(box, N)
     scheme = get_scheme(builtin(kernel_name, params), g)
     L = scheme.L
     n = g.dimension
@@ -359,7 +350,7 @@ def test_outside_table_folds_the_doubled_rows():
     # the box and every pair of a far rung at 2 * rung + angle parity, and
     # the remainder beyond h_max, 2 w_x sum_k w_k mu(x, w_k), in the last
     # column
-    g = Grid(2, ((-1.0, 1.0), (-0.5, 1.5)), 9)
+    g = Grid(((-1.0, 1.0), (-0.5, 1.5)), 9)
     scheme = EnergyScheme(_x_dependent_kernel(), g, QuadratureSettings(angular_points=8))
     n_bulk, n_ang = scheme.r_bulk.shape[0], scheme.dirs.shape[0]
     radii = np.concatenate([scheme.r_bulk, scheme.r_far])
@@ -414,7 +405,7 @@ def test_near_rows_are_one_sided_slopes_hat(grid129, hat129):
 def test_near_rows_are_one_sided_slopes_2d():
     # per axis |w_a| / h_a times the difference to the neighbour on the
     # -sign(w_a) side, with zero ghosts outside the grid
-    g = Grid(2, ((-1.0, 1.0), (-0.5, 2.5)), 7)
+    g = Grid(((-1.0, 1.0), (-0.5, 2.5)), 7)
     v = np.random.default_rng(5).standard_normal(g.shape)
     scheme = EnergyScheme(builtin("constant", {"n": 2}), g,
                           QuadratureSettings(angular_points=8))
@@ -468,11 +459,11 @@ _GOLDEN = {
 
 def _golden_case(name):
     if name.startswith("periodic-1d"):
-        g = Grid(1, ((-1.0, 1.0),), 257)
+        g = Grid(((-1.0, 1.0),), 257)
         u = GridFunction.from_callable(g, hat_profile)
         k = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
         return k, u, FractionalParams(0.6, 2.5)
-    g = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), 17)
+    g = Grid(((-1.0, 1.0), (-1.0, 1.0)), 17)
     u = GridFunction.from_callable(
         g, lambda x, y: bump_profile(np.hypot(x - 0.1, y) / 0.8)
     )
@@ -529,7 +520,7 @@ def test_interpolation_check_reports_violations_below_p_sqrt2(hat129):
 
 
 def test_2d_energy_basics():
-    g = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), 17)
+    g = Grid(((-1.0, 1.0), (-1.0, 1.0)), 17)
     u = GridFunction.from_callable(
         g, lambda x, y: np.maximum(0.0, 1.0 - np.maximum(np.abs(x), np.abs(y)))
     )
@@ -545,7 +536,7 @@ def test_2d_energy_basics():
 
 
 def test_2d_grid_cap():
-    g = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), 49)
+    g = Grid(((-1.0, 1.0), (-1.0, 1.0)), 49)
     u = GridFunction(g, np.zeros((49, 49)))
     with pytest.raises(ValueError, match="capped"):
         gagliardo(u, FractionalParams(0.5, 2.0))
@@ -563,17 +554,16 @@ def _gram_atoms(case):
         coef = np.tile([float(n), -float(n), 1.0], (n, 1))
         return energy.AtomSet.from_stencil(A / n, idx, coef, n + 1, 2.0), None
     if case == "nonlocal-1d":
-        g = Grid(1, ((-1.0, 1.0),), 33)
+        g = Grid(((-1.0, 1.0),), 33)
         kern = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
         return get_scheme(kern, g).atoms(FractionalParams(0.5, 2.0)), None
     if case.startswith("local-2d"):
         N = 33 if case == "local-2d-N33" else 9
-        g = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), N)
+        g = Grid(((-1.0, 1.0), (-1.0, 1.0)), N)
         one = GridFunction(g, np.ones((N, N)), boundary_flag=False)
         kern = builtin("separable-angular", {"c0": 1.0, "c1": 0.5})
-        return _local_atoms(LocalProblem(grid=g, source=one,
-                                         density=LimitDensity(kern, 2.0))), None
-    g = Grid(1, ((-1.0, 1.0),), 33)
+        return _local_atoms(LocalProblem(source=one, density=LimitDensity(kern, 2.0))), None
+    g = Grid(((-1.0, 1.0),), 33)
     kern = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
     atoms = get_scheme(kern, g).atoms(FractionalParams(0.5, 3.0))
     v = GridFunction.from_callable(g, hat_profile).values
@@ -613,7 +603,7 @@ def test_one_block_gram_is_the_single_product(case):
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_gradient_and_objective_match_the_closed_formulas(p):
-    g = Grid(1, ((-1.0, 1.0),), 33)
+    g = Grid(((-1.0, 1.0),), 33)
     kern = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
     atoms = get_scheme(kern, g).atoms(FractionalParams(0.5, p))
     # zero on [-1, 0]: the forms there vanish exactly
@@ -691,7 +681,7 @@ _STENCIL_GRAM_CASES = {
 @pytest.mark.parametrize("name", sorted(_STENCIL_GRAM_CASES))
 def test_stencil_gram_matches_dense_product(monkeypatch, name):
     make_kernel, box, N, p = _STENCIL_GRAM_CASES[name]
-    g = Grid(len(box), box, N)
+    g = Grid(box, N)
     scheme = EnergyScheme(make_kernel(), g)
     atoms = scheme.atoms(FractionalParams(0.5, p))
     generic = []
@@ -726,7 +716,7 @@ def test_near_axis_angles_snap_onto_the_node_line():
     # corners there get factor exactly 0, so the rows at the first and
     # last node of the axis interpolate in cells of the grid
     N = 9
-    g = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), N)
+    g = Grid(((-1.0, 1.0), (-1.0, 1.0)), N)
     scheme = get_scheme(builtin("separable-angular", {"c0": 1.0, "c1": 0.5}), g)
     for axis in range(2):
         near_axis = np.abs(scheme.dirs[:, axis]) < 1e-12

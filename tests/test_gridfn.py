@@ -21,12 +21,12 @@ from conftest import bump_profile, hat_profile
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        Grid(3, ((-1, 1),) * 3, 9)
+        Grid(((-1, 1),) * 3, 9)
     with pytest.raises(ValueError):
-        Grid(1, ((-1.0, 1.0),), 2)
+        Grid(((-1.0, 1.0),), 2)
     with pytest.raises(ValueError):
-        Grid(1, ((1.0, 1.0),), 9)
-    g = Grid(2, ((-1.0, 1.0), (0.0, 2.0)), 5)
+        Grid(((1.0, 1.0),), 9)
+    g = Grid(((-1.0, 1.0), (0.0, 2.0)), 5)
     assert g.spacing == (0.5, 0.5)
     assert g.nodes().shape == (25, 2)
 
@@ -53,7 +53,7 @@ def test_eval_hat(grid129, hat129):
 
 
 def test_eval_2d_zero_extension():
-    g = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), 9)
+    g = Grid(((-1.0, 1.0), (-1.0, 1.0)), 9)
     u = GridFunction.from_callable(g, lambda x, y: np.cos(x) * np.cos(y))
     pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, -1.01], [5.0, 5.0]])
     vals = u.eval(pts)
@@ -62,7 +62,7 @@ def test_eval_2d_zero_extension():
 
 
 def test_lp_norm_zero_and_hat():
-    g = Grid(1, ((-1.0, 1.0),), 2049)
+    g = Grid(((-1.0, 1.0),), 2049)
     z = GridFunction(g, np.zeros(2049))
     assert lp_norm(z, 2.0) == 0.0
     hat = GridFunction.from_callable(g, hat_profile)
@@ -76,7 +76,7 @@ def test_lp_norm_refinement_second_order():
     ref = 0.3648097049764345
     errs = []
     for N in (65, 129, 257):
-        g = Grid(1, ((-1.0, 1.0),), N)
+        g = Grid(((-1.0, 1.0),), N)
         u = GridFunction.from_callable(g, bump_profile)
         errs.append(abs(lp_norm(u, 2.0) - ref))
     # halving h divides the trapezoid error by ~4
@@ -87,7 +87,7 @@ def test_lp_norm_refinement_second_order():
 @given(c=st.floats(min_value=-8.0, max_value=8.0, allow_nan=False))
 @settings(max_examples=50, deadline=None)
 def test_lp_norm_homogeneity(c):
-    g = Grid(1, ((-1.0, 1.0),), 33)
+    g = Grid(((-1.0, 1.0),), 33)
     u = GridFunction.from_callable(g, hat_profile)
     assert lp_norm(u.scaled(c), 2.0) == pytest.approx(abs(c) * lp_norm(u, 2.0), abs=1e-12)
 
@@ -105,7 +105,7 @@ def test_gradient_lp_refinement_bump():
     ref = math.sqrt(0.4095870607527702)
     vals = []
     for N in (129, 257):
-        g = Grid(1, ((-1.0, 1.0),), N)
+        g = Grid(((-1.0, 1.0),), N)
         u = GridFunction.from_callable(g, bump_profile)
         vals.append(gradient_lp(u, 2.0))
     # cell-centered differences converge; N and 2N-1 differ by O(1/N)
@@ -125,7 +125,7 @@ def test_boundary_flag_pins_and_subspace(grid129):
 
 def test_cell_gradients_2d_averaged_differences():
     # per axis: the difference across the cell, averaged over the other axis
-    g = Grid(2, ((-1.0, 1.0), (-0.5, 2.5)), 7)
+    g = Grid(((-1.0, 1.0), (-0.5, 2.5)), 7)
     v = np.random.default_rng(3).standard_normal(g.shape)
     centers, grads, vols = GridFunction(g, v, boundary_flag=False).cell_gradients()
     hx, hy = g.spacing
@@ -166,3 +166,9 @@ def test_csv_rejects_garbage(tmp_path):
 def test_csv_header_errors_name_the_field(header, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         read_csv(io.StringIO(header + "\n0\n1\n0\n"))
+
+
+def test_csv_header_n_must_match_the_box():
+    # the box fixes the dimension; an n= that disagrees is a corrupt file
+    with pytest.raises(ValueError, match=re.escape("header field n=2 does not match box=-1:1")):
+        read_csv(io.StringIO("# grid n=2 box=-1:1 N=3\n0\n1\n0\n"))

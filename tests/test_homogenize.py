@@ -179,7 +179,7 @@ def test_homogenized_kernel_average(model_kernel):
 
 def test_commute_constant_kernel_distance_zero():
     k = builtin("constant", {"c": 1.0})
-    grid = Grid(1, ((-1.0, 1.0),), 65)
+    grid = Grid(((-1.0, 1.0),), 65)
     one = GridFunction(grid, np.ones(65), boundary_flag=False)
     res = commute_experiment(k, 2.0, one, eps_list=[0.25], s_list=[0.75, 0.875, 0.9375])
     assert res.distance <= 1e-8
@@ -187,7 +187,7 @@ def test_commute_constant_kernel_distance_zero():
 
 
 def test_commute_model_kernel_closed_form(model_kernel):
-    grid = Grid(1, ((-1.0, 1.0),), 257)
+    grid = Grid(((-1.0, 1.0),), 257)
     one = GridFunction(grid, np.ones(257), boundary_flag=False)
     s_list = [1 - 2.0 ** -k for k in range(2, 8)]
     res = commute_experiment(
@@ -212,7 +212,7 @@ def test_commute_eps_path_with_period_two():
     # the cell coefficient is read on the kernel's own period, so the eps
     # path of a period-2 kernel still lands on u_star
     k = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0, "period_len": 2.0})
-    grid = Grid(1, ((-1.0, 1.0),), 65)
+    grid = Grid(((-1.0, 1.0),), 65)
     one = GridFunction(grid, np.ones(65), boundary_flag=False)
     res = commute_experiment(k, 2.0, one, eps_list=[0.25, 0.125, 0.0625],
                              s_list=[0.75, 0.875])
@@ -224,7 +224,7 @@ def test_commute_eps_path_with_period_two():
 
 
 def test_commute_distance_linear_in_source(model_kernel):
-    grid = Grid(1, ((-1.0, 1.0),), 129)
+    grid = Grid(((-1.0, 1.0),), 129)
     one = GridFunction(grid, np.ones(129), boundary_flag=False)
     two = GridFunction(grid, 2.0 * np.ones(129), boundary_flag=False)
     r1 = commute_experiment(model_kernel, 2.0, one, eps_list=[0.25],
@@ -249,7 +249,7 @@ def _spy(monkeypatch, module, name):
 @pytest.mark.parametrize("eps_list", [[0.3], [], [0.0]], ids=["0.3", "empty", "0"])
 def test_commute_rejects_bad_eps(model_kernel, monkeypatch, eps_list):
     calls = _spy(monkeypatch, homogenize, "solve_local")
-    grid = Grid(1, ((-1.0, 1.0),), 65)
+    grid = Grid(((-1.0, 1.0),), 65)
     one = GridFunction(grid, np.ones(65), boundary_flag=False)
     with pytest.raises(ValueError):
         commute_experiment(model_kernel, 2.0, one, eps_list=eps_list,
@@ -262,7 +262,7 @@ def test_commute_runs_only_the_solves_it_reports(model_kernel, monkeypatch):
     # solves for u_star, u_bar and one per eps
     nonlocal_calls = _spy(monkeypatch, variational, "solve_nonlocal")
     local_calls = _spy(monkeypatch, homogenize, "solve_local")
-    grid = Grid(1, ((-1.0, 1.0),), 33)
+    grid = Grid(((-1.0, 1.0),), 33)
     one = GridFunction(grid, np.ones(33), boundary_flag=False)
     eps_list, s_list = [0.5, 0.25], [0.75, 0.875]
     commute_experiment(model_kernel, 2.0, one, eps_list=eps_list, s_list=s_list)
@@ -273,7 +273,7 @@ def test_commute_runs_only_the_solves_it_reports(model_kernel, monkeypatch):
 
 def test_commute_checks_s_order_before_any_solve(model_kernel, monkeypatch):
     calls = _spy(monkeypatch, homogenize, "solve_local")
-    grid = Grid(1, ((-1.0, 1.0),), 33)
+    grid = Grid(((-1.0, 1.0),), 33)
     one = GridFunction(grid, np.ones(33), boundary_flag=False)
     with pytest.raises(ValueError, match="strictly increase toward 1"):
         commute_experiment(model_kernel, 2.0, one, eps_list=[0.25],
@@ -283,7 +283,7 @@ def test_commute_checks_s_order_before_any_solve(model_kernel, monkeypatch):
 
 def test_commute_golden(model_kernel):
     # pinned before u_star and u_bar were solved with constant-kernel densities
-    grid = Grid(1, ((-1.0, 1.0),), 33)
+    grid = Grid(((-1.0, 1.0),), 33)
     one = GridFunction(grid, np.ones(33), boundary_flag=False)
     res = commute_experiment(model_kernel, 2.0, one, eps_list=[0.5, 0.25],
                              s_list=[0.75, 0.875])

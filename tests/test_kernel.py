@@ -120,7 +120,7 @@ def _every_component_kernel(n):
 def test_symmetrize_is_the_pair_average_bit_for_bit(n):
     k = _every_component_kernel(n)
     ev, sym = k.evaluate, symmetrize(k).evaluate
-    grid = Grid(n, ((-1.0, 1.0),) * n, 9)
+    grid = Grid(((-1.0, 1.0),) * n, 9)
     radii = 0.05 * 2.0 ** (np.arange(5) / 2.0)
     dirs, _ = sphere_rule(n, 8)
     # the scheme build's layout: nodes against (1, rungs, angles, n) offsets

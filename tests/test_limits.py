@@ -279,7 +279,7 @@ def test_bbm_sweep_periodic_kernel(bump129):
 
 
 def test_ms_sweep_constant_and_linearity():
-    grid = Grid(1, ((0.75, 2.25),), 129)
+    grid = Grid(((0.75, 2.25),), 129)
     u = GridFunction.from_callable(grid, lambda x: bump_profile((x - 1.5) / 0.5))
     k1 = builtin("constant", {"c": 1.0})
     t1 = ms_sweep(k1, u, 2.0)
@@ -302,7 +302,7 @@ def test_ms_sweep_requires_tail(grid129, bump129):
 def test_sweeps_need_compact_support(sweep):
     # the energies reject this function; the sweeps over the same
     # quadrature must too
-    grid = Grid(1, ((-1.0, 1.0),), 65)
+    grid = Grid(((-1.0, 1.0),), 65)
     vals = np.maximum(0.0, 0.5 - np.abs(grid.axes()[0]))
     vals[0] = 0.5
     u = GridFunction(grid, vals, boundary_flag=False)
@@ -317,7 +317,7 @@ def test_sweeps_need_compact_support(sweep):
     lambda k, u: commute_experiment(k, 2.0, u, [0.25], []),
 ], ids=["bbm_sweep", "ms_sweep", "localization_sweep", "commute_experiment"])
 def test_studies_reject_empty_order_list(study):
-    grid = Grid(1, ((-1.0, 1.0),), 33)
+    grid = Grid(((-1.0, 1.0),), 33)
     one = GridFunction(grid, np.ones(33), boundary_flag=False)
     with pytest.raises(ValueError, match="at least one order"):
         study(builtin("constant", {"c": 1.0}), one)
@@ -370,7 +370,7 @@ _SWEEP_GOLDEN = {
 
 
 def test_sweep_golden():
-    g = Grid(1, ((-1.0, 1.0),), 257)
+    g = Grid(((-1.0, 1.0),), 257)
     u = GridFunction.from_callable(g, hat_profile)
     k = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
     for name, sweep in (("bbm", bbm_sweep), ("ms", ms_sweep)):
@@ -389,7 +389,7 @@ def test_sweep_references_2d():
     # pinned before the grid geometry lost its per-dimension branches:
     # the bbm reference integrates cell gradients, the ms reference
     # node values with trapezoid weights
-    g = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), 17)
+    g = Grid(((-1.0, 1.0), (-1.0, 1.0)), 17)
     u = GridFunction.from_callable(
         g, lambda x, y: bump_profile(np.hypot(x - 0.1, y) / 0.8)
     )
@@ -407,12 +407,12 @@ def test_sweep_rows_are_the_reports(dim):
     # one operator product serves the whole sweep; each row must still be
     # exactly the report of its own order
     if dim == 1:
-        g = Grid(1, ((-1.0, 1.0),), 257)
+        g = Grid(((-1.0, 1.0),), 257)
         u = GridFunction.from_callable(g, hat_profile)
         k = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
         p = 2.5
     else:
-        g = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), 17)
+        g = Grid(((-1.0, 1.0), (-1.0, 1.0)), 17)
         u = GridFunction.from_callable(
             g, lambda x, y: bump_profile(np.hypot(x - 0.1, y) / 0.8)
         )

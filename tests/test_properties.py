@@ -11,7 +11,7 @@ from anisofrac.kernel import builtin, symmetrize
 from anisofrac.limits import LimitDensity, limit_density, limit_matrix
 from conftest import bump_profile, hat_profile
 
-GRID = Grid(1, ((-1.0, 1.0),), 33)
+GRID = Grid(((-1.0, 1.0),), 33)
 XS = np.linspace(-1.0, 1.0, 33)
 RNG = np.random.default_rng(2024)
 
@@ -106,12 +106,12 @@ def test_solver_traces_monotone_all_p():
     k = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
     for p in (1.5, 2.0, 3.0):
         res = solve_nonlocal(
-            NonlocalProblem(kern=k, fp=FractionalParams(0.5, p), grid=GRID, source=one)
+            NonlocalProblem(kern=k, fp=FractionalParams(0.5, p), source=one)
         )
         trace = np.array(res.objective_trace)
         assert np.all(np.diff(trace) <= 0.0)
         res_l = solve_local(
-            LocalProblem(grid=GRID, source=one, density=LD(k, p))
+            LocalProblem(source=one, density=LD(k, p))
         )
         trace_l = np.array(res_l.objective_trace)
         assert np.all(np.diff(trace_l) <= 0.0)

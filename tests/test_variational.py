@@ -34,7 +34,7 @@ def p_laplace_exact(xs, p, A=1.0):
 def test_local_p2_closed_form(grid129, one129):
     k = builtin("constant", {"c": 1.0})
     res = solve_local(
-        LocalProblem(grid=grid129, source=one129, density=LimitDensity(k, 2.0))
+        LocalProblem(source=one129, density=LimitDensity(k, 2.0))
     )
     xs = np.linspace(-1, 1, 129)
     exact = (1.0 - xs ** 2) / 4.0
@@ -47,7 +47,7 @@ def test_local_zero_source(grid129):
     z = GridFunction(grid129, np.zeros(129), boundary_flag=False)
     k = builtin("constant", {"c": 1.0})
     res = solve_local(
-        LocalProblem(grid=grid129, source=z, density=LimitDensity(k, 2.0))
+        LocalProblem(source=z, density=LimitDensity(k, 2.0))
     )
     assert np.all(res.minimizer.values == 0.0)
     assert res.objective == 0.0
@@ -57,7 +57,7 @@ def test_local_p3_first_integral_oracle(grid129, one129):
     # the constant kernel c has the 1D density (2c/p)|xi|^p: A = 1 at c = 1.5
     k = builtin("constant", {"c": 1.5})
     res = solve_local(
-        LocalProblem(grid=grid129, source=one129, density=LimitDensity(k, 3.0))
+        LocalProblem(source=one129, density=LimitDensity(k, 3.0))
     )
     xs = np.linspace(-1, 1, 129)
     exact = p_laplace_exact(xs, 3.0)
@@ -67,7 +67,7 @@ def test_local_p3_first_integral_oracle(grid129, one129):
 def test_local_p15_first_integral_oracle(grid129, one129):
     k = builtin("constant", {"c": 1.5})  # A = 2 at p = 1.5
     res = solve_local(
-        LocalProblem(grid=grid129, source=one129, density=LimitDensity(k, 1.5))
+        LocalProblem(source=one129, density=LimitDensity(k, 1.5))
     )
     xs = np.linspace(-1, 1, 129)
     exact = p_laplace_exact(xs, 1.5, A=2.0)
@@ -77,12 +77,11 @@ def test_local_p15_first_integral_oracle(grid129, one129):
 def test_problem_validation(grid129, one129):
     k = builtin("constant", {"c": 1.0})
     with pytest.raises(ValueError):
-        NonlocalProblem(kern=k, fp=FractionalParams(0.5, 1.0), grid=grid129,
-                        source=one129)
-    g2 = Grid(2, ((-1, 1), (-1, 1)), 9)
+        NonlocalProblem(kern=k, fp=FractionalParams(0.5, 1.0), source=one129)
+    g2 = Grid(((-1, 1), (-1, 1)), 9)
     one2 = GridFunction(g2, np.ones((9, 9)), boundary_flag=False)
     with pytest.raises(ValueError):
-        LocalProblem(grid=g2, source=one2,
+        LocalProblem(source=one2,
                      density=LimitDensity(builtin("constant", {"c": 1.0, "n": 2}), 3.0))
 
 
@@ -90,7 +89,7 @@ def test_nonlocal_zero_source(grid129):
     z = GridFunction(grid129, np.zeros(129), boundary_flag=False)
     k = builtin("constant", {"c": 1.0})
     res = solve_nonlocal(
-        NonlocalProblem(kern=k, fp=FractionalParams(0.5, 2.0), grid=grid129, source=z)
+        NonlocalProblem(kern=k, fp=FractionalParams(0.5, 2.0), source=z)
     )
     assert np.all(res.minimizer.values == 0.0)
     assert res.objective == 0.0
@@ -99,10 +98,10 @@ def test_nonlocal_zero_source(grid129):
 def test_nonlocal_self_refinement(one129, grid129):
     k = builtin("constant", {"c": 1.0})
     fp = FractionalParams(0.5, 2.0)
-    g65 = Grid(1, ((-1.0, 1.0),), 65)
+    g65 = Grid(((-1.0, 1.0),), 65)
     one65 = GridFunction(g65, np.ones(65), boundary_flag=False)
-    r65 = solve_nonlocal(NonlocalProblem(kern=k, fp=fp, grid=g65, source=one65))
-    r129 = solve_nonlocal(NonlocalProblem(kern=k, fp=fp, grid=grid129, source=one129))
+    r65 = solve_nonlocal(NonlocalProblem(kern=k, fp=fp, source=one65))
+    r129 = solve_nonlocal(NonlocalProblem(kern=k, fp=fp, source=one129))
     mid65 = r65.minimizer.values[32]
     mid129 = r129.minimizer.values[64]
     assert mid65 == pytest.approx(mid129, rel=0.02)
@@ -113,14 +112,14 @@ def test_nonlocal_self_refinement(one129, grid129):
 def test_nonlocal_linearity_in_source(grid129, one129):
     k = builtin("constant", {"c": 1.0})
     fp = FractionalParams(0.5, 2.0)
-    r1 = solve_nonlocal(NonlocalProblem(kern=k, fp=fp, grid=grid129, source=one129))
+    r1 = solve_nonlocal(NonlocalProblem(kern=k, fp=fp, source=one129))
     two = GridFunction(grid129, 2.0 * np.ones(129), boundary_flag=False)
-    r2 = solve_nonlocal(NonlocalProblem(kern=k, fp=fp, grid=grid129, source=two))
+    r2 = solve_nonlocal(NonlocalProblem(kern=k, fp=fp, source=two))
     assert np.allclose(r2.minimizer.values, 2.0 * r1.minimizer.values, atol=1e-10)
 
 
 def test_boundary_pin_and_free_mask_2d():
-    g = Grid(2, ((-1.0, 1.0), (-0.5, 1.5)), 6)
+    g = Grid(((-1.0, 1.0), (-0.5, 1.5)), 6)
     edge = np.zeros(g.shape, dtype=bool)
     edge[0, :] = edge[-1, :] = edge[:, 0] = edge[:, -1] = True
     u = GridFunction(g, np.arange(1.0, 37.0).reshape(g.shape))
@@ -131,7 +130,7 @@ def test_boundary_pin_and_free_mask_2d():
 def test_objective_trace_monotone(grid129, one129):
     k = builtin("constant", {"c": 1.0})
     prob = NonlocalProblem(
-        kern=k, fp=FractionalParams(0.5, 2.5), grid=grid129, source=one129
+        kern=k, fp=FractionalParams(0.5, 2.5), source=one129
     )
     res = solve_nonlocal(prob)
     trace = np.array(res.objective_trace)
@@ -142,7 +141,7 @@ def test_objective_trace_monotone(grid129, one129):
 def test_first_order_optimality_random_directions(grid129, one129):
     k = builtin("constant", {"c": 1.0})
     fp = FractionalParams(0.5, 2.0)
-    prob = NonlocalProblem(kern=k, fp=fp, grid=grid129, source=one129)
+    prob = NonlocalProblem(kern=k, fp=fp, source=one129)
     res = solve_nonlocal(prob)
     scheme = get_scheme(k, grid129)
     atoms = scheme.atoms(fp)
@@ -158,7 +157,7 @@ def test_first_order_optimality_random_directions(grid129, one129):
 
 
 def test_uniqueness_proxy_random_inits():
-    g = Grid(1, ((-1.0, 1.0),), 33)
+    g = Grid(((-1.0, 1.0),), 33)
     one = GridFunction(g, np.ones(33), boundary_flag=False)
     k = builtin("constant", {"c": 1.0})
     b = g.trapezoid_weights() * one.values.ravel()
@@ -196,7 +195,7 @@ def test_fixed_nodes_keep_their_values_bit_for_bit(monkeypatch, case):
         homogenize.cell_problem_1d(
             homogenize.PeriodicCoefficient(A=lambda y: 2.0 + np.sin(2 * np.pi * y), p=p), 1.0)
     else:
-        g = Grid(1, ((-1.0, 1.0),), 65)
+        g = Grid(((-1.0, 1.0),), 65)
         atoms = get_scheme(builtin("periodic-1d", {"A0": 2.0, "A1": 1.0}), g).atoms(
             FractionalParams(0.5, 3.0))
         fixed = np.zeros(65)
@@ -212,7 +211,7 @@ def test_fixed_nodes_keep_their_values_bit_for_bit(monkeypatch, case):
 def test_newton_step_forms_L_v_once_for_its_hessian(monkeypatch):
     # the lagged weights and their floor come from one product L v: between
     # a step's gradient and its Gram there is exactly one
-    g = Grid(1, ((-1.0, 1.0),), 33)
+    g = Grid(((-1.0, 1.0),), 33)
     atoms = get_scheme(builtin("periodic-1d", {"A0": 2.0, "A1": 1.0}), g).atoms(
         FractionalParams(0.5, 3.0))
     events = []
@@ -239,7 +238,7 @@ def test_energy_comparison_sandwich(grid129, one129):
     k_hi = builtin("constant", {"c": kp.m_plus})
     objs = {}
     for tag, k in (("lo", k_lo), ("mid", kp), ("hi", k_hi)):
-        res = solve_nonlocal(NonlocalProblem(kern=k, fp=fp, grid=grid129, source=one129))
+        res = solve_nonlocal(NonlocalProblem(kern=k, fp=fp, source=one129))
         objs[tag] = res.objective
     # larger weights mean larger minima of the shifted energy
     assert objs["lo"] <= objs["mid"] + 1e-12
@@ -251,7 +250,7 @@ def test_localization_sweep_constant(grid129, one129):
     s_list = [1 - 2.0 ** -j for j in range(2, 8)]
     table = localization_sweep(k, 2.0, one129, s_list)
     u_ref = solve_local(
-        LocalProblem(grid=grid129, source=one129, density=LimitDensity(k, 2.0))
+        LocalProblem(source=one129, density=LimitDensity(k, 2.0))
     ).minimizer
     un = lp_norm(u_ref, 2.0)
     assert table.final.value <= 0.05 * un
@@ -274,7 +273,7 @@ def test_localization_sweep_periodic_frozen(grid129, one129):
     vals = [r.value for r in table.rows]
     assert vals[-1] <= vals[0]
     u_ref = solve_local(
-        LocalProblem(grid=grid129, source=one129, density=LimitDensity(k, 2.0))
+        LocalProblem(source=one129, density=LimitDensity(k, 2.0))
     ).minimizer
     assert table.final.value <= 0.08 * lp_norm(u_ref, 2.0)
 
@@ -282,20 +281,20 @@ def test_localization_sweep_periodic_frozen(grid129, one129):
 def test_2d_local_matches_isotropic_poisson():
     # K_{2,2} = pi/2 makes the problem -pi lap(u) = 1 on the square;
     # frozen oracle u(0,0) = 0.0938 (series solution 0.294685/pi)
-    g = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), 33)
+    g = Grid(((-1.0, 1.0), (-1.0, 1.0)), 33)
     one = GridFunction(g, np.ones((33, 33)), boundary_flag=False)
     k = builtin("constant", {"c": 1.0, "n": 2})
-    res = solve_local(LocalProblem(grid=g, source=one, density=LimitDensity(k, 2.0)))
+    res = solve_local(LocalProblem(source=one, density=LimitDensity(k, 2.0)))
     assert res.converged
     assert res.minimizer.values[16, 16] == pytest.approx(0.2946854 / np.pi, rel=0.01)
 
 
 def test_2d_nonlocal_runs_small():
-    g = Grid(2, ((-1.0, 1.0), (-1.0, 1.0)), 13)
+    g = Grid(((-1.0, 1.0), (-1.0, 1.0)), 13)
     one = GridFunction(g, np.ones((13, 13)), boundary_flag=False)
     k = builtin("constant", {"c": 1.0, "n": 2})
     res = solve_nonlocal(
-        NonlocalProblem(kern=k, fp=FractionalParams(0.5, 2.0), grid=g, source=one)
+        NonlocalProblem(kern=k, fp=FractionalParams(0.5, 2.0), source=one)
     )
     assert res.converged
     v = res.minimizer.values
@@ -332,13 +331,13 @@ _NONLOCAL_2D_GOLDEN = {
 @pytest.mark.parametrize("name", sorted(_NONLOCAL_2D_GOLDEN))
 def test_nonlocal_2d_golden(name):
     want = _NONLOCAL_2D_GOLDEN[name]
-    g = Grid(2, want["box"], want["N"])
+    g = Grid(want["box"], want["N"])
     k = builtin("separable-angular", {"c0": 1.0, "c1": 0.5})
     p = float(name.rsplit("p=", 1)[1])
     rel = 1e-10 if p == 2.0 else DEFAULT_TOL ** (1.0 / (p - 1.0))
     one = GridFunction(g, np.ones(g.shape), boundary_flag=False)
     res = solve_nonlocal(
-        NonlocalProblem(kern=k, fp=FractionalParams(0.5, p), grid=g, source=one)
+        NonlocalProblem(kern=k, fp=FractionalParams(0.5, p), source=one)
     )
     assert res.converged
     assert res.objective == pytest.approx(want["objective"], rel=rel)
@@ -372,14 +371,14 @@ _LOCAL_GOLDEN = {
 @pytest.mark.parametrize("name", sorted(_LOCAL_GOLDEN))
 def test_local_golden(name):
     if name.startswith("separable-angular"):
-        g = Grid(2, ((-1.0, 3.0), (0.0, 1.0)), 9)
+        g = Grid(((-1.0, 3.0), (0.0, 1.0)), 9)
         k = builtin("separable-angular", {"c0": 1.0, "c1": 0.5})
     else:
-        g = Grid(1, ((-1.0, 1.0),), 33)
+        g = Grid(((-1.0, 1.0),), 33)
         k = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
     p = float(name.rsplit("p=", 1)[1])
     one = GridFunction(g, np.ones(g.shape), boundary_flag=False)
-    res = solve_local(LocalProblem(grid=g, source=one, density=LimitDensity(k, p)))
+    res = solve_local(LocalProblem(source=one, density=LimitDensity(k, p)))
     want = _LOCAL_GOLDEN[name]
     assert res.converged
     assert res.objective == pytest.approx(want["objective"], rel=1e-10)
@@ -397,10 +396,10 @@ def test_local_golden(name):
 def test_local_forms_of_coordinate_functions(case):
     # grad v . w of v = x_axis is w_axis on every simplex of every cell
     n = 1 if case == "1d" else 2
-    g = Grid(n, ((-1.0, 3.0), (0.0, 1.0))[:n], 9)
+    g = Grid(((-1.0, 3.0), (0.0, 1.0))[:n], 9)
     one = GridFunction(g, np.ones(g.shape), boundary_flag=False)
     ld = LimitDensity(builtin("constant", {"n": n}), 2.0)
-    atoms = _local_atoms(LocalProblem(grid=g, source=one, density=ld))
+    atoms = _local_atoms(LocalProblem(source=one, density=ld))
     n_cells, n_ang = 8 ** n, ld._dirs.shape[0]
     assert len(atoms) == (1 if n == 1 else 2) * n_cells * n_ang
     first = n_cells * n_ang if case == "2d-upper" else 0
@@ -414,10 +413,11 @@ def test_local_forms_of_coordinate_functions(case):
 def test_newton_steps_free_the_dense_hessian():
     # a step keeps one dense matrix at a time: H is freed once its
     # free-node block is taken, and that block once the step is solved
-    g = Grid(1, ((-1.0, 1.0),), 801)
+    g = Grid(((-1.0, 1.0),), 801)
     one = GridFunction(g, np.ones(801), boundary_flag=False)
-    atoms = _local_atoms(LocalProblem(grid=g, source=one,
-                                      density=LimitDensity(builtin("constant", {"c": 1.5}), 3.0)))
+    atoms = _local_atoms(
+        LocalProblem(source=one, density=LimitDensity(builtin("constant", {"c": 1.5}), 3.0))
+    )
     b = g.trapezoid_weights()
     h_bytes = 801 * 801 * 8
     tracemalloc.start()
