@@ -7,7 +7,8 @@ temp file in the target directory, then rename).  With ``--out`` the
 first stdout line is ``<what> -> <path>``; then ``energy`` echoes its
 CSV, and every subcommand prints one summary line.  Exit status: 0 on
 success, 2 on a config or validation error (an output path that cannot
-take the file included: it is checked before the experiment runs), 3
+take the file included: it is checked before the experiment runs; so
+is a sampled function or a result that is not finite), 3
 when a solver stopped without reaching its tolerance (inside a sweep or
 the commute experiment too; the table is still written), 4 on any other
 error, with a one-line message on stderr.
@@ -24,6 +25,8 @@ import os
 import sys
 import tempfile
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .config import ConfigError, ExperimentConfig, parse_config
 from .energy import anisotropic_energy, get_scheme
@@ -241,7 +244,10 @@ _RUNNERS = {
 def run(cfg: ExperimentConfig, subcommand: str) -> int:
     """Execute one experiment, write its table and summary; returns the exit status."""
     try:
-        outcome = _RUNNERS[subcommand](cfg)
+        # overflow gives inf or nan without a warning; the result types
+        # reject a value that is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcome = _RUNNERS[subcommand](cfg)
     finally:
         # each experiment builds its own kernel, so its schemes (~150 MB
         # of form matrix at 2D N=33) can never be hit again

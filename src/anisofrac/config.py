@@ -198,7 +198,7 @@ def compile_expression(src: str, dimension: int) -> Callable[..., np.ndarray]:
     ``coords`` holds one coordinate array per axis: x, then y in 2D.  The
     result has the coordinates' broadcast shape, so a bare number is a
     constant function.  Overflow and invalid operations give inf and nan
-    without a warning; the energies and the problems reject them.
+    without a warning; :class:`~anisofrac.gridfn.GridFunction` rejects them.
     """
     ast = _Parser(_tokenize(src), dimension).parse()
 

@@ -95,7 +95,7 @@ __all__ = [
     "EnergyScheme",
     "AtomSet",
     "MAX_2D_NODES",
-    "check_grid_cap",
+    "check_kernel_grid",
     "gagliardo",
     "anisotropic_energy",
     "CheckResult",
@@ -109,8 +109,11 @@ _SLICE_ROWS = 65_536  # rows of L, or kernel samples, per slice of an elementwis
 MAX_2D_NODES = 48  # nodes per axis of a 2D grid (see the cost model above)
 
 
-def check_grid_cap(grid: Grid) -> None:
-    """Reject a 2D grid with more than :data:`MAX_2D_NODES` nodes per axis."""
+def check_kernel_grid(kern: Kernel, grid: Grid) -> None:
+    """Reject a kernel and a grid of different dimensions, and a 2D grid
+    with more than :data:`MAX_2D_NODES` nodes per axis."""
+    if kern.dimension != grid.dimension:
+        raise ValueError("kernel and grid dimensions differ")
     if grid.dimension == 2 and grid.nodes_per_axis > MAX_2D_NODES:
         raise ValueError(
             f"2D grids are capped at N <= {MAX_2D_NODES} per axis, "
@@ -158,8 +161,15 @@ class EnergyReport:
         return self.near_diagonal + self.bulk + self.tail
 
     def __post_init__(self):
-        if self.error_bound < 0.0:
-            raise ValueError("error_bound must be nonnegative")
+        if not math.isfinite(self.value):
+            raise ValueError(
+                f"energy value is {self.value!r}: the inputs overflow double precision"
+            )
+        if not 0.0 <= self.error_bound < math.inf:
+            raise ValueError(
+                f"energy error bound {self.error_bound!r} is not in [0, inf): "
+                "the inputs overflow double precision"
+            )
 
 
 def power_delta(a, e, p):
@@ -366,9 +376,7 @@ class EnergyScheme:
         grid: Grid,
         settings: QuadratureSettings = QuadratureSettings(),
     ):
-        if kern.dimension != grid.dimension:
-            raise ValueError("kernel and grid dimensions differ")
-        check_grid_cap(grid)
+        check_kernel_grid(kern, grid)
         self.kern = kern
         self.grid = grid
         n = grid.dimension
@@ -592,8 +600,6 @@ class EnergyScheme:
         """
         if u.grid != self.grid:
             raise ValueError("grid function does not live on the scheme grid")
-        if not np.all(np.isfinite(u.values)):
-            raise ValueError("function values must be finite")
         if np.any(u.values[self.grid.boundary()] != 0.0):
             raise ValueError(
                 "energies need compactly supported functions: boundary values must be 0"

@@ -144,7 +144,8 @@ class GridFunction:
 
     ``boundary_flag`` pins every boundary node to exactly 0, so the
     zero-extension is continuous and the function vanishes outside the
-    open box.
+    open box.  The values kept, after pinning, must be finite: every
+    energy, norm and solver downstream relies on it.
     """
 
     grid: Grid
@@ -160,6 +161,8 @@ class GridFunction:
         if self.boundary_flag:
             vals = vals.copy()
             vals[self.grid.boundary()] = 0.0
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("grid function values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 

@@ -24,10 +24,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .energy import AtomSet
+from .energy import AtomSet, check_kernel_grid
 from .gridfn import Grid, GridFunction, lp_distance, lp_norm
 from .kernel import Kernel, builtin
-from .limits import LimitDensity, _check_orders, default_bbm_s_list, limit_density
+from .limits import LimitDensity, _orders, limit_density
 from .variational import (
     LocalProblem,
     NotConvergedError,
@@ -298,8 +298,8 @@ def commute_experiment(
     be empty, and every eps is 1/m for an integer m >= 1.  The eps cases
     run one after another, from the largest eps.
     """
-    s_list = list(s_list) if s_list is not None else default_bbm_s_list()
-    _check_orders(s_list, toward_one=True)
+    s_list = _orders(s_list, toward_one=True)
+    check_kernel_grid(k, f.grid)
     if k.dimension != 1:
         raise ValueError("the experiment is 1D")
     if not eps_list:

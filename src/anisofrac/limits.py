@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -232,6 +232,14 @@ class TableRow:
     rel_error: Optional[float]
     converged: bool = True
 
+    def __post_init__(self):
+        for name in ("param", "value", "extrapolated", "reference", "rel_error"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise ValueError(
+                    f"sweep {name} is {v!r}: the inputs overflow double precision"
+                )
+
 
 @dataclass(frozen=True)
 class ConvergenceTable:
@@ -290,9 +298,13 @@ def default_ms_s_list() -> list[float]:
     return [2.0 ** (-k) for k in range(2, 8)]
 
 
-def _check_orders(s_list: Sequence[float], toward_one: bool) -> None:
-    """At least one order, each in (0,1), strictly monotone toward the
-    limit studied."""
+def _orders(s_list: Optional[Sequence[float]], toward_one: bool) -> list[float]:
+    """The orders of a sweep toward s = 1 or s = 0: the default list of
+    that direction when ``s_list`` is None, else ``s_list`` checked to hold
+    at least one order, each in (0,1), strictly monotone toward the limit."""
+    if s_list is None:
+        return default_bbm_s_list() if toward_one else default_ms_s_list()
+    s_list = list(s_list)
     if not s_list:
         raise ValueError("s_list must hold at least one order")
     if any(not 0.0 < s < 1.0 for s in s_list):
@@ -302,6 +314,7 @@ def _check_orders(s_list: Sequence[float], toward_one: bool) -> None:
         raise ValueError("s_list must strictly increase toward 1")
     if not toward_one and any(a <= b for a, b in pairs):
         raise ValueError("s_list must strictly decrease toward 0")
+    return s_list
 
 
 def _energy_sweep(
@@ -310,14 +323,14 @@ def _energy_sweep(
     p: float,
     s_list: Sequence[float],
     t_of_s,
-    reference: Callable[[], float],
+    reference: float,
 ) -> ConvergenceTable:
-    """t(s) times the weighted double integral for each s, from one scheme;
-    ``reference()`` runs once the energies have rejected a non-finite u."""
+    """t(s) times the weighted double integral for each s, from one
+    scheme, in a table against the float ``reference``."""
     parts = get_scheme(k, u.grid).raw_components(u, p, s_list)
     values = [t_of_s(s) * (near + bulk + tail)
               for s, (near, bulk, tail, _) in zip(s_list, parts)]
-    return _assemble_table(s_list, values, reference(), t_of_s)
+    return _assemble_table(s_list, values, reference, t_of_s)
 
 
 def bbm_sweep(
@@ -332,14 +345,10 @@ def bbm_sweep(
     with cell-centered gradients, and the extrapolation is first-order
     in (1-s).  ``s_list=None`` means :func:`default_bbm_s_list`.
     """
-    s_list = list(s_list) if s_list is not None else default_bbm_s_list()
-    _check_orders(s_list, toward_one=True)
+    s_list = _orders(s_list, toward_one=True)
     ld = LimitDensity(k, p)
-
-    def reference() -> float:
-        centers, grads, vols = u.cell_gradients()
-        return float(np.dot(vols, np.atleast_1d(limit_density(ld, centers, grads))))
-
+    centers, grads, vols = u.cell_gradients()
+    reference = float(np.dot(vols, np.atleast_1d(limit_density(ld, centers, grads))))
     return _energy_sweep(k, u, p, s_list, lambda s: 1.0 - s, reference)
 
 
@@ -356,12 +365,8 @@ def ms_sweep(
     is tame.  Extrapolation is first-order in s.  ``s_list=None`` means
     :func:`default_ms_s_list`.
     """
-    s_list = list(s_list) if s_list is not None else default_ms_s_list()
-    _check_orders(s_list, toward_one=False)
+    s_list = _orders(s_list, toward_one=False)
     b_vals = ms_weight_limit(k, u.grid.nodes(), p)
     w_x = u.grid.trapezoid_weights()
-
-    def reference() -> float:
-        return float(np.dot(w_x, np.abs(u.values.ravel()) ** p * b_vals))
-
+    reference = float(np.dot(w_x, np.abs(u.values.ravel()) ** p * b_vals))
     return _energy_sweep(k, u, p, s_list, lambda s: s, reference)

@@ -35,15 +35,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .energy import AtomSet, check_grid_cap, get_scheme
+from .energy import AtomSet, check_kernel_grid, get_scheme
 from .gridfn import FractionalParams, Grid, GridFunction, lp_distance
 from .kernel import Kernel
 from .limits import (
     ConvergenceTable,
     LimitDensity,
     TableRow,
-    _check_orders,
-    default_bbm_s_list,
+    _orders,
 )
 
 __all__ = [
@@ -69,17 +68,13 @@ class IncreasingObjectiveError(RuntimeError):
     """A descent trace went up: a fault of the solver (CLI exit status 4)."""
 
 
-def _check_source(source: GridFunction) -> None:
-    if not np.all(np.isfinite(source.values)):
-        raise ValueError("source values must be finite")
-
-
 @dataclass(frozen=True)
 class NonlocalProblem:
     """Nonlocal Dirichlet problem on the default quadrature of (kern, grid).
 
-    The grid is the source's.  Solved to :data:`DEFAULT_TOL` in at most
-    :data:`DEFAULT_MAX_ITER` Newton steps, like :class:`LocalProblem`.
+    The grid is the source's (finite by construction), and the scheme
+    build checks the kernel-grid pair.  Solved to :data:`DEFAULT_TOL` in
+    at most :data:`DEFAULT_MAX_ITER` Newton steps, like :class:`LocalProblem`.
     """
 
     kern: Kernel
@@ -93,16 +88,16 @@ class NonlocalProblem:
     def __post_init__(self):
         if self.fp.p <= 1.0:
             raise ValueError("the solver needs p > 1 (strict convexity)")
-        _check_source(self.source)
 
 
 @dataclass(frozen=True)
 class LocalProblem:
     """Local limit problem: int A(x, grad v) dx - int f v, A from ``density``.
 
-    The grid is the source's, and p is the density's.  A constant 1D
-    coefficient A|xi|^p is the density of the constant kernel
-    c = p A / 2.  For p != 2 only 1D grids are supported.
+    The grid is the source's (finite by construction), p is the density's,
+    and its kernel must pair with the grid (:func:`check_kernel_grid`).
+    A constant 1D coefficient A|xi|^p is the density of the constant
+    kernel c = p A / 2.  For p != 2 only 1D grids are supported.
     """
 
     source: GridFunction
@@ -119,12 +114,9 @@ class LocalProblem:
     def __post_init__(self):
         if self.p <= 1.0:
             raise ValueError("the solver needs p > 1 (strict convexity)")
-        if self.density.kern.dimension != self.grid.dimension:
-            raise ValueError("kernel and grid dimensions differ")
+        check_kernel_grid(self.density.kern, self.grid)
         if self.p != 2.0 and self.grid.dimension != 1:
             raise ValueError("p != 2 local solves are 1D only")
-        check_grid_cap(self.grid)
-        _check_source(self.source)
 
 
 @dataclass(frozen=True)
@@ -137,6 +129,12 @@ class SolveResult:
     objective_trace: tuple[float, ...] = field(repr=False, default=())
 
     def __post_init__(self):
+        for name in ("objective", "residual"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(
+                    f"solve {name} is {v!r}: the inputs overflow double precision"
+                )
         for a, b in zip(self.objective_trace, self.objective_trace[1:]):
             if b > a:
                 raise IncreasingObjectiveError(
@@ -343,8 +341,7 @@ def localization_sweep(
     problems).  The nonlocal solves run one after another on the one
     cached scheme of (k, grid).
     """
-    s_list = list(s_list) if s_list is not None else default_bbm_s_list()
-    _check_orders(s_list, toward_one=True)
+    s_list = _orders(s_list, toward_one=True)
     local_converged = True
     if local_solution is None:
         local = solve_local(LocalProblem(source=f, density=LimitDensity(k, p)))

@@ -7,7 +7,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from anisofrac import cli, homogenize, variational
+from anisofrac import cli, energy, homogenize, variational
 from anisofrac.config import ConfigError, compile_expression, parse_config
 
 MINIMAL = """
@@ -560,32 +560,60 @@ def test_cli_nonfinite_number_exit_2(tmp_path, capsys, subcommand, section, key,
     assert f"line {line}:" in err and "finite" in err
 
 
-@pytest.mark.parametrize("subcommand, key, expr, message", [
-    ("energy", "u", "const(1e308) * 10 * bump(0, 0.5)", "function values must be finite"),
-    ("bbm-sweep", "u", "const(1e308) * 10 * bump(0, 0.5)", "function values must be finite"),
-    ("ms-sweep", "u", "const(1e308) * 10 * bump(0, 0.5)", "function values must be finite"),
-    ("solve-nonlocal", "f", "const(1e308) * 10", "source values must be finite"),
-    ("solve-local", "f", "const(1e308) * 10", "source values must be finite"),
-    ("localize", "f", "const(1e308) * 10", "source values must be finite"),
-    ("commute", "f", "const(1e308) * 10", "source values must be finite"),
+_NONFINITE_GRIDS = {
+    "1D": "[kernel]\nname = periodic-1d\nA0 = 2.0\nA1 = 1.0\n\n[grid]\nN = 33\n\n",
+    "2D N=33": "[kernel]\nname = separable-angular\n\n[grid]\nn = 2\nbox = -1:1;-1:1\nN = 33\n\n",
+}
+
+
+@pytest.mark.parametrize("subcommand, key, expr, grid", [
+    ("energy", "u", "const(1e308) * 10 * bump(0, 0.5)", "1D"),
+    ("bbm-sweep", "u", "const(1e308) * 10 * bump(0, 0.5)", "1D"),
+    ("ms-sweep", "u", "const(1e308) * 10 * bump(0, 0.5)", "1D"),
+    ("solve-nonlocal", "f", "const(1e308) * 10", "1D"),
+    ("solve-local", "f", "const(1e308) * 10", "1D"),
+    ("localize", "f", "const(1e308) * 10", "1D"),
+    ("commute", "f", "const(1e308) * 10", "1D"),
+    ("energy", "u", "const(1e308) * 10 * bump(0, 0, 0.8)", "2D N=33"),
+    ("bbm-sweep", "u", "const(1e308) * 10 * bump(0, 0, 0.8)", "2D N=33"),
 ])
 def test_cli_nonfinite_function_exit_2_before_any_solve(
-    tmp_path, monkeypatch, capsys, subcommand, key, expr, message
+    tmp_path, monkeypatch, capsys, subcommand, key, expr, grid
 ):
-    # the expression parses; its values overflow to inf, and inf * 0 is nan
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved a problem with a non-finite source")
+    # the expression parses; its values overflow to inf, and inf * 0 is
+    # nan.  Sampling rejects them before any scheme, cell problem or solve
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on a non-finite function")
 
-    monkeypatch.setattr(variational, "_solve_atoms", no_solve)
-    cfg = _write(
-        tmp_path, "n.ini",
-        "[kernel]\nname = periodic-1d\nA0 = 2.0\nA1 = 1.0\n\n[grid]\nN = 33\n\n"
-        f"[params]\ns = 0.5\n{key} = {expr}\n",
-    )
+    monkeypatch.setattr(variational, "_solve_atoms", no_work)
+    monkeypatch.setattr(energy.EnergyScheme, "__init__", no_work)
+    monkeypatch.setattr(homogenize, "cell_problem_1d", no_work)
+    cfg = _write(tmp_path, "n.ini",
+                 _NONFINITE_GRIDS[grid] + f"[params]\ns = 0.5\n{key} = {expr}\n")
     out = tmp_path / "never.csv"
     assert cli.main([subcommand, "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
-    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert capsys.readouterr().err.splitlines() == ["error: grid function values must be finite"]
+
+
+@pytest.mark.parametrize("subcommand, params", [
+    ("energy", "s = 1e-320"),
+    ("energy", "s = 0.5\np = 800\nu = const(40) * bump(0, 1)"),
+    ("bbm-sweep", "p = 800\nu = const(40) * bump(0, 1)"),
+    ("solve-local", "f = const(1e306)"),
+    ("solve-nonlocal", "s = 0.5\nf = const(1e306)"),
+    ("localize", "f = const(1e306)"),
+], ids=["energy s=1e-320", "energy p=800", "bbm-sweep p=800", "solve-local f=1e306",
+        "solve-nonlocal f=1e306", "localize f=1e306"])
+def test_cli_nonfinite_result_exit_2(tmp_path, capsys, subcommand, params):
+    # finite inputs whose energies or objectives overflow double precision
+    cfg = _write(tmp_path, "o.ini",
+                 f"[kernel]\nname = constant\n\n[grid]\nN = 33\n\n[params]\n{params}\n")
+    out = tmp_path / "never.csv"
+    assert cli.main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].endswith("the inputs overflow double precision")
 
 
 def test_cli_bare_number_is_a_constant_source(tmp_path):
@@ -638,7 +666,7 @@ def test_cli_solve_local_2d_grid_cap(tmp_path, capsys, N, rc):
         assert err == ["error: 2D grids are capped at N <= 48 per axis, got N = 49"]
 
 
-@pytest.mark.parametrize("subcommand", ["solve-local", "localize"])
+@pytest.mark.parametrize("subcommand", ["solve-local", "localize", "commute"])
 @pytest.mark.parametrize(
     "kernel, grid",
     [("separable-angular", "n = 1\nN = 33"), ("periodic-1d", "n = 2\nbox = -1:1;-1:1\nN = 9")],
@@ -647,11 +675,12 @@ def test_cli_solve_local_2d_grid_cap(tmp_path, capsys, N, rc):
 def test_cli_kernel_grid_dimension_mismatch_exit_2(
     tmp_path, monkeypatch, capsys, subcommand, kernel, grid
 ):
-    # rejected when the problem is set up, before any solve
+    # rejected when the problem is set up, before any solve or cell problem
     def no_solve(*args, **kwargs):
         raise AssertionError("solved a problem whose dimensions differ")
 
     monkeypatch.setattr(variational, "_solve_atoms", no_solve)
+    monkeypatch.setattr(homogenize, "cell_problem_1d", no_solve)
     cfg = _write(tmp_path, "m.ini", f"[kernel]\nname = {kernel}\n\n[grid]\n{grid}\n")
     out = tmp_path / "m.csv"
     assert cli.main([subcommand, "--config", cfg, "--out", str(out)]) == 2

@@ -242,6 +242,18 @@ def test_boundary_values_must_vanish_2d():
             gagliardo(GridFunction(g, vals, boundary_flag=False), FractionalParams(0.5, 2.0))
 
 
+def test_energy_that_overflows_is_rejected(grid129, bump129):
+    # |L u|^800 overflows: numpy warns the library caller, and the report
+    # refuses the nan
+    u = GridFunction(grid129, 40.0 * bump129.values)
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="energy value is nan"):
+        anisotropic_energy(builtin("constant", {"c": 1.0}), u, FractionalParams(0.5, 800.0))
+    rep = gagliardo(bump129, FractionalParams(0.5, 2.0))
+    for bad in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match=r"error bound .* is not in \[0, inf\)"):
+            dataclasses.replace(rep, error_bound=bad)
+
+
 @pytest.mark.parametrize("case", ["gagliardo-1d", "separable-angular-2d"])
 def test_atoms_agree_with_report(hat129, case):
     fp = FractionalParams(0.45, 2.5)

@@ -123,6 +123,25 @@ def test_boundary_flag_pins_and_subspace(grid129):
     assert np.allclose(w.values, 2.0 * u.values + 3.0 * v.values)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("boundary_flag", [True, False])
+def test_grid_function_values_must_be_finite(grid129, bad, boundary_flag):
+    vals = np.ones(129)
+    vals[64] = bad
+    with pytest.raises(ValueError, match="grid function values must be finite"):
+        GridFunction(grid129, vals, boundary_flag=boundary_flag)
+
+
+def test_pinning_drops_a_nan_on_the_boundary(grid129):
+    # the check runs on the values kept, after pinning
+    vals = np.ones(129)
+    vals[0] = math.nan
+    u = GridFunction(grid129, vals, boundary_flag=True)
+    assert u.values[0] == 0.0 and np.all(np.isfinite(u.values))
+    with pytest.raises(ValueError, match="grid function values must be finite"):
+        GridFunction(grid129, vals, boundary_flag=False)
+
+
 def test_cell_gradients_2d_averaged_differences():
     # per axis: the difference across the cell, averaged over the other axis
     g = Grid(((-1.0, 1.0), (-0.5, 2.5)), 7)
@@ -166,6 +185,11 @@ def test_csv_rejects_garbage(tmp_path):
 def test_csv_header_errors_name_the_field(header, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         read_csv(io.StringIO(header + "\n0\n1\n0\n"))
+
+
+def test_csv_rejects_a_nan_value():
+    with pytest.raises(ValueError, match="grid function values must be finite"):
+        read_csv(io.StringIO("# grid n=1 box=-1:1 N=3\n0\nnan\n0\n"))
 
 
 def test_csv_header_n_must_match_the_box():

@@ -339,6 +339,14 @@ def test_convergence_table_invariants():
         ConvergenceTable(short)
 
 
+@pytest.mark.parametrize("field", ["param", "value", "extrapolated", "reference", "rel_error"])
+def test_table_row_fields_must_be_finite(field):
+    row = dict(param=0.5, value=1.0, extrapolated=None, reference=None, rel_error=None)
+    TableRow(**row)
+    with pytest.raises(ValueError, match=f"sweep {field} is nan"):
+        TableRow(**{**row, field: math.nan})
+
+
 def test_sweep_extrapolated_from_third_row(bump129):
     k = builtin("constant", {"c": 1.0})
     table = bbm_sweep(k, bump129, 2.0, s_list=[0.75, 0.875, 0.9375])

@@ -85,6 +85,14 @@ def test_problem_validation(grid129, one129):
                      density=LimitDensity(builtin("constant", {"c": 1.0, "n": 2}), 3.0))
 
 
+def test_solve_that_overflows_is_rejected(grid129):
+    # a finite source whose objective overflows double precision
+    big = GridFunction(grid129, np.full(129, 1e306), boundary_flag=False)
+    ld = LimitDensity(builtin("constant", {"c": 1.0}), 2.0)
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="solve objective is nan"):
+        solve_local(LocalProblem(source=big, density=ld))
+
+
 def test_nonlocal_zero_source(grid129):
     z = GridFunction(grid129, np.zeros(129), boundary_flag=False)
     k = builtin("constant", {"c": 1.0})
