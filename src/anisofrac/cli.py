@@ -249,8 +249,9 @@ def run(cfg: ExperimentConfig, subcommand: str) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             outcome = _RUNNERS[subcommand](cfg)
     finally:
-        # each experiment builds its own kernel, so its schemes (~150 MB
-        # of form matrix at 2D N=33) can never be hit again
+        # each experiment builds its own kernel, so its schemes (~20 MB of
+        # base weights at 2D N=33, ~125 MB once a solver assembled the
+        # form matrix) can never be hit again
         get_scheme.cache_clear()
     if cfg.out_path:
         _atomic_write(cfg.out_path, outcome.csv)

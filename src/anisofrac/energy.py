@@ -26,33 +26,40 @@ summation order).  ``error_bound`` collects the surrogate remainder, the
 ladder second-difference estimates, the angular-rule residual and the
 far bracket width.
 
-The discrete energy is written down once, as one sparse operator that
-does not depend on (s, p).  :class:`EnergyScheme` builds a CSR matrix
-``L`` with one column per node and one row per linear form of the node
-values:
+The discrete energy is written down once, as one family of linear forms
+of the node values that does not depend on (s, p):
 
-    near rows   D_w v(x)            one-sided slope, per (angle, node)
-    bulk rows   v(x) - v(x - r w)   multilinear interpolation, per
-                                    (rung, angle, node) while x - r w
-                                    stays in the box
-    tail rows   v(x)                per node
+    near forms   D_w v(x)            one-sided slope, per (angle, node)
+    bulk forms   v(x) - v(x - r w)   multilinear interpolation, per
+                                     (rung, angle, node) while x - r w
+                                     stays in the box
+    tail forms   v(x)                per node
 
-Each near and bulk row carries a base weight and a label (the rung and
-the parity of the angle for a bulk row), and its weight at (s, p) is
-its base times the factor of its label.  Every pair that has no row is
+Each near and bulk form carries a base weight and a label (the rung and
+the parity of the angle for a bulk form), and its weight at (s, p) is
+its base times the factor of its label.  Every pair that has no form is
 a |v(x)|^p term with a doubled weight (v vanishes at the far point, and
 the pair swap counts the mirrored pair a second time): a bulk pair
 whose shifted point has left the box, every pair of a far rung, and the
 remainder beyond h_max.  Their weights form one table, ``outside_w``,
-with a row per node and a column per label, and the tail row of x
+with a row per node and a column per label, and the tail form of x
 weighs ``outside_w[x] @ factor``.  One method gives every label's
-factor (:meth:`EnergyScheme.label_factors`).  A report is one product
-``L v``, a bincount by label and one product with ``outside_w``;
-:meth:`EnergyScheme.atoms` hands the same ``L`` with the weights of one
-(s, p) to the solvers, whose gradient is ``L^T (...)`` and whose
-Hessian is the Gram matrix ``L^T diag(2 w) L``.  All bulk rows of one
-(rung, angle) are one interpolation stencil shifted node by node over a
-box of nodes, so the scheme assembles that matrix without a sparse
+factor (:meth:`EnergyScheme.label_factors`).
+
+All bulk forms of one (rung, angle) are one interpolation stencil shifted
+node by node over a box of nodes, and :class:`EnergyScheme` keeps them as
+that: a cell shift, corner factors and a node box per (rung, angle).  A
+report reads the forms from these tables, rung by rung, as sums of
+shifted copies of the node array (:meth:`EnergyScheme._bulk_forms`); the
+near forms are one small CSR product and the tail forms are v itself.
+Then come a sum by label, in row order, and one product with
+``outside_w``.  The solvers need the forms as a matrix: the CSR matrix
+:attr:`EnergyScheme.L` has one column per node and one row per form
+(near, bulk, tail), and is assembled on first use, which is the first
+call of :meth:`EnergyScheme.atoms`.  ``atoms`` hands ``L`` with the
+weights of one (s, p) to the solvers, whose gradient is ``L^T (...)``
+and whose Hessian is the Gram matrix ``L^T diag(2 w) L``.  The scheme
+assembles that matrix from the same stencil tables, without a sparse
 product over the bulk rows: a diagonal, a node-corner cross term
 gathered from one sparse x dense product, and per-cell corner blocks
 (:meth:`EnergyScheme._gram`).  The near rows, and atom sets that are not
@@ -60,18 +67,23 @@ a scheme's (local atoms, the cell problem), take one sparse product
 ``L^T diag(2 w) L`` each.
 
 Cost model: the scheme samples the kernel on a (nodes x rungs x angles)
-lattice, bulk and far rungs alike, in blocks of whole rungs, and ``L``
-has one bulk row per lattice point whose shifted point stays in the
-box.  In 1D this is ~1e5 rows for N = 257; in 2D it grows like
-N^2 * rungs * angles (1.75M bulk rows and 8.3M nonzeros at N = 33),
-which is why 2D grids are capped at N <= 48 (:data:`MAX_2D_NODES`).
-The node boxes of the (rung, angle) stencils size ``L``.  Writing the
-bulk rows of ``L``, one (rung, angle) stencil at a time, is the largest
-part of the build, ahead of the kernel samples.  For the separable-angular
-kernel on a 2-vCPU host (numpy, medians of 8 builds): at N = 33 a build
-took 0.22-0.28 s, of which the row writes took 0.10-0.12 s and the kernel
-samples 0.06-0.07 s; at N = 44 it took 0.48-0.51 s, 0.20-0.21 s and
-0.14 s.
+lattice, bulk and far rungs alike, in blocks of whole rungs, and there
+is one bulk form per lattice point whose shifted point stays in the
+box.  In 1D this is ~1e5 forms for N = 257; in 2D it grows like
+N^2 * rungs * angles (1.75M bulk forms at N = 33, whose rows of ``L``
+hold 8.3M nonzeros, 107 MB), which is why 2D grids are capped at
+N <= 48 (:data:`MAX_2D_NODES`).  A build samples the kernel and keeps one
+base weight per form; it writes no row of ``L``.  Writing the bulk rows,
+one (rung, angle) stencil at a time, is the largest part of the first
+``atoms`` call, so perfbench's per-layer trace counts it in
+``energy.atoms``, not ``energy.scheme_build``.  A report allocates only
+temporaries of about ``_SLICE_ROWS`` (rung, angle, node) points, one
+block of rungs at a time.  For the separable-angular kernel on a 2-vCPU
+host (numpy, medians of 8, two rounds): at N = 33 a build took 0.14 s,
+a report 0.05-0.06 s and the assembly of ``L`` 0.14 s; at N = 44 they
+took 0.23-0.27 s, 0.10 s and 0.22-0.25 s.  One build and one report
+trace 24.5 MB at N = 33 and 45 MB at N = 44 (175 and 337 MB when the
+build wrote ``L``).
 """
 
 from __future__ import annotations
@@ -357,15 +369,18 @@ def _trapz_factors(n: int) -> np.ndarray:
 
 
 class EnergyScheme:
-    """s-independent quadrature: the form matrix ``L`` and its row weights.
+    """s-independent quadrature: the linear forms and their base weights.
 
     Built once per (kernel, grid, settings); reports and atom sets for
-    any (s, p) reuse ``L``, its base weights and labels and the node
-    table ``outside_w`` of the pairs without a row, which is what makes
-    the parameter sweeps affordable.  The radius ladder ``radii`` is the
-    bulk rungs ``r_bulk`` followed by the far rungs ``r_far``, with their
-    trapezoid weights in log r in ``rung_dt``.  The plain Gagliardo seminorm
-    is the scheme of the constant kernel c = 1.  The package always uses
+    any (s, p) reuse the forms' stencil tables, their base weights and
+    the node table ``outside_w`` of the pairs without a form, which is
+    what makes the parameter sweeps affordable.  Reports read the forms
+    from the tables; the form matrix :attr:`L` and its labels are
+    assembled only when :meth:`atoms` first asks for them.  The radius
+    ladder ``radii`` is the bulk rungs ``r_bulk`` followed by the far
+    rungs ``r_far``, with their trapezoid weights in log r in
+    ``rung_dt``.  The plain Gagliardo seminorm is the scheme of the
+    constant kernel c = 1.  The package always uses
     the default settings (through :func:`get_scheme`); other settings
     serve refinement studies.
     """
@@ -407,29 +422,32 @@ class EnergyScheme:
     # -- the form matrix ----------------------------------------------------
 
     def _build_operator(self):
-        """Assemble L, its base weights and row labels, and ``outside_w``.
+        """The stencil tables, base weights and near CSR of the forms, and ``outside_w``.
 
-        Rows: near (angle-major), then bulk in (rung, angle, node) order,
-        then tail.  Labels: 2 * rung + angle parity over the bulk and far
-        rungs, then the remainder beyond h_max; these are the columns of
-        ``outside_w``.  Then come the near label and the tail label.  A
-        tail row has base 0: its weight is its node's row of ``outside_w``
-        at the factors of (s, p).  ``rem_hw`` is the last octave's largest
-        deviation from the tail limit, per node, which brackets the
-        remainder.
+        Forms, in the row order of :attr:`L`: near (angle-major), then bulk
+        in (rung, angle, node) order, then tail.  Labels: 2 * rung + angle
+        parity over the bulk and far rungs, then the remainder beyond
+        h_max; these are the columns of ``outside_w``.  Then come the near
+        label and the tail label.  A tail form has base 0: its weight is
+        its node's row of ``outside_w`` at the factors of (s, p).
+        ``rem_hw`` is the last octave's largest deviation from the tail
+        limit, per node, which brackets the remainder.
 
         For rung j and angle k, x - r_j w_k lies in the cell of the node
         x + m_jk with corner factors phi_jk at every node x, so the bulk
-        row of (j, k) at x is v(x) + sum_c phi_jk,c v(x + m_jk + c) over
+        form of (j, k) at x is v(x) + sum_c phi_jk,c v(x + m_jk + c) over
         the corners c with a nonzero factor (axis 0's factors carry the
         minus sign).  A shift within rounding of a node line is snapped
         onto it, so its upper corner has factor 0 and is left out.  The
         nodes whose shifted point stays in the box form a box per (j, k),
         ``_box_lo`` plus ``range(_box_len)`` along each axis; the pairs of
         the other nodes, and every pair of a far rung, go to ``outside_w``.
+        The near forms are one CSR matrix, ``_near_L``.  No bulk row is
+        written here: reports read the bulk forms from these tables
+        (:meth:`_bulk_forms`), and :attr:`L` assembles the rows.
         """
         grid = self.grid
-        n, N = grid.dimension, grid.nodes_per_axis
+        n = grid.dimension
         n_nodes = self.nodes.shape[0]
         n_ang = self.dirs.shape[0]
         n_bulk = self.r_bulk.shape[0]
@@ -455,40 +473,20 @@ class EnergyScheme:
         self._phi = phi
         self._box_lo = np.stack([ins.argmax(axis=1) for ins in insides], axis=2)
         self._box_len = np.stack([ins.sum(axis=1) for ins in insides], axis=2)
-        # per (rung, angle), the column offsets from x and the coefficients
-        # of a row: v(x) first, then the corners with a nonzero factor
-        corners = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
-        offsets = np.concatenate(
-            [np.zeros((n_bulk, n_ang, 1), dtype=np.int64),
-             (self._shift[:, :, None, :] + corners) @ (N ** np.arange(n - 1, -1, -1))],
-            axis=2,
-        )
-        coefs = np.concatenate([np.ones((n_bulk, n_ang, 1)), phi], axis=2)
-        order = np.argsort(coefs == 0.0, axis=2, kind="stable")
-        offsets = np.take_along_axis(offsets, order, axis=2)
-        coefs = np.take_along_axis(coefs, order, axis=2)
-        widths = np.count_nonzero(coefs, axis=2)
         counts = self._box_len.prod(axis=2)
 
+        # near forms: a(x, w) |D_w v(x)|^p
         near_idx, near_coef = self._gradient_stencil()
         near_keep = near_coef != 0.0
         n_near = n_ang * n_nodes
+        self._near_L = sparse.csr_matrix(
+            (near_coef[near_keep], near_idx[near_keep].astype(np.int32),
+             np.concatenate([[0], np.cumsum(near_keep.sum(axis=1))]).astype(np.int32)),
+            shape=(n_near, n_nodes),
+        )
         n_rows = n_near + int(counts.sum()) + n_nodes
-        nnz = int(near_keep.sum()) + int((counts * widths).sum()) + n_nodes
-        data = np.empty(nnz)
-        indices = np.empty(nnz, dtype=np.int32)
-        indptr = np.empty(n_rows + 1, dtype=np.int32)
         base = np.empty(n_rows)
-        label = np.empty(n_rows, dtype=np.int32)
-
-        # near rows: a(x, w) |D_w v(x)|^p
-        row_nnz = near_keep.sum(axis=1)
-        indptr[:n_near] = np.cumsum(row_nnz) - row_nnz
-        pos = int(row_nnz.sum())
-        data[:pos] = near_coef[near_keep]
-        indices[:pos] = near_idx[near_keep]
         base[:n_near] = (self.w_dirs[:, None] * self.a_vals.T * self.w_x[None, :]).ravel()
-        label[:n_near] = 2 * n_rungs + 1
 
         # mu: the large-offset limit of the symmetrized weight per (node,
         # angle), or the middle of the bounds when the kernel declares none
@@ -502,10 +500,9 @@ class EnergyScheme:
         self.outside_w = np.empty((n_nodes, 2 * n_rungs + 1))
         self.outside_w[:, -1] = 2.0 * self.w_x * (mu @ self.w_dirs)
 
-        # bulk rows: msym |v(x) - v(x - r w)|^p; the nodes outside the box
+        # bulk forms: msym |v(x) - v(x - r w)|^p; the nodes outside the box
         # of (j, k), and all nodes on a far rung, add 2 msym to outside_w
         row = n_near
-        at = np.unravel_index(np.arange(n_nodes), grid.shape)
         parity = np.arange(n_ang) % 2
         wxk = self.w_x[:, None] * self.w_dirs[None, :]
         last_octave = self.radii >= self.radii[-1] / 2.0
@@ -524,39 +521,107 @@ class EnergyScheme:
                 np.maximum(hw, np.abs(m - mu), out=hw)
             out = 2.0 * mw
             if j < n_bulk:
-                inside = insides[0][j][at[0]]
-                for ins, i in zip(insides[1:], at[1:]):
-                    inside &= ins[j][i]
-                out[inside] = 0.0
+                inside = self._inside(j).reshape(n_ang, -1)
+                out.T[inside] = 0.0
                 rows = slice(row, row + int(counts[j].sum()))
-                base[rows] = mw.T[inside.T]
-                label[rows] = np.repeat(2 * j + parity, counts[j])
-                for k in range(n_ang):
-                    x = np.flatnonzero(inside[:, k])
-                    w = widths[j, k]
-                    end = pos + x.size * w
-                    indices[pos:end].reshape(-1, w)[:] = x[:, None] + offsets[j, k, :w]
-                    data[pos:end].reshape(-1, w)[:] = coefs[j, k, :w]
-                    indptr[row:row + x.size] = np.arange(pos, end, w)
-                    pos = end
-                    row += x.size
+                base[rows] = mw.T[inside]
+                row = rows.stop
             self.outside_w[:, 2 * j] = out[:, parity == 0].sum(axis=1)
             self.outside_w[:, 2 * j + 1] = out[:, parity == 1].sum(axis=1)
 
-        # tail rows: v(x), weighted by outside_w
+        # tail forms: v(x), weighted by outside_w
+        base[row:] = 0.0
+        self.rem_hw = hw @ self.w_dirs
+
+        self.base = base
+        self.near_rows = slice(0, n_near)
+        self.tail_rows = slice(row, n_rows)
+
+    def _inside(self, j) -> np.ndarray:
+        """Whether each node lies in the box of (rung j, angle k), per angle
+        k: shape ``(n_ang,) + grid.shape``, or ``(rungs, n_ang) +
+        grid.shape`` for a slice j of rungs.  Row-major, the nodes of (j, k)
+        are those of its bulk forms, in the order of their rows."""
+        n, N = self.grid.dimension, self.grid.nodes_per_axis
+        node = np.arange(N)
+        inside = True
+        for axis in range(n):
+            lo = self._box_lo[j, :, axis, None]
+            ins = (node >= lo) & (node < lo + self._box_len[j, :, axis, None])
+            inside = inside & ins.reshape(ins.shape[:-1] + (1,) * axis + (N,)
+                                          + (1,) * (n - axis - 1))
+        return inside
+
+    @cached_property
+    def L(self) -> sparse.csr_matrix:
+        """The forms as one CSR matrix, one column per node, assembled on
+        first use: only atom sets (:meth:`atoms`) need it.
+
+        Rows as in :meth:`_build_operator`: the rows of ``_near_L``, then
+        per (rung, angle) the stencil's columns x and x + m_jk + c and its
+        coefficients 1 and phi_jk,c written at every node x of its box,
+        then one row v(x) per node.
+        """
+        n, N = self.grid.dimension, self.grid.nodes_per_axis
+        n_bulk, n_ang = self._shift.shape[:2]
+        near = self._near_L
+        n_near, n_nodes = near.shape
+        n_rows = self.base.shape[0]
+        # per (rung, angle), the column offsets from x and the coefficients
+        # of a row: v(x) first, then the corners with a nonzero factor
+        corners = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+        offsets = np.concatenate(
+            [np.zeros((n_bulk, n_ang, 1), dtype=np.int64),
+             (self._shift[:, :, None, :] + corners) @ (N ** np.arange(n - 1, -1, -1))],
+            axis=2,
+        )
+        coefs = np.concatenate([np.ones((n_bulk, n_ang, 1)), self._phi], axis=2)
+        order = np.argsort(coefs == 0.0, axis=2, kind="stable")
+        offsets = np.take_along_axis(offsets, order, axis=2)
+        coefs = np.take_along_axis(coefs, order, axis=2)
+        widths = np.count_nonzero(coefs, axis=2)
+        counts = self._box_len.prod(axis=2)
+
+        pos = near.nnz
+        nnz = pos + int((counts * widths).sum()) + n_nodes
+        data = np.empty(nnz)
+        indices = np.empty(nnz, dtype=np.int32)
+        indptr = np.empty(n_rows + 1, dtype=np.int32)
+        data[:pos] = near.data
+        indices[:pos] = near.indices
+        indptr[:n_near] = near.indptr[:-1]
+        row = n_near
+        for j in range(n_bulk):
+            inside = self._inside(j).reshape(n_ang, -1)
+            for k in range(n_ang):
+                x = np.flatnonzero(inside[k])
+                w = widths[j, k]
+                end = pos + x.size * w
+                indices[pos:end].reshape(-1, w)[:] = x[:, None] + offsets[j, k, :w]
+                data[pos:end].reshape(-1, w)[:] = coefs[j, k, :w]
+                indptr[row:row + x.size] = np.arange(pos, end, w)
+                pos = end
+                row += x.size
         indptr[row:n_rows] = pos + np.arange(n_nodes)
         indptr[n_rows] = nnz
         data[pos:] = 1.0
         indices[pos:] = np.arange(n_nodes)
-        base[row:] = 0.0
-        label[row:] = 2 * n_rungs + 2
-        self.rem_hw = hw @ self.w_dirs
+        return sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_nodes))
 
-        self.L = sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_nodes))
-        self.base = base
-        self.label = label
-        self.near_rows = slice(0, n_near)
-        self.tail_rows = slice(row, n_rows)
+    @cached_property
+    def label(self) -> np.ndarray:
+        """The label of every row of :attr:`L` (see :meth:`_build_operator`),
+        tabulated on first use: only :meth:`atoms` reads it."""
+        n_bulk, n_ang = self._shift.shape[:2]
+        n_out = self.outside_w.shape[1]
+        label = np.empty(self.base.shape[0], dtype=np.int32)
+        label[self.near_rows] = n_out
+        label[self.near_rows.stop:self.tail_rows.start] = np.repeat(
+            (2 * np.arange(n_bulk)[:, None] + np.arange(n_ang) % 2).astype(np.int32).ravel(),
+            self._box_len.prod(axis=2).ravel(),
+        )
+        label[self.tail_rows] = n_out + 1
+        return label
 
     def _gradient_stencil(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows of D_w v(x_i), angle-major: one-sided slopes toward -w.
@@ -591,12 +656,56 @@ class EnergyScheme:
 
     # -- reporting ----------------------------------------------------------
 
+    def _bulk_forms(self, v: np.ndarray):
+        """Yield ``(rungs, rows, forms)`` per block of bulk rungs: the bulk
+        forms of :attr:`L`'s rows ``rows``, equal to ``(L @ v.ravel())[rows]``
+        bit for bit, read from the stencil tables.
+
+        ``v`` is the node array in the grid's shape.  The forms v(x) +
+        sum_c phi_jk,c v(x + m_jk + c) are formed at every (rung, angle,
+        node) of the slice ``rungs`` at once: v, then per corner c in
+        order its factor times v shifted by m_jk + c, gathered from a
+        window view of v padded with zeros.  A corner of factor 0 adds an
+        exact zero, so the sum rounds as the row's entries do.  The box
+        nodes of each (rung, angle), in that order and row-major, are the
+        rows.  A block holds whole rungs of about ``_SLICE_ROWS`` (rung,
+        angle, node) points, as the build's kernel samples do.
+        """
+        n, N = self.grid.dimension, self.grid.nodes_per_axis
+        n_bulk, n_ang = self._shift.shape[:2]
+        corners = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+        # view o of the padded array is v shifted by o - (N - 1); a nonempty
+        # box has |m_jk| < N, so its corners reach o in [0, 2N]
+        views = np.lib.stride_tricks.sliding_window_view(np.pad(v, (N - 1, N + 1)), v.shape)
+        view_of = np.moveaxis(
+            np.clip(self._shift[:, :, None, :] + corners + (N - 1), 0, 2 * N), 3, 0
+        )
+        phi = self._phi.reshape(self._phi.shape + (1,) * n)
+        counts = self._box_len.prod(axis=2).sum(axis=1)
+        block = max(1, _SLICE_ROWS // (n_ang * v.size))
+        row = self.near_rows.stop
+        for j in range(0, n_bulk, block):
+            rungs = slice(j, min(j + block, n_bulk))
+            n_rows = int(counts[rungs].sum())
+            if n_rows == 0:
+                continue
+            forms = v
+            for c in range(corners.shape[0]):
+                shifted = views[tuple(view_of[:, rungs, :, c])]
+                shifted *= phi[rungs, :, c]
+                forms = forms + shifted
+            yield rungs, slice(row, row + n_rows), forms[self._inside(rungs)]
+            row += n_rows
+
     def raw_components(self, u: GridFunction, p: float, s_values):
         """Near/bulk/tail of the unprefactored double integral, with errors.
 
         One ``(near, bulk, tail, err)`` tuple per order in ``s_values``.
-        ``L u`` and every sum over rows or nodes are formed once; only
-        their scalar factors depend on s.
+        The forms and every sum over forms or nodes are formed once; only
+        their scalar factors depend on s.  The bulk forms come from the
+        stencil tables (:meth:`_bulk_forms`), the near forms from one
+        product with ``_near_L``, and the tail forms are u itself, so a
+        report never assembles :attr:`L`.
         """
         if u.grid != self.grid:
             raise ValueError("grid function does not live on the scheme grid")
@@ -608,9 +717,23 @@ class EnergyScheme:
         n_ang = self.dirs.shape[0]
         n_bulk = self.r_bulk.shape[0]
         n_out = self.outside_w.shape[1]
-        ell = self.L @ uflat
-        sums = np.bincount(self.label, self.base * np.abs(ell) ** p, minlength=n_out + 2)
-        up = np.abs(ell[self.tail_rows]) ** p
+        # per label, its rows' base * |form|^p summed in row order, as a
+        # bincount over all rows of L would
+        sums = np.zeros(n_out + 2)
+        labels = 2 * np.arange(n_bulk)[:, None] + np.arange(n_ang) % 2
+        counts = self._box_len.prod(axis=2)
+        for rungs, rows, forms in self._bulk_forms(u.values):
+            np.abs(forms, out=forms)
+            forms **= p
+            forms *= self.base[rows]
+            first = 2 * rungs.start
+            sums[first:2 * rungs.stop] = np.bincount(
+                np.repeat(labels[rungs].ravel() - first, counts[rungs].ravel()),
+                forms, minlength=2 * (rungs.stop - rungs.start),
+            )
+        near_forms = np.abs(self._near_L @ uflat)
+        sums[n_out] = np.cumsum(self.base[self.near_rows] * near_forms ** p)[-1]
+        up = np.abs(uflat) ** p
         sums[:n_out] += up @ self.outside_w
         # labels: bulk rungs, then far rungs and the remainder (the tail)
         bulk_labels = slice(0, 2 * n_bulk)
@@ -622,7 +745,7 @@ class EnergyScheme:
         # residue in the difference quotient; in 1D the one-sided slopes
         # are the exact small-offset limit and only the kernel deviation
         # remains
-        gmax = np.abs(ell[self.near_rows].reshape(n_ang, -1)).max(axis=0)
+        gmax = near_forms.reshape(n_ang, -1).max(axis=0)
         surro_sum = 0.0
         if self.grid.dimension == 2:
             d2 = self._second_difference_scale(u)
@@ -773,7 +896,7 @@ class EnergyScheme:
         tab = self._stencil
         n_nodes = self.nodes.shape[0]
         n_jk = tab.phiphi.shape[0]
-        G = _gram_product(self.L[self.near_rows], w[self.near_rows])
+        G = _gram_product(self._near_L, w[self.near_rows])
         diag = 2.0 * w[self.tail_rows]
         bulk = w[self.near_rows.stop:self.tail_rows.start]
 

@@ -85,6 +85,8 @@ class EffectiveCoefficients:
         return self.A_bar - self.A_star
 
     def __post_init__(self):
+        for name in ("A_star", "A_star_formula", "A_bar"):
+            _check_finite(name, getattr(self, name))
         if self.A_star > self.A_bar * (1.0 + 1e-9):
             raise RuntimeError(
                 f"cell coefficient {self.A_star!r} exceeds the plain average {self.A_bar!r}"
@@ -152,19 +154,33 @@ def cell_problem_1d(c: PeriodicCoefficient, xi: float) -> float:
     return f
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(
+            f"effective coefficient {name} is {value!r}: the inputs overflow double precision"
+        )
+
+
 def effective_coefficients(c: PeriodicCoefficient) -> EffectiveCoefficients:
     """A* from the cell problem at xi = 1; its closed form and A_bar from
     one sample of A on the ``_AVG_SAMPLES`` cell midpoints.
 
-    Raises ``RuntimeError`` when A* exceeds A_bar, which no correct
-    minimization can produce.
+    Raises ``ValueError`` when a coefficient is not finite, A_bar (and so
+    A itself) before the cell problem runs, and ``RuntimeError`` when A*
+    exceeds A_bar, which no correct minimization can produce.
     """
     A = c.sample((np.arange(_AVG_SAMPLES) + 0.5) / _AVG_SAMPLES)
+    A_bar = float(A.mean())
+    _check_finite("A_bar", A_bar)
     q = c.p - 1.0
+    # a mean of A^(-1/q) that underflows to 0 powers to inf, which
+    # EffectiveCoefficients rejects
+    with np.errstate(divide="ignore"):
+        A_star_formula = float(np.mean(A ** (-1.0 / q)) ** -q)
     return EffectiveCoefficients(
         A_star=cell_problem_1d(c, 1.0),
-        A_star_formula=float((A ** (-1.0 / q)).mean()) ** -q,
-        A_bar=float(A.mean()),
+        A_star_formula=A_star_formula,
+        A_bar=A_bar,
     )
 
 

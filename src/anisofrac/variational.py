@@ -129,17 +129,18 @@ class SolveResult:
     objective_trace: tuple[float, ...] = field(repr=False, default=())
 
     def __post_init__(self):
-        for name in ("objective", "residual"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(
-                    f"solve {name} is {v!r}: the inputs overflow double precision"
-                )
+        _check_finite(objective=self.objective, residual=self.residual)
         for a, b in zip(self.objective_trace, self.objective_trace[1:]):
             if b > a:
                 raise IncreasingObjectiveError(
                     f"descent produced an increasing objective ({a!r} -> {b!r})"
                 )
+
+
+def _check_finite(**values: float) -> None:
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise ValueError(f"solve {name} is {v!r}: the inputs overflow double precision")
 
 
 def _free_mask(grid: Grid) -> np.ndarray:
@@ -238,10 +239,13 @@ def _solve_dirichlet(atoms: AtomSet, scale: float, source: GridFunction) -> Solv
     b = grid.trapezoid_weights() * source.values.ravel()
     tol = DEFAULT_TOL * (1.0 + float(np.abs(source.values).max()))
     free = _free_mask(grid)
-    v, *rest = _solve_atoms(
+    v, objective, residual, *rest = _solve_atoms(
         atoms, scale, b, free, np.zeros(free.size), tol, DEFAULT_MAX_ITER
     )
-    return SolveResult(GridFunction(grid, v.reshape(grid.shape)), *rest)
+    # an iterate that overflowed is named by its objective, not by the
+    # minimizer's values
+    _check_finite(objective=objective, residual=residual)
+    return SolveResult(GridFunction(grid, v.reshape(grid.shape)), objective, residual, *rest)
 
 
 def solve_nonlocal(prob: NonlocalProblem) -> SolveResult:

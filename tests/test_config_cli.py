@@ -490,6 +490,42 @@ def test_cli_homogenize_star_above_bar_exit_4(tmp_path, monkeypatch, capsys):
     assert "exceeds the plain average" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["homogenize", "commute"])
+@pytest.mark.parametrize("A0", ["1e308", "1e307"])
+def test_cli_overflowing_coefficient_exit_2_before_the_cell_problem(
+    tmp_path, monkeypatch, capsys, subcommand, A0
+):
+    # A0 = 1e308: A(y) overflows to inf; A0 = 1e307: A is finite but its
+    # mean overflows.  Either way A_bar is inf, checked before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved on an overflowing coefficient")
+
+    monkeypatch.setattr(homogenize, "cell_problem_1d", no_solve)
+    monkeypatch.setattr(variational, "_solve_atoms", no_solve)
+    cfg = _write(tmp_path, "h.ini", f"[kernel]\nname = periodic-1d\nA0 = {A0}\nA1 = 1\n\n"
+                 "[grid]\nN = 33\n\n[params]\ns = 0.5\n")
+    out = tmp_path / "h.csv"
+    assert cli.main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "error: effective coefficient A_bar is inf: the inputs overflow double precision"
+    ]
+
+
+def test_cli_overflowing_solve_names_its_objective(tmp_path, capsys):
+    # the iterate overflows; the error names the solve's objective, not
+    # the values of the minimizer it would have been wrapped in
+    cfg = _write(tmp_path, "s.ini", "[kernel]\nname = periodic-1d\nA0 = 1e308\nA1 = 1\n\n"
+                 "[grid]\nN = 33\n\n[params]\ns = 0.5\nf = 1\n")
+    out = tmp_path / "u.csv"
+    assert cli.main(["solve-nonlocal", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: solve objective is ")
+    assert err[0].endswith(": the inputs overflow double precision")
+
+
 @pytest.mark.parametrize(
     "subcommand, module, solver, picks",
     [

@@ -354,6 +354,16 @@ def test_bulk_rows_are_their_stencil(kernel_name, params, box, N):
             assert (scheme.label[rows] == 2 * j + k % 2).all()
             row += x.size
     assert row == scheme.tail_rows.start
+    # a report's forms, read from the stencil tables without L, are the
+    # bulk rows of L v bit for bit, block of rungs by block of rungs
+    v = np.random.default_rng(11).standard_normal(g.shape)
+    ell = L @ v.ravel()
+    row = scheme.near_rows.stop
+    for rungs, rows, forms in scheme._bulk_forms(v):
+        assert rows.start == row, rungs
+        assert np.array_equal(forms, ell[rows]), rungs
+        row = rows.stop
+    assert row == scheme.tail_rows.start
 
 
 def test_outside_table_folds_the_doubled_rows():
@@ -386,18 +396,54 @@ def test_outside_table_folds_the_doubled_rows():
 
 
 def test_scheme_build_peak_stays_near_what_it_keeps():
-    # 2D separable-angular N=17: the build writes L, its weights and
-    # labels once, and its kernel samples and index tables stay small
+    # 2D separable-angular N=17: the build and the assembly of L write L
+    # and its weights once, and the kernel samples and index tables stay
+    # small
     kern, u, _ = _golden_case("separable-angular N=17 bump")
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         scheme = EnergyScheme(kern, u.grid)
+        assert scheme.L.nnz > 0
         kept, peak = (b - start for b in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert scheme.L.nnz > 0
     assert peak < 1.5 * kept, (peak, kept)
+
+
+def test_reports_and_sweeps_leave_L_unassembled():
+    # a report reads the bulk forms from the stencil tables; only atom
+    # sets assemble L
+    from anisofrac.limits import bbm_sweep, ms_sweep
+
+    kern, u, fp = _golden_case("separable-angular N=17 bump")
+    get_scheme.cache_clear()
+    anisotropic_energy(kern, u, fp)
+    bbm_sweep(kern, u, 2.0, s_list=[0.9, 0.95])
+    ms_sweep(kern, u, 2.0, s_list=[0.1, 0.05])
+    scheme = get_scheme(kern, u.grid)
+    assert get_scheme.cache_info().currsize == 1
+    assert "L" not in vars(scheme) and "label" not in vars(scheme)
+    scheme.atoms(fp)
+    assert "L" in vars(scheme)
+
+
+def test_report_peak_at_2d_n33_stays_small():
+    # one separable-angular N=33 report, build included: the base weights
+    # (14 MB) and per-rung temporaries, not the 107 MB of L
+    g = Grid(((-1.0, 1.0), (-1.0, 1.0)), 33)
+    u = GridFunction.from_callable(g, lambda x, y: bump_profile(np.hypot(x - 0.1, y) / 0.8))
+    kern = builtin("separable-angular", {"c0": 1.0, "c1": 0.5})
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        scheme = EnergyScheme(kern, g)
+        scheme.report(u, FractionalParams(0.5, 2.0), 0.25)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert "L" not in vars(scheme)
+    assert peak < 64e6, peak
 
 
 def test_near_rows_are_one_sided_slopes_hat(grid129, hat129):
@@ -711,6 +757,7 @@ def test_stencil_gram_matches_dense_product(monkeypatch, name):
     # only the near rows take the single sparse product
     assert len(generic) == 1
     L_near, w_near = generic[0]
+    assert L_near is scheme._near_L  # no copy of L's near rows per Gram
     assert L_near.shape == (scheme.near_rows.stop, g.nodes().shape[0])
     assert (L_near != atoms.L[scheme.near_rows]).nnz == 0
     assert w_near.shape == (scheme.near_rows.stop,)

@@ -153,6 +153,24 @@ def test_means_ordering_and_gap(model_kernel):
     assert const.sample((np.arange(4096) + 0.5) / 4096).var() < 1e-10
 
 
+@pytest.mark.parametrize("field", ["A_star", "A_star_formula", "A_bar"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_effective_coefficients_reject_a_nonfinite_field(field, bad):
+    values = dict(A_star=1.0, A_star_formula=1.0, A_bar=2.0)
+    values[field] = bad
+    with pytest.raises(ValueError, match=f"effective coefficient {field} is"):
+        EffectiveCoefficients(**values)
+
+
+def test_closed_form_that_overflows_is_rejected_without_a_warning(monkeypatch):
+    # A finite with a finite mean, but A^(-1/(p-1)) underflows to 0 at
+    # every sample, so the closed form (mean)^(-(p-1)) is inf
+    monkeypatch.setattr(homogenize, "cell_problem_1d", lambda c, xi: 1e300)
+    c = PeriodicCoefficient(A=lambda y: np.full_like(y, 1e300), p=1.01)
+    with np.errstate(divide="raise", over="raise", invalid="raise"), pytest.raises(ValueError, match="A_star_formula is inf"):
+        effective_coefficients(c)
+
+
 def test_eps_independence_of_effective_coefficients(model_kernel):
     base = effective_coefficients(coefficient_from_kernel(model_kernel, 2.0))
     k_eps = rescaled_kernel(model_kernel, 0.25)
