@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, parse_config
-from .energy import anisotropic_energy, get_scheme
+from .energy import anisotropic_energy, check_kernel_grid, get_scheme
 from .gridfn import FractionalParams, write_csv
 from .homogenize import coefficient_from_kernel, commute_experiment, effective_coefficients
 from .kernel import verify_hypotheses
@@ -214,6 +214,7 @@ def _run_commute(cfg: ExperimentConfig) -> Outcome:
 
 def _run_verify_kernel(cfg: ExperimentConfig) -> Outcome:
     kern = cfg.make_kernel()
+    check_kernel_grid(kern, cfg.grid)
     rep = verify_hypotheses(kern, cfg.samples, seed=cfg.seed)
     text = _csv(
         "h1_violation,h2_violation,h3_slope,h3_residual,bounds_violation,passed",
@@ -250,8 +251,8 @@ def run(cfg: ExperimentConfig, subcommand: str) -> int:
             outcome = _RUNNERS[subcommand](cfg)
     finally:
         # each experiment builds its own kernel, so its schemes (~20 MB of
-        # base weights at 2D N=33, ~125 MB once a solver assembled the
-        # form matrix) can never be hit again
+        # base weights at 2D N=33, ~125 MB once a p != 2 solve assembled
+        # the form matrix) can never be hit again
         get_scheme.cache_clear()
     if cfg.out_path:
         _atomic_write(cfg.out_path, outcome.csv)

@@ -53,17 +53,20 @@ report reads the forms from these tables, rung by rung, as sums of
 shifted copies of the node array (:meth:`EnergyScheme._bulk_forms`); the
 near forms are one small CSR product and the tail forms are v itself.
 Then come a sum by label, in row order, and one product with
-``outside_w``.  The solvers need the forms as a matrix: the CSR matrix
-:attr:`EnergyScheme.L` has one column per node and one row per form
-(near, bulk, tail), and is assembled on first use, which is the first
-call of :meth:`EnergyScheme.atoms`.  ``atoms`` hands ``L`` with the
-weights of one (s, p) to the solvers, whose gradient is ``L^T (...)``
-and whose Hessian is the Gram matrix ``L^T diag(2 w) L``.  The scheme
-assembles that matrix from the same stencil tables, without a sparse
-product over the bulk rows: a diagonal, a node-corner cross term
-gathered from one sparse x dense product, and per-cell corner blocks
-(:meth:`EnergyScheme._gram`).  The near rows, and atom sets that are not
-a scheme's (local atoms, the cell problem), take one sparse product
+``outside_w``.  :meth:`EnergyScheme.atoms` hands the forms with the
+weights of one (s, p) to the solvers.  Their Hessian is the Gram matrix
+``L^T diag(2 w) L``, which the scheme assembles from the same stencil
+tables, without a sparse product over the bulk rows: a diagonal, a
+node-corner cross term gathered from one sparse x dense product, and
+per-cell corner blocks (:meth:`EnergyScheme._gram`).  Their objective
+reads every form, near, bulk and tail, into one array
+(:meth:`EnergyScheme.forms`).  So a p = 2 solve, one Gram and one dense
+solve, never needs the forms as a matrix.  The gradient ``L^T (...)``
+and the line search of a p != 2 solve pass over the forms many times,
+and there the CSR matrix :attr:`EnergyScheme.L` (one column per node,
+one row per form) is faster: the stencil forms cost about 2x its
+product in 2D and 8-9x in 1D.  The near rows, and atom sets that are
+not a scheme's (local atoms, the cell problem), take one sparse product
 ``L^T diag(2 w) L`` each.
 
 Cost model: the scheme samples the kernel on a (nodes x rungs x angles)
@@ -73,17 +76,18 @@ box.  In 1D this is ~1e5 forms for N = 257; in 2D it grows like
 N^2 * rungs * angles (1.75M bulk forms at N = 33, whose rows of ``L``
 hold 8.3M nonzeros, 107 MB), which is why 2D grids are capped at
 N <= 48 (:data:`MAX_2D_NODES`).  A build samples the kernel and keeps one
-base weight per form; it writes no row of ``L``.  Writing the bulk rows,
-one (rung, angle) stencil at a time, is the largest part of the first
-``atoms`` call, so perfbench's per-layer trace counts it in
-``energy.atoms``, not ``energy.scheme_build``.  A report allocates only
-temporaries of about ``_SLICE_ROWS`` (rung, angle, node) points, one
-block of rungs at a time.  For the separable-angular kernel on a 2-vCPU
-host (numpy, medians of 8, two rounds): at N = 33 a build took 0.14 s,
-a report 0.05-0.06 s and the assembly of ``L`` 0.14 s; at N = 44 they
-took 0.23-0.27 s, 0.10 s and 0.22-0.25 s.  One build and one report
-trace 24.5 MB at N = 33 and 45 MB at N = 44 (175 and 337 MB when the
-build wrote ``L``).
+base weight per form; it writes no row of ``L``, and neither do
+``atoms``, a report or a p = 2 solve.  Writing the bulk rows, one (rung,
+angle) stencil at a time, falls in the first gradient of a p != 2
+solve, so perfbench's per-layer trace counts it in ``accel.gradient``.
+A report allocates only temporaries of about ``_SLICE_ROWS`` (rung,
+angle, node) points, one block of rungs at a time; the objective's
+forms are one row-length array.  For the separable-angular kernel on a
+2-vCPU host (numpy, medians of 8, two rounds): at N = 33 a build took
+0.14 s, a report 0.05-0.06 s and the assembly of ``L`` 0.14 s; at N = 44
+they took 0.23-0.27 s, 0.10 s and 0.22-0.25 s.  One build and one
+report trace 24.5 MB at N = 33 and 45 MB at N = 44 (175 and 337 MB when
+the build wrote ``L``).
 """
 
 from __future__ import annotations
@@ -208,19 +212,33 @@ def power_delta(a, e, p):
 class AtomSet:
     """The discrete energy sum_a W_a |(L v)_a|^p of a CSR form matrix L.
 
-    ``scheme`` is the :class:`EnergyScheme` whose ``L`` this is, if any:
-    its Gram Hessian is then assembled from the scheme's bulk stencil.
+    The atoms of an :class:`EnergyScheme` (``scheme``) are given no
+    matrix: their objective reads the forms from the scheme's stencil
+    tables (:meth:`EnergyScheme.forms`) and their Gram Hessian is
+    assembled from its bulk stencil, so only the gradient, the line
+    search and the reweighted Hessian of a p != 2 solve read :attr:`L`,
+    the scheme's, assembled on that first use.
     """
 
     def __init__(
-        self, weights, L: sparse.csr_matrix, p, scheme: Optional[EnergyScheme] = None
+        self,
+        weights,
+        L: Optional[sparse.csr_matrix],
+        p,
+        scheme: Optional[EnergyScheme] = None,
     ):
         self.W = np.ascontiguousarray(weights, dtype=float)
-        if self.W.shape != (L.shape[0],):
+        rows = L.shape[0] if L is not None else scheme.base.shape[0]
+        if self.W.shape != (rows,):
             raise ValueError("need one weight per row of the form matrix")
-        self.L = L
+        self._L = L
         self.p = float(p)
         self.scheme = scheme
+
+    @property
+    def L(self) -> sparse.csr_matrix:
+        """The form matrix: the one given, else the scheme's :attr:`EnergyScheme.L`."""
+        return self._L if self._L is not None else self.scheme.L
 
     @classmethod
     def from_stencil(cls, weights, idx, coef, n_nodes: int, p) -> "AtomSet":
@@ -241,7 +259,7 @@ class AtomSet:
         return self.L @ v
 
     def objective(self, v: np.ndarray) -> float:
-        a = self.forms(v)
+        a = self.scheme.forms(v) if self.scheme is not None else self.forms(v)
         np.abs(a, out=a)
         a **= self.p
         return float(np.dot(self.W, a))
@@ -374,11 +392,12 @@ class EnergyScheme:
     Built once per (kernel, grid, settings); reports and atom sets for
     any (s, p) reuse the forms' stencil tables, their base weights and
     the node table ``outside_w`` of the pairs without a form, which is
-    what makes the parameter sweeps affordable.  Reports read the forms
-    from the tables; the form matrix :attr:`L` and its labels are
-    assembled only when :meth:`atoms` first asks for them.  The radius
-    ladder ``radii`` is the bulk rungs ``r_bulk`` followed by the far
-    rungs ``r_far``, with their trapezoid weights in log r in
+    what makes the parameter sweeps affordable.  Reports and the
+    objective of atom sets read the forms from the tables (:meth:`forms`);
+    the labels are tabulated on the first :meth:`atoms` call, and the
+    form matrix :attr:`L` only when a p != 2 solve first passes over it.
+    The radius ladder ``radii`` is the bulk rungs ``r_bulk`` followed by
+    the far rungs ``r_far``, with their trapezoid weights in log r in
     ``rung_dt``.  The plain Gagliardo seminorm is the scheme of the
     constant kernel c = 1.  The package always uses
     the default settings (through :func:`get_scheme`); other settings
@@ -555,7 +574,8 @@ class EnergyScheme:
     @cached_property
     def L(self) -> sparse.csr_matrix:
         """The forms as one CSR matrix, one column per node, assembled on
-        first use: only atom sets (:meth:`atoms`) need it.
+        first use: only the gradient, line search and reweighted Hessian
+        of a p != 2 solve (:class:`AtomSet`) read it.
 
         Rows as in :meth:`_build_operator`: the rows of ``_near_L``, then
         per (rung, angle) the stencil's columns x and x + m_jk + c and its
@@ -610,8 +630,8 @@ class EnergyScheme:
 
     @cached_property
     def label(self) -> np.ndarray:
-        """The label of every row of :attr:`L` (see :meth:`_build_operator`),
-        tabulated on first use: only :meth:`atoms` reads it."""
+        """The label of every form (see :meth:`_build_operator`), tabulated
+        on first use: only :meth:`atoms` reads it."""
         n_bulk, n_ang = self._shift.shape[:2]
         n_out = self.outside_w.shape[1]
         label = np.empty(self.base.shape[0], dtype=np.int32)
@@ -696,6 +716,18 @@ class EnergyScheme:
                 forms = forms + shifted
             yield rungs, slice(row, row + n_rows), forms[self._inside(rungs)]
             row += n_rows
+
+    def forms(self, v: np.ndarray) -> np.ndarray:
+        """The forms of the node vector v, equal to ``L @ v`` bit for bit,
+        without :attr:`L`: the near forms from ``_near_L``, the bulk forms
+        from the stencil tables (:meth:`_bulk_forms`) and the tail forms v
+        itself, written into one preallocated array."""
+        out = np.empty(self.base.shape[0])
+        out[self.near_rows] = self._near_L @ v
+        for _, rows, forms in self._bulk_forms(v.reshape(self.grid.shape)):
+            out[rows] = forms
+        out[self.tail_rows] = v
+        return out
 
     def raw_components(self, u: GridFunction, p: float, s_values):
         """Near/bulk/tail of the unprefactored double integral, with errors.
@@ -953,11 +985,12 @@ class EnergyScheme:
         return factor
 
     def atoms(self, fp: FractionalParams) -> AtomSet:
-        """The quadrature at (s, p) as powered linear forms over ``L``."""
+        """The quadrature at (s, p) as powered linear forms; :attr:`L` is
+        left to the atom set to ask for."""
         factor = self.label_factors(fp.s, fp.p)
         W = self.base * factor[self.label]
         W[self.tail_rows] = self.outside_w @ factor[:self.outside_w.shape[1]]
-        return AtomSet(W, self.L, fp.p, scheme=self)
+        return AtomSet(W, None, fp.p, scheme=self)
 
 
 @lru_cache(maxsize=8)

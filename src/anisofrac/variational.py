@@ -16,7 +16,8 @@ nonlocal and local problems here and the periodic cell problem of
 :mod:`anisofrac.homogenize`.  Its one iterate is the full node vector:
 a mask marks the free nodes, the others keep their fixed values, and
 every Newton direction is zero on them.  For p = 2 it assembles the
-dense symmetric system and solves it directly; otherwise it takes Newton
+dense symmetric system and solves it directly, and reads the residual
+from the same matrix; otherwise it takes Newton
 steps on the lagged-weight (IRLS) Hessian with a backtracking (Armijo)
 line search on the exact objective, evaluated as a cancellation-free
 difference.
@@ -162,27 +163,31 @@ def _solve_atoms(
     The iterate is the full node vector v: nodes outside the boolean mask
     ``free`` hold their values from ``fixed`` throughout, and every
     Newton direction is zero on them.  When ``atoms.p`` is 2 the
-    objective is quadratic and one dense direct solve minimizes it;
-    otherwise damped Newton steps start from ``z0`` on the free nodes
+    objective is the quadratic 1/2 v.Hv - b.v of the dense Hessian H:
+    one direct solve minimizes it, and the gradient over the free nodes
+    is read from the same H, with no pass over the form matrix.
+    Otherwise damped Newton steps start from ``z0`` on the free nodes
     (zero by default).  Returns the minimizer v, the objective, the
     sup-norm of the gradient over the free nodes, the iteration count,
     the convergence flag and the objective trace.
     """
     v = np.where(free, 0.0, fixed)
 
-    def grad(v):
-        return (scale * atoms.gradient(v) - b)[free]
-
     if atoms.p == 2.0:
-        # Newton would take the same step from the same Hessian with more
-        # passes over L; the right-hand side sees the fixed values alone
+        # Newton would take the same step from the same Hessian; the
+        # right-hand side sees the fixed values alone.  The objective is
+        # 1/2 v.Hv - b.v, so its gradient is H v - b exactly; its value is
+        # still summed over the forms, since 1/2 v.Hv rounds differently
         H = atoms.hessian_dense()
         H *= scale
         v[free] = np.linalg.solve(H[np.ix_(free, free)], b[free] - (H @ v)[free])
-        del H  # the residual's passes over L need the memory
+        res = float(np.max(np.abs((H @ v - b)[free]), initial=0.0))
+        del H  # the objective's forms need the memory
         f = scale * atoms.objective(v) - float(np.dot(b, v))
-        res = float(np.max(np.abs(grad(v)), initial=0.0))
         return v, f, res, 1, res <= tol, (f,)
+
+    def grad(v):
+        return (scale * atoms.gradient(v) - b)[free]
 
     # damped Newton: direction from the reweighted form sum W |ell|^{p-2},
     # Armijo backtracking on the exact objective evaluated as a
@@ -253,7 +258,10 @@ def solve_nonlocal(prob: NonlocalProblem) -> SolveResult:
 
     At p = 2 one dense direct solve; otherwise damped Newton on the
     lagged-weight Hessian.  Non-convergence returns the best iterate
-    with ``converged=False``; it never raises.
+    with ``converged=False``.  Raises ``ValueError`` when the objective
+    or the residual is not finite (the inputs overflow double
+    precision), and :class:`IncreasingObjectiveError` when the descent
+    trace goes up.
     """
     atoms = get_scheme(prob.kern, prob.grid).atoms(prob.fp)
     return _solve_dirichlet(atoms, 1.0 - prob.fp.s, prob.source)

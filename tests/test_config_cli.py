@@ -702,7 +702,26 @@ def test_cli_solve_local_2d_grid_cap(tmp_path, capsys, N, rc):
         assert err == ["error: 2D grids are capped at N <= 48 per axis, got N = 49"]
 
 
-@pytest.mark.parametrize("subcommand", ["solve-local", "localize", "commute"])
+@pytest.mark.parametrize("N, rc", [(48, 0), (49, 2)])
+def test_cli_verify_kernel_2d_grid_cap(tmp_path, capsys, N, rc):
+    # the audit samples no grid, but its config is held to the same cap
+    cfg = _write(
+        tmp_path, "cap.ini",
+        "[kernel]\nname = separable-angular\nn = 2\n\n"
+        f"[grid]\nn = 2\nbox = -1:1;-1:1\nN = {N}\n\n"
+        "[params]\nsamples = 64\n",
+    )
+    out = tmp_path / "rep.csv"
+    assert cli.main(["verify-kernel", "--config", cfg, "--out", str(out)]) == rc
+    err = capsys.readouterr().err.splitlines()
+    if rc == 0:
+        assert out.read_text().splitlines()[1].endswith(",1")
+    else:
+        assert not out.exists()
+        assert err == ["error: 2D grids are capped at N <= 48 per axis, got N = 49"]
+
+
+@pytest.mark.parametrize("subcommand", ["solve-local", "localize", "commute", "verify-kernel"])
 @pytest.mark.parametrize(
     "kernel, grid",
     [("separable-angular", "n = 1\nN = 33"), ("periodic-1d", "n = 2\nbox = -1:1;-1:1\nN = 9")],
@@ -744,6 +763,7 @@ def test_cli_verify_kernel(tmp_path):
     cfg = _write(
         tmp_path, "v.ini",
         "[kernel]\nname = separable-angular\nn = 2\nc0 = 1.0\nc1 = 0.5\n\n"
+        "[grid]\nn = 2\nbox = -1:1;-1:1\nN = 9\n\n"
         "[params]\nsamples = 64\n",
     )
     out = tmp_path / "rep.csv"

@@ -366,6 +366,28 @@ def test_bulk_rows_are_their_stencil(kernel_name, params, box, N):
     assert row == scheme.tail_rows.start
 
 
+@pytest.mark.parametrize(
+    "kernel_name, params, box, N",
+    [
+        ("separable-angular", {"n": 2, "c0": 1.0, "c1": 0.5}, ((-1.0, 3.0), (0.0, 1.0)), 25),
+        ("separable-angular", {"n": 2, "c0": 1.0, "c1": 0.5}, ((-1.0, 1.0), (-1.0, 1.0)), 9),
+        ("periodic-1d", {"A0": 2.0, "A1": 1.0}, ((-1.0, 1.0),), 1100),
+        ("periodic-1d", {"A0": 2.0, "A1": 1.0}, ((-1.0, 1.0),), 257),
+    ],
+    ids=["separable-angular 2D N=25", "separable-angular 2D N=9", "periodic-1d N=1100",
+         "periodic-1d N=257"],
+)
+def test_scheme_forms_are_L_v(kernel_name, params, box, N):
+    # the forms read from the stencil tables, near, bulk and tail rows,
+    # are L v bit for bit, without assembling L
+    g = Grid(box, N)
+    scheme = EnergyScheme(builtin(kernel_name, params), g)
+    v = np.random.default_rng(7).standard_normal(scheme.nodes.shape[0])
+    got = scheme.forms(v)
+    assert "L" not in vars(scheme)
+    assert np.array_equal(got, scheme.L @ v)
+
+
 def test_outside_table_folds_the_doubled_rows():
     # a pair that has no row is |v(x)|^p with a doubled weight, summed into
     # outside_w at (node, label): a bulk pair whose shifted point has left
@@ -412,9 +434,10 @@ def test_scheme_build_peak_stays_near_what_it_keeps():
 
 
 def test_reports_and_sweeps_leave_L_unassembled():
-    # a report reads the bulk forms from the stencil tables; only atom
-    # sets assemble L
+    # a report reads the bulk forms from the stencil tables, and a p = 2
+    # solve its objective too; only a p != 2 solve assembles L
     from anisofrac.limits import bbm_sweep, ms_sweep
+    from anisofrac.variational import NonlocalProblem, localization_sweep, solve_nonlocal
 
     kern, u, fp = _golden_case("separable-angular N=17 bump")
     get_scheme.cache_clear()
@@ -424,7 +447,17 @@ def test_reports_and_sweeps_leave_L_unassembled():
     scheme = get_scheme(kern, u.grid)
     assert get_scheme.cache_info().currsize == 1
     assert "L" not in vars(scheme) and "label" not in vars(scheme)
-    scheme.atoms(fp)
+    one = GridFunction(u.grid, np.ones(u.grid.shape), boundary_flag=False)
+    assert solve_nonlocal(NonlocalProblem(kern=kern, fp=FractionalParams(0.5, 2.0),
+                                          source=one)).converged
+    assert "L" not in vars(scheme)
+    g1 = Grid(((-1.0, 1.0),), 65)
+    k1 = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
+    assert localization_sweep(k1, 2.0, GridFunction(g1, np.ones(65), boundary_flag=False),
+                              s_list=[0.9, 0.95]).converged
+    assert "L" not in vars(get_scheme(k1, g1))
+    assert solve_nonlocal(NonlocalProblem(kern=kern, fp=FractionalParams(0.5, 3.0),
+                                          source=one)).converged
     assert "L" in vars(scheme)
 
 
@@ -802,6 +835,7 @@ def test_delta_makes_no_row_length_copies():
     v = u.values.ravel()
     d = rng.standard_normal(v.size)
     row_bytes = atoms.W.nbytes
+    assert atoms.L.nnz > 0  # assembled on first use, outside the traced window
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

@@ -353,6 +353,90 @@ def test_nonlocal_2d_golden(name):
         assert res.minimizer.values[ij] == pytest.approx(v, rel=rel), ij
 
 
+_NONLOCAL_P2_CASES = [
+    (name, want["box"], want["N"]) for name, want in sorted(_NONLOCAL_2D_GOLDEN.items())
+    if name.endswith("p=2")
+] + [("periodic-1d N=129 p=2", ((-1.0, 1.0),), 129)]
+
+
+@pytest.mark.parametrize("name, box, N", _NONLOCAL_P2_CASES,
+                         ids=[c[0] for c in _NONLOCAL_P2_CASES])
+def test_p2_solve_agrees_with_the_form_matrix(name, box, N):
+    # a p = 2 solve takes its Hessian from the stencil Gram, its objective
+    # from the stencil forms and its residual from the Hessian; L, built
+    # here after the solve, sees the same minimizer and objective
+    g = Grid(box, N)
+    if g.dimension == 2:
+        k = builtin("separable-angular", {"c0": 1.0, "c1": 0.5})
+    else:
+        k = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
+    fp = FractionalParams(0.5, 2.0)
+    one = GridFunction(g, np.ones(g.shape), boundary_flag=False)
+    res = solve_nonlocal(NonlocalProblem(kern=k, fp=fp, source=one))
+    assert res.converged
+    atoms = get_scheme(k, g).atoms(fp)
+    scale = 1.0 - fp.s
+    b = g.trapezoid_weights()
+    v = res.minimizer.values.ravel()
+    free = _free_mask(g)
+    tol = DEFAULT_TOL * 2.0
+    assert np.abs((scale * atoms.gradient(v) - b)[free]).max() <= tol
+    ell = atoms.L @ v
+    assert res.objective == scale * float(np.dot(atoms.W, np.abs(ell) ** 2)) - float(np.dot(b, v))
+
+
+def test_p2_solve_peak_at_2d_n33_stays_small():
+    # one separable-angular N=33 p = 2 solve, build included: the base
+    # weights, the dense Hessian and one row-length array of forms, not
+    # the 107 MB of L (the solve traced 172 MB while it assembled L)
+    g = Grid(((-1.0, 1.0), (-1.0, 1.0)), 33)
+    one = GridFunction(g, np.ones(g.shape), boundary_flag=False)
+    prob = NonlocalProblem(kern=builtin("separable-angular", {"c0": 1.0, "c1": 0.5}),
+                           fp=FractionalParams(0.5, 2.0), source=one)
+    get_scheme.cache_clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        res = solve_nonlocal(prob)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak < 100e6, peak
+    get_scheme.cache_clear()
+
+
+# 1D nonlocal solves (constant kernel c = 1, f = 1, box -1:1, p = 2)
+# against the continuum minimizer sin(pi s) / (4 pi (1-s)) (1-x^2)^s, as
+# sup distance over max u, measured at N = 33 / 65 / 129.  The bounds
+# are 1.25x the measured values; the near-diagonal boundary weight
+# (ROADMAP item 2) is the largest part of the error, and its fix will
+# tighten them.
+_CLOSED_FORM_ERRORS = {
+    0.5: ((1.19e-2, 8.07e-3, 5.57e-3), 1.35),  # h^(1/2)
+    0.9: ((3.10e-2, 1.69e-2, 9.15e-3), 1.7),  # first order
+}
+
+
+@pytest.mark.parametrize("s", sorted(_CLOSED_FORM_ERRORS))
+def test_nonlocal_1d_against_the_closed_form(s):
+    measured, min_ratio = _CLOSED_FORM_ERRORS[s]
+    k = builtin("constant", {"c": 1.0})
+    errors = []
+    for N in (33, 65, 129):
+        g = Grid(((-1.0, 1.0),), N)
+        one = GridFunction(g, np.ones(N), boundary_flag=False)
+        res = solve_nonlocal(NonlocalProblem(kern=k, fp=FractionalParams(s, 2.0), source=one))
+        assert res.converged
+        x = g.nodes()[:, 0]
+        u = np.sin(np.pi * s) / (4.0 * np.pi * (1.0 - s)) * (1.0 - x ** 2) ** s
+        errors.append(float(np.abs(res.minimizer.values - u).max() / u.max()))
+    for N, err, bound in zip((33, 65, 129), errors, measured):
+        assert err <= 1.25 * bound, (N, err)
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse >= min_ratio * fine, errors
+
+
 # Local solves pinned before the 1D and 2D assemblies became one loop over
 # the unit cell's simplices.  The 2D values carry a defect of the upper
 # triangle's gradient table (its x and y coefficients are swapped); the
