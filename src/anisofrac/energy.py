@@ -340,28 +340,11 @@ def _gram_product(L: sparse.csr_matrix, w: np.ndarray) -> np.ndarray:
 class _StencilTables(NamedTuple):
     """Index tables of :meth:`EnergyScheme._gram` (see :meth:`EnergyScheme._stencil`)."""
 
-    at: np.ndarray  # per node, its index along each axis
-    by_node: list  # per axis, row part of (rung-angle, node index x_a)
-    by_cell: list  # the same at the index x_a + m_jk,a of the row's cell
     cross: sparse.csr_matrix  # 2 phi, (displacement, (rung, angle))
     node_d: np.ndarray  # per node, its displacement number minus that of 0
     center: int  # displacement number of d = 0
     phiphi: np.ndarray  # 2 phi phi^T, ((rung, angle), corner pair)
     corner_node: list  # per corner c, the node y + c of each node y, or -1
-
-
-def _gather_bulk(bulk: np.ndarray, tables: list, jk: slice, at: np.ndarray) -> np.ndarray:
-    """Bulk row weights per (rung-angle, node) pair, 0 where there is no row.
-
-    ``tables`` is ``by_node`` or ``by_cell`` of :class:`_StencilTables`, so
-    the node is x or the cell x + m_jk of the row; ``at`` holds the
-    nodes' indices along each axis.  The row number of (j, k) at x is a
-    sum of one term per axis; a pair with no row sums past the bulk rows.
-    """
-    row = sum(part[jk][:, i] for part, i in zip(tables, at.T))
-    out = bulk.take(row, mode="clip")
-    out[row >= len(bulk)] = 0.0
-    return out
 
 
 def _resolve_geometry(grid: Grid, settings: QuadratureSettings):
@@ -556,16 +539,19 @@ class EnergyScheme:
         self.near_rows = slice(0, n_near)
         self.tail_rows = slice(row, n_rows)
 
-    def _inside(self, j) -> np.ndarray:
+    def _inside(self, j, cell: bool = False) -> np.ndarray:
         """Whether each node lies in the box of (rung j, angle k), per angle
         k: shape ``(n_ang,) + grid.shape``, or ``(rungs, n_ang) +
         grid.shape`` for a slice j of rungs.  Row-major, the nodes of (j, k)
-        are those of its bulk forms, in the order of their rows."""
+        are those of its bulk forms, in the order of their rows.  With
+        ``cell`` the box is shifted by m_jk: the cells of the same rows."""
         n, N = self.grid.dimension, self.grid.nodes_per_axis
         node = np.arange(N)
         inside = True
         for axis in range(n):
             lo = self._box_lo[j, :, axis, None]
+            if cell:
+                lo = lo + self._shift[j, :, axis, None]
             ins = (node >= lo) & (node < lo + self._box_len[j, :, axis, None])
             inside = inside & ins.reshape(ins.shape[:-1] + (1,) * axis + (N,)
                                           + (1,) * (n - axis - 1))
@@ -855,29 +841,13 @@ class EnergyScheme:
 
     @cached_property
     def _stencil(self) -> _StencilTables:
-        """The w-independent tables of :meth:`_gram`, built on its first call."""
+        """The w-independent tables of :meth:`_gram`, built on its first call;
+        the bulk row layout is not among them (:meth:`_inside` owns it)."""
         n, N = self.grid.dimension, self.grid.nodes_per_axis
         n_bulk, n_ang = self._shift.shape[:2]
         n_jk = n_bulk * n_ang
         corners = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
         at = np.stack(np.unravel_index(np.arange(self.nodes.shape[0]), self.grid.shape), axis=1)
-        # the rows of (j, k) are the nodes of its box in row-major order:
-        # per axis, the row number's term of a node index, tabulated at x_a
-        # and at x_a + m_jk,a; an index off the box gets the number of bulk
-        # rows, so the sum of the terms runs past them
-        lo = self._box_lo.reshape(n_jk, 1, n)
-        length = self._box_len.reshape(n_jk, 1, n)
-        stride = np.ones_like(length)
-        for axis in range(n - 2, -1, -1):
-            stride[..., axis] = stride[..., axis + 1] * length[..., axis + 1]
-        count = length.prod(axis=2).ravel()
-        tables = []
-        for rel in (np.arange(N)[None, :, None] - lo,
-                    np.arange(N)[None, :, None] - lo - self._shift.reshape(n_jk, 1, n)):
-            part = rel * stride
-            part[..., 0] += (np.cumsum(count) - count)[:, None]
-            part[(rel < 0) | (rel >= length)] = count.sum()
-            tables.append(list(np.moveaxis(part, 2, 0)))
         # cross: displacements d = m_jk + c of the nonzero corners that stay
         # in [-(N-1), N-1]^n, numbered row-major; S carries 2 phi
         span = (2 * N - 1) ** np.arange(n - 1, -1, -1)
@@ -896,9 +866,6 @@ class EnergyScheme:
             y = at + c
             corner_node.append(np.where((y < N).all(axis=1), y @ strides, -1))
         return _StencilTables(
-            at=at,
-            by_node=tables[0],
-            by_cell=tables[1],
             cross=cross,
             node_d=at @ span,
             center=(N - 1) * int(span.sum()),
@@ -923,7 +890,10 @@ class EnergyScheme:
         The cell of a row is the node x + m_jk, and a corner past the last
         node has factor 0.  ``G`` starts as the near rows' single product
         (:func:`_gram_product`).  Both bulk loops go in blocks of about
-        ``_GRAM_ROWS`` (rung-angle, node) pairs.
+        ``_GRAM_ROWS`` (rung-angle, node) pairs and scatter the bulk weights
+        through the box masks of :meth:`_inside`: the rows of jk at a block
+        of nodes are one run of its rows, and its cells are its box shifted
+        by m_jk, in the order of its rows.
         """
         tab = self._stencil
         n_nodes = self.nodes.shape[0]
@@ -931,13 +901,23 @@ class EnergyScheme:
         G = _gram_product(self._near_L, w[self.near_rows])
         diag = 2.0 * w[self.tail_rows]
         bulk = w[self.near_rows.stop:self.tail_rows.start]
+        # the first bulk row of each (rung, angle), then the end of the last
+        start = np.concatenate([[0], np.cumsum(self._box_len.prod(axis=2).ravel())])
 
-        # node and cross terms, over blocks of nodes
+        # node and cross terms, over blocks of nodes; ``done`` counts the
+        # rows of each jk at the nodes of the earlier blocks
+        inside = self._inside(slice(None)).reshape(n_jk, n_nodes)
+        done = np.zeros(n_jk, dtype=np.int64)
         size = max(1, _GRAM_ROWS // n_jk)
         for lo in range(0, n_nodes, size):
             X = slice(lo, min(lo + size, n_nodes))
             m = X.stop - lo
-            omega = _gather_bulk(bulk, tab.by_node, slice(None), tab.at[X])
+            mask = inside[:, X]
+            run = np.count_nonzero(mask, axis=1)
+            omega = np.zeros((n_jk, m))
+            omega[mask] = bulk[np.repeat(start[:-1] + done - (np.cumsum(run) - run), run)
+                               + np.arange(run.sum())]
+            done += run
             diag[X] += 2.0 * omega.sum(axis=0)
             T = tab.cross @ omega
             cross = T.ravel()[
@@ -945,14 +925,18 @@ class EnergyScheme:
             ]
             G[X] += cross
             G[:, X] += cross.T
+        del inside
 
         # corner term, over blocks of (rung, angle): V[jk, y] is the weight
         # of the row of jk whose cell is the node y, and E += V^T (2 phi phi^T)
+        cells = self._inside(slice(None), cell=True).reshape(n_jk, n_nodes)
         group = max(1, _GRAM_ROWS // n_nodes)
         E = np.zeros((n_nodes, tab.phiphi.shape[1]))
         for g0 in range(0, n_jk, group):
             J = slice(g0, min(g0 + group, n_jk))
-            E += _gather_bulk(bulk, tab.by_cell, J, tab.at).T @ tab.phiphi[J]
+            V = np.zeros((J.stop - g0, n_nodes))
+            V[cells[J]] = bulk[start[J.start]:start[J.stop]]
+            E += V.T @ tab.phiphi[J]
         n_corners = len(tab.corner_node)
         for ca, ya in enumerate(tab.corner_node):
             for cb, yb in enumerate(tab.corner_node):

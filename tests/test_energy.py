@@ -1,5 +1,8 @@
 import dataclasses
+import decimal
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -634,8 +637,8 @@ def test_2d_grid_cap():
 
 
 def _gram_atoms(case):
-    """Small atom sets of the three problems the Gram Hessian serves, and a
-    reweighted nonlocal set with its point v."""
+    """Small atom sets of the three problems the Gram Hessian serves, and
+    reweighted nonlocal sets with their point v."""
     if case == "cell-1d":
         # the periodic cell problem's atoms: A_i dy |v[i+1]/dy - v[i]/dy + v[n]|^2
         n = 64
@@ -654,6 +657,15 @@ def _gram_atoms(case):
         one = GridFunction(g, np.ones((N, N)), boundary_flag=False)
         kern = builtin("separable-angular", {"c0": 1.0, "c1": 0.5})
         return _local_atoms(LocalProblem(source=one, density=LimitDensity(kern, 2.0))), None
+    if case.startswith("nonlocal-2d"):
+        # small blocks cut through every (rung, angle) box: at 7 rows a node
+        # block holds one node and a corner group one (rung, angle) pair
+        g = Grid(((-1.0, 1.0), (-0.5, 1.5)), 9)
+        scheme = get_scheme(builtin("separable-angular", {"c0": 1.0, "c1": 0.5}), g)
+        if case == "nonlocal-2d":
+            return scheme.atoms(FractionalParams(0.5, 2.0)), None
+        v = np.random.default_rng(7).standard_normal(g.nodes().shape[0])
+        return scheme.atoms(FractionalParams(0.5, 3.0)), v
     g = Grid(((-1.0, 1.0),), 33)
     kern = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
     atoms = get_scheme(kern, g).atoms(FractionalParams(0.5, 3.0))
@@ -662,7 +674,9 @@ def _gram_atoms(case):
 
 
 @pytest.mark.parametrize("rows", [7, 1000])
-@pytest.mark.parametrize("case", ["nonlocal-1d", "local-2d", "reweighted-p3"])
+@pytest.mark.parametrize(
+    "case", ["nonlocal-1d", "local-2d", "reweighted-p3", "nonlocal-2d", "nonlocal-2d-p3"]
+)
 def test_blocked_gram_matches_dense_product(monkeypatch, case, rows):
     atoms, v = _gram_atoms(case)
     if v is None:
@@ -740,6 +754,35 @@ def test_gram_and_passes_make_no_row_length_copies(monkeypatch):
     assert gram_peak < l_bytes / 4, (gram_peak, l_bytes)
     # L v, written over on slices, not five or six row-length vectors
     assert pass_peak < 2 * row_bytes, (pass_peak, row_bytes)
+
+
+def _exact_power_delta(a: float, e: float, p: float) -> float:
+    """|a + e|^p - |a|^p of two doubles in exact arithmetic (p = 3), or
+    in 50 decimal digits (p = 1.5), rounded once to a double."""
+    if p == 3.0:
+        a, e = Fraction(a), Fraction(e)
+        return float(abs(a + e) ** 3 - abs(a) ** 3)
+    with decimal.localcontext(decimal.Context(prec=50)):
+        a, e = abs(Decimal(a)), abs(Decimal(a) + Decimal(e))
+        return float(e * e.sqrt() - a * a.sqrt())
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_power_delta_against_exact_arithmetic(p):
+    # e = a r: |r| from 1e-14, where the plain difference keeps about two
+    # digits, to 0.4 (the series branch), then from 0.5 to 1.5 and a = 0
+    # (the plain difference, which does not cancel there); both signs of a
+    # and of r
+    rng = np.random.default_rng(11)
+    sign = lambda k: rng.choice([-1.0, 1.0], k)
+    a = sign(80) * rng.uniform(0.5, 2.0, 80)
+    r = sign(80) * np.concatenate([10.0 ** rng.uniform(-14.0, np.log10(0.4), 64),
+                                   rng.uniform(0.5, 1.5, 16)])
+    a[-4:] = 0.0
+    e = np.where(a == 0.0, r, a * r)
+    got = energy.power_delta(a, e, p)
+    want = np.array([_exact_power_delta(x, y, p) for x, y in zip(a, e)])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), np.abs(got / want - 1.0).max()
 
 
 def _x_dependent_kernel():

@@ -385,6 +385,20 @@ def test_p2_solve_agrees_with_the_form_matrix(name, box, N):
     assert res.objective == scale * float(np.dot(atoms.W, np.abs(ell) ** 2)) - float(np.dot(b, v))
 
 
+def test_p2_solve_flags_a_large_residual(monkeypatch):
+    # a dense solve that lands 1e-3 off the minimizer must be reported,
+    # not passed off as converged
+    g = Grid(((-1.0, 1.0),), 33)
+    one = GridFunction(g, np.ones(g.shape), boundary_flag=False)
+    prob = NonlocalProblem(kern=builtin("constant", {"c": 1.0}),
+                           fp=FractionalParams(0.5, 2.0), source=one)
+    real_solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda A, b: (1.0 + 1e-3) * real_solve(A, b))
+    res = solve_nonlocal(prob)
+    assert not res.converged
+    assert res.residual > DEFAULT_TOL * 2.0, res.residual
+
+
 def test_p2_solve_peak_at_2d_n33_stays_small():
     # one separable-angular N=33 p = 2 solve, build included: the base
     # weights, the dense Hessian and one row-length array of forms, not
