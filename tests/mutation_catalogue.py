@@ -1,8 +1,8 @@
 """Mutation catalogue: named one-line defects, and which test catches each.
 
 Run from the root of a checkout (pytest does not collect this file, and
-it is not part of the tier-1 suite: one pass takes about 15 minutes on
-two cores):
+it is not part of the tier-1 suite: one pass took about 13 minutes on
+two cores, 5 of them the time-out of armijo-zero):
 
     python3 tests/mutation_catalogue.py [--rev HEAD] [--timeout 300] [NAME ...]
 

@@ -763,8 +763,8 @@ def _exact_power_delta(a: float, e: float, p: float) -> float:
         a, e = Fraction(a), Fraction(e)
         return float(abs(a + e) ** 3 - abs(a) ** 3)
     with decimal.localcontext(decimal.Context(prec=50)):
-        a, e = abs(Decimal(a)), abs(Decimal(a) + Decimal(e))
-        return float(e * e.sqrt() - a * a.sqrt())
+        x, y = abs(Decimal(a)), abs(Decimal(a) + Decimal(e))
+        return float(y * y.sqrt() - x * x.sqrt())
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -774,10 +774,10 @@ def test_power_delta_against_exact_arithmetic(p):
     # (the plain difference, which does not cancel there); both signs of a
     # and of r
     rng = np.random.default_rng(11)
-    sign = lambda k: rng.choice([-1.0, 1.0], k)
-    a = sign(80) * rng.uniform(0.5, 2.0, 80)
-    r = sign(80) * np.concatenate([10.0 ** rng.uniform(-14.0, np.log10(0.4), 64),
-                                   rng.uniform(0.5, 1.5, 16)])
+    a = rng.choice([-1.0, 1.0], 80) * rng.uniform(0.5, 2.0, 80)
+    r = rng.choice([-1.0, 1.0], 80) * np.concatenate(
+        [10.0 ** rng.uniform(-14.0, np.log10(0.4), 64), rng.uniform(0.5, 1.5, 16)]
+    )
     a[-4:] = 0.0
     e = np.where(a == 0.0, r, a * r)
     got = energy.power_delta(a, e, p)
