@@ -4,14 +4,14 @@ Run from the root of a checkout (pytest does not collect this file, and
 it is not part of the tier-1 suite: one pass took about 13 minutes on
 two cores, 5 of them the time-out of armijo-zero):
 
-    python3 tests/mutation_catalogue.py [--rev HEAD] [--timeout 300] [NAME ...]
+    python3 tests/mutation_catalogue.py [--rev HEAD] [NAME ...]
 
 Each entry names a file, the exact old text of one line and its new
 text, and the defect it stands for.  The script first runs the suite
 unmutated, then per entry unpacks ``git archive REV`` into a temporary
 directory, applies the entry (its old text must occur exactly once), and
-runs the tier-1 suite there with ``-x`` and a time-out.  It prints one
-row per entry: what stopped the run and the first failing test.
+runs the tier-1 suite there with ``-x`` and a 300 s time-out.  It prints
+one row per entry: what stopped the run and the first failing test.
 
 A kill by a pin, a test that compares against values stored from the
 code of its day (the ``*_golden`` tests), is counted apart: a pin fails
@@ -120,14 +120,14 @@ def _apply(root: Path, m: Mutant) -> None:
     path.write_text(text.replace(m.old, m.new))
 
 
-def _run(root: Path, timeout: float) -> tuple[str, str, float]:
+def _run(root: Path) -> tuple[str, str, float]:
     """Run tier-1 with -x in ``root``: (status, first failing test, seconds)."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            "--continue-on-collection-errors"]
     start = time.perf_counter()
     try:
         out = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
-                             timeout=timeout, env={**os.environ, "PYTHONPATH": "src"})
+                             timeout=300, env={**os.environ, "PYTHONPATH": "src"})
     except subprocess.TimeoutExpired:
         return "time-out", "", time.perf_counter() - start
     seconds = time.perf_counter() - start
@@ -145,7 +145,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("names", nargs="*", help="entries to run (default: all)")
     ap.add_argument("--rev", default="HEAD", help="git revision to mutate")
-    ap.add_argument("--timeout", type=float, default=300.0, help="seconds per suite run")
     args = ap.parse_args(argv)
     unknown = set(args.names) - {m.name for m in CATALOGUE}
     if unknown:
@@ -158,7 +157,7 @@ def main(argv=None) -> int:
             _unpack(args.rev, root)
             if m is not None:
                 _apply(root, m)
-            status, test, seconds = _run(root, args.timeout)
+            status, test, seconds = _run(root)
         if m is None:
             name = "(unmutated)"
         else:
