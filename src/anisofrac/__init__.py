@@ -9,15 +9,13 @@ s -> 1 and s -> 0 limit sweeps; and the one-dimensional homogenization
 experiments showing that averaging and localization do not commute.
 """
 
-from .gridfn import FractionalParams, Grid, GridFunction, gradient_lp, lp_norm
+from .gridfn import FractionalParams, Grid, GridFunction, lp_norm
 from .kernel import Kernel, builtin, matrix_kernel, symmetrize, verify_hypotheses
 from .energy import (
     EnergyReport,
     QuadratureSettings,
     anisotropic_energy,
-    bbm_upper_bound_check,
     gagliardo,
-    interpolation_check,
 )
 
 __version__ = "0.1.0"
@@ -26,7 +24,6 @@ __all__ = [
     "FractionalParams",
     "Grid",
     "GridFunction",
-    "gradient_lp",
     "lp_norm",
     "Kernel",
     "builtin",
@@ -36,8 +33,6 @@ __all__ = [
     "EnergyReport",
     "QuadratureSettings",
     "anisotropic_energy",
-    "bbm_upper_bound_check",
     "gagliardo",
-    "interpolation_check",
     "__version__",
 ]

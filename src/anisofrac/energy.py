@@ -51,7 +51,8 @@ node by node over a box of nodes, and :class:`EnergyScheme` keeps them as
 that: a cell shift, corner factors and a node box per (rung, angle).  A
 report reads the forms from these tables, rung by rung, as sums of
 shifted copies of the node array (:meth:`EnergyScheme._bulk_forms`); the
-near forms are one small CSR product and the tail forms are v itself.
+near forms are the gradient stencil summed over its slots
+(:meth:`EnergyScheme._near_forms`) and the tail forms are v itself.
 Then come a sum by label, in row order, and one product with
 ``outside_w``.  :meth:`EnergyScheme.atoms` hands the forms with the
 weights of one (s, p) to the solvers.  Their Hessian is the Gram matrix
@@ -68,6 +69,13 @@ one row per form) is faster: the stencil forms cost about 2x its
 product in 2D and 8-9x in 1D.  The near rows, and atom sets that are
 not a scheme's (local atoms, the cell problem), take one sparse product
 ``L^T diag(2 w) L`` each.
+
+``scipy.sparse`` is imported only where a sparse matrix is built or
+multiplied: the near rows' CSR ``_near_L``, :attr:`EnergyScheme.L`, the
+Gram's cross table (:meth:`EnergyScheme._stencil`), the single product
+:func:`_gram_product` and :meth:`AtomSet.from_stencil`.  So a report, a
+sweep and a kernel audit never load it, and a solve loads it at its
+first Gram.
 
 Cost model: the scheme samples the kernel on a (nodes x rungs x angles)
 lattice, bulk and far rungs alike, in blocks of whole rungs, and there
@@ -95,14 +103,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
-from scipy import sparse
 
 from ._sphere import sphere_measure, sphere_rule
-from .gridfn import FractionalParams, Grid, GridFunction, gradient_lp, lp_norm
+from .gridfn import FractionalParams, Grid, GridFunction
 from .kernel import Kernel, builtin, symmetrize
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "QuadratureSettings",
@@ -114,9 +124,6 @@ __all__ = [
     "check_kernel_grid",
     "gagliardo",
     "anisotropic_energy",
-    "CheckResult",
-    "bbm_upper_bound_check",
-    "interpolation_check",
 ]
 
 _FAR_OCTAVES = 10  # length of the far ladder beyond h_split
@@ -243,6 +250,8 @@ class AtomSet:
     @classmethod
     def from_stencil(cls, weights, idx, coef, n_nodes: int, p) -> "AtomSet":
         """Atoms W_a |sum_k coef[a, k] v[idx[a, k]]|^p; zero slots are dropped."""
+        from scipy import sparse
+
         coef = np.asarray(coef, dtype=float)
         keep = coef != 0.0
         indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
@@ -331,6 +340,8 @@ def _gram_product(L: sparse.csr_matrix, w: np.ndarray) -> np.ndarray:
     Fortran order; it is asked for in C order, which the row-block adds
     of :meth:`EnergyScheme._gram` and the solvers' slices run faster on.
     """
+    from scipy import sparse
+
     data = np.repeat(2.0 * w, np.diff(L.indptr))
     data *= L.data
     scaled = sparse.csr_matrix((data, L.indices, L.indptr), shape=L.shape)
@@ -424,7 +435,7 @@ class EnergyScheme:
     # -- the form matrix ----------------------------------------------------
 
     def _build_operator(self):
-        """The stencil tables, base weights and near CSR of the forms, and ``outside_w``.
+        """The stencil tables and base weights of the forms, and ``outside_w``.
 
         Forms, in the row order of :attr:`L`: near (angle-major), then bulk
         in (rung, angle, node) order, then tail.  Labels: 2 * rung + angle
@@ -444,8 +455,10 @@ class EnergyScheme:
         nodes whose shifted point stays in the box form a box per (j, k),
         ``_box_lo`` plus ``range(_box_len)`` along each axis; the pairs of
         the other nodes, and every pair of a far rung, go to ``outside_w``.
-        The near forms are one CSR matrix, ``_near_L``.  No bulk row is
-        written here: reports read the bulk forms from these tables
+        The near forms are kept as the gradient stencil's node indices and
+        coefficients, ``_near_idx`` and ``_near_coef``.  No row of a matrix
+        is written here: reports read the near forms from the stencil
+        (:meth:`_near_forms`) and the bulk forms from these tables
         (:meth:`_bulk_forms`), and :attr:`L` assembles the rows.
         """
         grid = self.grid
@@ -478,14 +491,8 @@ class EnergyScheme:
         counts = self._box_len.prod(axis=2)
 
         # near forms: a(x, w) |D_w v(x)|^p
-        near_idx, near_coef = self._gradient_stencil()
-        near_keep = near_coef != 0.0
+        self._near_idx, self._near_coef = self._gradient_stencil()
         n_near = n_ang * n_nodes
-        self._near_L = sparse.csr_matrix(
-            (near_coef[near_keep], near_idx[near_keep].astype(np.int32),
-             np.concatenate([[0], np.cumsum(near_keep.sum(axis=1))]).astype(np.int32)),
-            shape=(n_near, n_nodes),
-        )
         n_rows = n_near + int(counts.sum()) + n_nodes
         base = np.empty(n_rows)
         base[:n_near] = (self.w_dirs[:, None] * self.a_vals.T * self.w_x[None, :]).ravel()
@@ -568,6 +575,8 @@ class EnergyScheme:
         coefficients 1 and phi_jk,c written at every node x of its box,
         then one row v(x) per node.
         """
+        from scipy import sparse
+
         n, N = self.grid.dimension, self.grid.nodes_per_axis
         n_bulk, n_ang = self._shift.shape[:2]
         near = self._near_L
@@ -615,6 +624,20 @@ class EnergyScheme:
         return sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_nodes))
 
     @cached_property
+    def _near_L(self) -> sparse.csr_matrix:
+        """The near forms as one CSR matrix, the gradient stencil without its
+        zero slots, built on first use: only :attr:`L` and :meth:`_gram`
+        read it."""
+        from scipy import sparse
+
+        keep = self._near_coef != 0.0
+        return sparse.csr_matrix(
+            (self._near_coef[keep], self._near_idx[keep],
+             np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).astype(np.int32)),
+            shape=(self.near_rows.stop, self.nodes.shape[0]),
+        )
+
+    @cached_property
     def label(self) -> np.ndarray:
         """The label of every form (see :meth:`_build_operator`), tabulated
         on first use: only :meth:`atoms` reads it."""
@@ -641,7 +664,7 @@ class EnergyScheme:
         n_nodes = self.nodes.shape[0]
         n = self.grid.dimension
         axis_index = np.unravel_index(np.arange(n_nodes), shape)
-        idx = np.zeros((self.dirs.shape[0], n_nodes, 1 + n), dtype=np.int64)
+        idx = np.zeros((self.dirs.shape[0], n_nodes, 1 + n), dtype=np.int32)
         coef = np.zeros((self.dirs.shape[0], n_nodes, 1 + n))
         idx[:, :, 0] = np.arange(n_nodes)
         # per axis the limit is exactly |w_axis|/h * (v_center - v_neighbor)
@@ -661,6 +684,13 @@ class EnergyScheme:
         return idx.reshape(-1, 1 + n), coef.reshape(-1, 1 + n)
 
     # -- reporting ----------------------------------------------------------
+
+    def _near_forms(self, v: np.ndarray) -> np.ndarray:
+        """The near forms of the node vector v: ``_near_L @ v`` up to the sign
+        of a zero form.  Each row sums its stencil slots in order, as the
+        CSR product sums its entries; a slot of coefficient 0, which the
+        CSR drops, adds a zero."""
+        return (self._near_coef * v[self._near_idx]).sum(axis=1)
 
     def _bulk_forms(self, v: np.ndarray):
         """Yield ``(rungs, rows, forms)`` per block of bulk rungs: the bulk
@@ -704,12 +734,13 @@ class EnergyScheme:
             row += n_rows
 
     def forms(self, v: np.ndarray) -> np.ndarray:
-        """The forms of the node vector v, equal to ``L @ v`` bit for bit,
-        without :attr:`L`: the near forms from ``_near_L``, the bulk forms
-        from the stencil tables (:meth:`_bulk_forms`) and the tail forms v
+        """The forms of the node vector v, equal to ``L @ v`` bit for bit up
+        to the sign of a zero near form, without :attr:`L`: the near forms
+        from the gradient stencil (:meth:`_near_forms`), the bulk forms from
+        the stencil tables (:meth:`_bulk_forms`) and the tail forms v
         itself, written into one preallocated array."""
         out = np.empty(self.base.shape[0])
-        out[self.near_rows] = self._near_L @ v
+        out[self.near_rows] = self._near_forms(v)
         for _, rows, forms in self._bulk_forms(v.reshape(self.grid.shape)):
             out[rows] = forms
         out[self.tail_rows] = v
@@ -721,9 +752,9 @@ class EnergyScheme:
         One ``(near, bulk, tail, err)`` tuple per order in ``s_values``.
         The forms and every sum over forms or nodes are formed once; only
         their scalar factors depend on s.  The bulk forms come from the
-        stencil tables (:meth:`_bulk_forms`), the near forms from one
-        product with ``_near_L``, and the tail forms are u itself, so a
-        report never assembles :attr:`L`.
+        stencil tables (:meth:`_bulk_forms`), the near forms from the
+        gradient stencil (:meth:`_near_forms`), and the tail forms are u
+        itself, so a report builds no sparse matrix.
         """
         if u.grid != self.grid:
             raise ValueError("grid function does not live on the scheme grid")
@@ -749,7 +780,7 @@ class EnergyScheme:
                 np.repeat(labels[rungs].ravel() - first, counts[rungs].ravel()),
                 forms, minlength=2 * (rungs.stop - rungs.start),
             )
-        near_forms = np.abs(self._near_L @ uflat)
+        near_forms = np.abs(self._near_forms(uflat))
         sums[n_out] = np.cumsum(self.base[self.near_rows] * near_forms ** p)[-1]
         up = np.abs(uflat) ** p
         sums[:n_out] += up @ self.outside_w
@@ -843,6 +874,8 @@ class EnergyScheme:
     def _stencil(self) -> _StencilTables:
         """The w-independent tables of :meth:`_gram`, built on its first call;
         the bulk row layout is not among them (:meth:`_inside` owns it)."""
+        from scipy import sparse
+
         n, N = self.grid.dimension, self.grid.nodes_per_axis
         n_bulk, n_ang = self._shift.shape[:2]
         n_jk = n_bulk * n_ang
@@ -1008,72 +1041,3 @@ def anisotropic_energy(k: Kernel, u: GridFunction, fp: FractionalParams) -> Ener
     """
     prefactor = (1.0 - fp.s) / fp.p
     return get_scheme(k, u.grid).report(u, fp, prefactor)
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    passed: bool
-    slack: float
-    lhs: float
-    rhs: float
-    tolerance: float
-
-
-def bbm_upper_bound_check(k: Kernel, u: GridFunction, fp: FractionalParams) -> CheckResult:
-    """Bound chain: raw weighted integral <= m_plus [u]^p <= sphere-constant bound.
-
-    The right-hand bound is (n omega_n m_plus / p) *
-    (||grad u||_p^p / (1-s) + 2^p ||u||_p^p / s); quadrature error
-    bounds widen the comparison.
-    """
-    s, p = fp.s, fp.p
-    rep = anisotropic_energy(k, u, fp)
-    pref = (1.0 - s) / p
-    raw = rep.value / pref
-    raw_err = rep.error_bound / pref
-    gag = gagliardo(u, fp)
-    n_omega = sphere_measure(u.grid.dimension)
-    mid = k.m_plus * gag.value
-    mid_err = k.m_plus * gag.error_bound
-    rhs = (n_omega * k.m_plus / p) * (
-        gradient_lp(u, p) ** p / (1.0 - s) + 2.0 ** p * lp_norm(u, p) ** p / s
-    )
-    slack1 = mid - raw
-    slack2 = rhs - mid
-    tol = raw_err + mid_err
-    passed = (slack1 >= -tol) and (slack2 >= -mid_err)
-    return CheckResult(
-        passed=passed,
-        slack=rhs - raw,   # end-to-end slack of the chain
-        lhs=raw,
-        rhs=rhs,
-        tolerance=tol,
-    )
-
-
-def interpolation_check(
-    k: Kernel, u: GridFunction, s1: float, s2: float, p: float
-) -> CheckResult:
-    """Energy at a smaller order against the larger order plus an L^p term.
-
-    Checks J(s1) <= 2^{p(1-s1)} J(s2) + 2^{p-1} m_plus n omega_n
-    (1-s1)/s1 * ||u||_p^p, with quadrature error bounds as slack.
-    """
-    if not s1 < s2:
-        raise ValueError("need s1 < s2")
-    rep1 = anisotropic_energy(k, u, FractionalParams(s1, p))
-    rep2 = anisotropic_energy(k, u, FractionalParams(s2, p))
-    n_omega = sphere_measure(u.grid.dimension)
-    factor = 2.0 ** (p * (1.0 - s1))
-    rhs = factor * rep2.value + (
-        2.0 ** (p - 1.0) * k.m_plus * n_omega * (1.0 - s1) / s1
-    ) * lp_norm(u, p) ** p
-    tol = rep1.error_bound + factor * rep2.error_bound
-    slack = rhs - rep1.value
-    return CheckResult(
-        passed=slack >= -tol,
-        slack=slack,
-        lhs=rep1.value,
-        rhs=rhs,
-        tolerance=tol,
-    )

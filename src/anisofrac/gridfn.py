@@ -28,7 +28,6 @@ __all__ = [
     "FractionalParams",
     "lp_norm",
     "lp_distance",
-    "gradient_lp",
     "parse_box",
     "write_csv",
     "read_csv",
@@ -226,15 +225,6 @@ def lp_distance(u: GridFunction, v: GridFunction, p: float) -> float:
     if u.grid != v.grid:
         raise ValueError("the two functions live on different grids")
     return lp_norm(GridFunction(u.grid, u.values - v.values, boundary_flag=False), p)
-
-
-def gradient_lp(u: GridFunction, p: float) -> float:
-    """||grad u||_p from cell-centered finite differences."""
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-    _, grads, vols = u.cell_gradients()
-    mag = np.sqrt(np.sum(grads * grads, axis=1))
-    return float(np.dot(vols, mag ** p) ** (1.0 / p))
 
 
 def _format_box(box: Sequence[tuple[float, float]]) -> str:

@@ -8,8 +8,8 @@ to an integral of the density
 built from the kernel's small-offset radial limit.  As s -> 0 they
 concentrate on the L^p mass: s times the double integral tends to
 int |u|^p b(x) dx, where b comes from the kernel's large-offset limit.
-This module evaluates the densities, the two sphere constants, the
-finite-s weight b_s with certified brackets, and runs the convergence
+This module evaluates the densities, the finite-s weight b_s with
+certified brackets and the limit weight b, and runs the convergence
 sweeps with first-order Richardson extrapolation in (1-s) or s.
 """
 
@@ -32,12 +32,8 @@ __all__ = [
     "TableRow",
     "ConvergenceTable",
     "limit_density",
-    "limit_matrix",
-    "bbm_constant",
-    "ms_constant",
     "ms_weight",
     "ms_weight_limit",
-    "ms_weight_extrapolated",
     "bbm_sweep",
     "ms_sweep",
     "default_bbm_s_list",
@@ -79,33 +75,6 @@ def limit_density(ld: LimitDensity, x: np.ndarray, xi: np.ndarray) -> np.ndarray
     dots = np.abs(xi @ ld._dirs.T) ** ld.p
     out = np.einsum("...k,...k,k->...", a, dots, ld._weights) / ld.p
     return out if out.shape else float(out)
-
-
-def limit_matrix(ld: LimitDensity, x: np.ndarray) -> np.ndarray:
-    """Matrix A(x) with A(x) xi . xi = limit_density(x, xi); p = 2 only."""
-    if ld.p != 2.0:
-        raise ValueError("the matrix form of the density exists only for p = 2")
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(ld.kern.radial_limit(x[None, :], ld._dirs), dtype=float).ravel()
-    W = ld._dirs * (ld._weights * a)[:, None]
-    return 0.5 * (ld._dirs.T @ W)
-
-
-def bbm_constant(p: float, n: int) -> float:
-    """(1/p) * int_{S^{n-1}} |w_1|^p dH, by the sphere rule."""
-    if n not in (1, 2, 3):
-        raise ValueError("n must be in {1, 2, 3}")
-    dirs, w = sphere_rule(n)
-    return float(np.dot(w, np.abs(dirs[:, 0]) ** p) / p)
-
-
-def ms_constant(p: float, n: int) -> float:
-    """Closed form 4 pi^{n/2} / (p Gamma(n/2))."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-    return 4.0 * math.pi ** (n / 2.0) / (p * math.gamma(n / 2.0))
 
 
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
@@ -192,23 +161,6 @@ def ms_weight_limit(k: Kernel, x: np.ndarray, p: float) -> float | np.ndarray:
     m_inf = np.asarray(k.tail_limit(x[..., None, :], dirs), dtype=float)
     b = 2.0 / p * (m_inf @ w_dirs)
     return float(b) if b.ndim == 0 else b
-
-
-_EXTRAPOLATION_S = (0.1, 0.05)  # orders of the two b_s midpoints extrapolated
-
-
-def ms_weight_extrapolated(k: Kernel, x: np.ndarray, p: float) -> float:
-    """Richardson-extrapolated b_s midpoints at s = 0.1 and 0.05.
-
-    The ladder is cut at r_cut = 64 * max(2|x|, 1).
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    r_cut = 64.0 * max(2.0 * float(np.linalg.norm(x)), 1.0)
-    vals = []
-    for s in _EXTRAPOLATION_S:
-        lo, hi = ms_weight(k, x, FractionalParams(s, p), r_cut)
-        vals.append(0.5 * (lo + hi))
-    return _richardson(*_EXTRAPOLATION_S, *vals)
 
 
 def _richardson(t1: float, t2: float, v1: float, v2: float) -> float:

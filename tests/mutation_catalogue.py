@@ -102,6 +102,14 @@ CATALOGUE = [
            "omega[mask] = bulk[np.repeat(start[:-1] + done - (np.cumsum(run) - run), run)",
            "omega[mask] = bulk[np.repeat(start[:-1] - (np.cumsum(run) - run), run)",
            "the stencil Gram reads each node block's rows from the start of its box"),
+    Mutant("scipy-at-import", E,
+           "if TYPE_CHECKING:",
+           "if True:",
+           "energy.py imports scipy.sparse at module level, so every run loads it"),
+    Mutant("near-forms-without-neighbour", E,
+           "return (self._near_coef * v[self._near_idx]).sum(axis=1)",
+           "return (self._near_coef[:, :1] * v[self._near_idx[:, :1]]).sum(axis=1)",
+           "the numpy near forms drop the neighbour slots of the gradient stencil"),
 ]
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.M)

@@ -12,8 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from anisofrac.energy import interpolation_check
-from anisofrac.gridfn import FractionalParams, Grid, GridFunction, gradient_lp, lp_norm
+from anisofrac.gridfn import FractionalParams, Grid, GridFunction, lp_norm
 from anisofrac.kernel import builtin
 from anisofrac.homogenize import (
     coefficient_from_kernel,
@@ -24,13 +23,12 @@ from anisofrac.limits import (
     bbm_sweep,
     default_bbm_s_list,
     default_ms_s_list,
-    ms_constant,
     ms_sweep,
-    ms_weight_extrapolated,
     ms_weight_limit,
 )
 from anisofrac.variational import NonlocalProblem, solve_nonlocal
 from conftest import bump_profile, hat_profile
+from oracles import gradient_lp, interpolation_check, ms_constant, ms_weight_extrapolated
 
 SQRT3 = math.sqrt(3.0)
 

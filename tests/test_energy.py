@@ -15,10 +15,8 @@ from anisofrac.energy import (
     EnergyScheme,
     QuadratureSettings,
     anisotropic_energy,
-    bbm_upper_bound_check,
     gagliardo,
     get_scheme,
-    interpolation_check,
 )
 from anisofrac.gridfn import FractionalParams, Grid, GridFunction
 from anisofrac.homogenize import homogenized_kernel
@@ -26,6 +24,7 @@ from anisofrac.kernel import Kernel, builtin
 from anisofrac.limits import LimitDensity
 from anisofrac.variational import LocalProblem, _local_atoms
 from conftest import bump_profile, hat_profile
+from oracles import bbm_upper_bound_check, interpolation_check
 
 
 def brute_force_seminorm(u_vals, xs_u, s, p, M=2001, L=4.0, m_fn=None):
@@ -367,6 +366,29 @@ def test_bulk_rows_are_their_stencil(kernel_name, params, box, N):
         assert np.array_equal(forms, ell[rows]), rungs
         row = rows.stop
     assert row == scheme.tail_rows.start
+
+
+@pytest.mark.parametrize(
+    "kernel_name, params, box, N",
+    [
+        ("separable-angular", {"n": 2, "c0": 1.0, "c1": 0.5}, ((-1.0, 3.0), (0.0, 1.0)), 25),
+        ("separable-angular", {"n": 2, "c0": 1.0, "c1": 0.5}, ((-1.0, 1.0), (-1.0, 1.0)), 9),
+        ("periodic-1d", {"A0": 2.0, "A1": 1.0}, ((-1.0, 1.0),), 1100),
+    ],
+    ids=["separable-angular 2D N=25", "separable-angular 2D N=9", "periodic-1d N=1100"],
+)
+def test_near_forms_are_the_near_rows(kernel_name, params, box, N):
+    # the near forms summed over the gradient stencil's slots, zero slots
+    # included, are the rows of _near_L times v up to the sign of a zero
+    # form, and reading them builds no CSR matrix
+    g = Grid(box, N)
+    scheme = EnergyScheme(builtin(kernel_name, params), g)
+    v = np.random.default_rng(13).standard_normal(scheme.nodes.shape[0])
+    vs = [v, np.where(np.arange(v.size) % 3 == 0, v, 0.0)]  # the second has many zero forms
+    got = [scheme._near_forms(x) for x in vs]
+    assert "_near_L" not in vars(scheme)
+    for x, near in zip(vs, got):
+        assert np.array_equal(np.abs(near), np.abs(scheme._near_L @ x))
 
 
 @pytest.mark.parametrize(

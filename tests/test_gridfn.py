@@ -11,12 +11,12 @@ from anisofrac.gridfn import (
     FractionalParams,
     Grid,
     GridFunction,
-    gradient_lp,
     lp_norm,
     read_csv,
     write_csv,
 )
 from conftest import bump_profile, hat_profile
+from oracles import gradient_lp
 
 
 def test_grid_validation():

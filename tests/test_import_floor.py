@@ -26,6 +26,72 @@ def test_import_does_not_load_scipy_stats(module):
     assert proc.stdout.strip() == ""
 
 
+def _scipy_sparse_after(code):
+    """The ``scipy.sparse`` modules loaded once ``code`` has run in a child
+    interpreter that sees this checkout's package."""
+    src = os.path.dirname(os.path.dirname(anisofrac.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code += (
+        "\nimport sys\n"
+        "print(','.join(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'sparse']))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    names = proc.stdout.strip()
+    return names.split(",") if names else []
+
+
+@pytest.mark.parametrize("module", ["anisofrac", "anisofrac.cli"])
+def test_import_does_not_load_scipy_sparse(module):
+    # scipy.sparse is imported where a sparse matrix is built, not at start-up
+    assert _scipy_sparse_after(f"import {module}") == []
+
+
+_TINY_2D = """[kernel]
+name = separable-angular
+c0 = 1.0
+c1 = 0.5
+
+[grid]
+n = 2
+box = -1:1;-1:1
+N = 9
+
+[params]
+"""
+
+# (subcommand, params, extra flags, whether the run loads scipy.sparse)
+_TINY_RUNS = {
+    "energy": ("energy", "p = 2\ns = 0.5\n", ["--breakdown"], False),
+    "bbm-sweep": ("bbm-sweep", "p = 2\ns_list = 0.75, 0.875, 0.9375\n", [], False),
+    "ms-sweep": ("ms-sweep", "p = 2\ns_list = 0.25, 0.125, 0.0625\n", [], False),
+    "verify-kernel": ("verify-kernel", "samples = 256\nseed = 0\n", [], False),
+    # a solve loads it at its first Gram
+    "solve-nonlocal": ("solve-nonlocal", "p = 2\ns = 0.5\nf = bump(0.25, -0.15, 0.6)\n",
+                       [], True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TINY_RUNS))
+def test_which_runs_load_scipy_sparse(tmp_path, name):
+    # reports, sweeps and the kernel audit read every form in numpy; only
+    # the solves build a sparse matrix
+    subcommand, params, extra, loads = _TINY_RUNS[name]
+    config = tmp_path / f"{name}.ini"
+    config.write_text(_TINY_2D + params)
+    argv = [subcommand, "--config", str(config), "--out", str(tmp_path / f"{name}.csv"), *extra]
+    code = (
+        "import contextlib, io\n"
+        "from anisofrac import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0"
+    )
+    loaded = _scipy_sparse_after(code)
+    assert ("scipy.sparse" in loaded) == loads, loaded
+
+
 def _imported_names(tree):
     """The names the module's own imports bind, with their line numbers."""
     for node in ast.walk(tree):

@@ -11,19 +11,16 @@ from anisofrac.limits import (
     ConvergenceTable,
     LimitDensity,
     TableRow,
-    bbm_constant,
     bbm_sweep,
     limit_density,
-    limit_matrix,
-    ms_constant,
     ms_sweep,
     ms_weight,
-    ms_weight_extrapolated,
     ms_weight_limit,
 )
 from anisofrac.homogenize import commute_experiment
 from anisofrac.variational import localization_sweep
 from conftest import bump_profile, hat_profile
+from oracles import bbm_constant, limit_matrix, ms_constant, ms_weight_extrapolated
 
 
 def _angular_kernel_2d(fn, bounds, name="angular"):
@@ -252,7 +249,7 @@ def test_ms_weight_extrapolation_close_to_limit():
 
 
 def test_bbm_sweep_constant_kernel(bump129):
-    from anisofrac.gridfn import gradient_lp
+    from oracles import gradient_lp
 
     k = builtin("constant", {"c": 1.0})
     table = bbm_sweep(k, bump129, 2.0)

@@ -10,7 +10,8 @@ and spacing h into
 with V the trigonometric polynomial sum_j v_j exp(-i xi x_j), zeta
 Hurwitz's zeta (it sums the aliases a + k of the frequency) and
 K_s = pi / (2 Gamma(1+2s) sin(pi s)).  The oracle lives here, not in
-the package, which imports only ``scipy.sparse``.
+the package, which imports only ``scipy.sparse``, and that only where
+it builds a sparse matrix.
 """
 
 import math

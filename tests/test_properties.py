@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from anisofrac.energy import anisotropic_energy, gagliardo, get_scheme
 from anisofrac.gridfn import FractionalParams, Grid, GridFunction
 from anisofrac.kernel import builtin, symmetrize
-from anisofrac.limits import LimitDensity, limit_density, limit_matrix
+from anisofrac.limits import LimitDensity, limit_density
 from conftest import bump_profile, hat_profile
+from oracles import limit_matrix
 
 GRID = Grid(((-1.0, 1.0),), 33)
 XS = np.linspace(-1.0, 1.0, 33)
