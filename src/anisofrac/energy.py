@@ -35,16 +35,18 @@ of the node values that does not depend on (s, p):
                                      stays in the box
     tail forms   v(x)                per node
 
-Each near and bulk form carries a base weight and a label (the rung and
-the parity of the angle for a bulk form), and its weight at (s, p) is
-its base times the factor of its label.  Every pair that has no form is
-a |v(x)|^p term with a doubled weight (v vanishes at the far point, and
-the pair swap counts the mirrored pair a second time): a bulk pair
+Each near and bulk form carries a base weight, and its weight at (s, p)
+is its base times a factor: the near factor, or for a bulk form that of
+its label, 2 * rung + the parity of its angle.  The bulk forms of one
+(rung, angle) are one run of rows, so the scheme keeps a label and a
+row count per (rung, angle), not per form.  Every pair that has no form
+is a |v(x)|^p term with a doubled weight (v vanishes at the far point,
+and the pair swap counts the mirrored pair a second time): a bulk pair
 whose shifted point has left the box, every pair of a far rung, and the
 remainder beyond h_max.  Their weights form one table, ``outside_w``,
 with a row per node and a column per label, and the tail form of x
 weighs ``outside_w[x] @ factor``.  One method gives every label's
-factor (:meth:`EnergyScheme.label_factors`).
+factor and the near factor (:meth:`EnergyScheme.label_factors`).
 
 All bulk forms of one (rung, angle) are one interpolation stencil shifted
 node by node over a box of nodes, and :class:`EnergyScheme` keeps them as
@@ -71,11 +73,11 @@ not a scheme's (local atoms, the cell problem), take one sparse product
 ``L^T diag(2 w) L`` each.
 
 ``scipy.sparse`` is imported only where a sparse matrix is built or
-multiplied: the near rows' CSR ``_near_L``, :attr:`EnergyScheme.L`, the
-Gram's cross table (:meth:`EnergyScheme._stencil`), the single product
-:func:`_gram_product` and :meth:`AtomSet.from_stencil`.  So a report, a
-sweep and a kernel audit never load it, and a solve loads it at its
-first Gram.
+multiplied: a stencil's CSR (:func:`_stencil_csr`, for the near rows'
+``_near_L`` and :meth:`AtomSet.from_stencil`), :attr:`EnergyScheme.L`,
+the Gram's cross table (:meth:`EnergyScheme._stencil`) and the single
+product :func:`_gram_product`.  So a report, a sweep and a kernel audit
+never load it, and a solve loads it at its first Gram.
 
 Cost model: the scheme samples the kernel on a (nodes x rungs x angles)
 lattice, bulk and far rungs alike, in blocks of whole rungs, and there
@@ -108,7 +110,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 import numpy as np
 
 from ._sphere import sphere_measure, sphere_rule
-from .gridfn import FractionalParams, Grid, GridFunction
+from .gridfn import FractionalParams, Grid, GridFunction, check_finite
 from .kernel import Kernel, builtin, symmetrize
 
 if TYPE_CHECKING:
@@ -184,10 +186,7 @@ class EnergyReport:
         return self.near_diagonal + self.bulk + self.tail
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError(
-                f"energy value is {self.value!r}: the inputs overflow double precision"
-            )
+        check_finite("energy", value=self.value)
         if not 0.0 <= self.error_bound < math.inf:
             raise ValueError(
                 f"energy error bound {self.error_bound!r} is not in [0, inf): "
@@ -250,15 +249,7 @@ class AtomSet:
     @classmethod
     def from_stencil(cls, weights, idx, coef, n_nodes: int, p) -> "AtomSet":
         """Atoms W_a |sum_k coef[a, k] v[idx[a, k]]|^p; zero slots are dropped."""
-        from scipy import sparse
-
-        coef = np.asarray(coef, dtype=float)
-        keep = coef != 0.0
-        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-        L = sparse.csr_matrix(
-            (coef[keep], np.asarray(idx)[keep], indptr), shape=(coef.shape[0], n_nodes)
-        )
-        return cls(weights, L, p)
+        return cls(weights, _stencil_csr(idx, coef, n_nodes), p)
 
     def __len__(self):
         return self.W.shape[0]
@@ -332,6 +323,19 @@ class AtomSet:
         return _gram_product(self.L, w)
 
 
+def _stencil_csr(idx, coef, n_cols: int) -> sparse.csr_matrix:
+    """The rows sum_k coef[a, k] v[idx[a, k]] as one CSR matrix, without
+    the slots of coefficient 0."""
+    from scipy import sparse
+
+    coef = np.asarray(coef, dtype=float)
+    keep = coef != 0.0
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sparse.csr_matrix(
+        (coef[keep], np.asarray(idx)[keep], indptr), shape=(coef.shape[0], n_cols)
+    )
+
+
 def _gram_product(L: sparse.csr_matrix, w: np.ndarray) -> np.ndarray:
     """Dense L^T diag(2 w) L as one sparse product of L^T and L scaled.
 
@@ -387,9 +391,10 @@ class EnergyScheme:
     any (s, p) reuse the forms' stencil tables, their base weights and
     the node table ``outside_w`` of the pairs without a form, which is
     what makes the parameter sweeps affordable.  Reports and the
-    objective of atom sets read the forms from the tables (:meth:`forms`);
-    the labels are tabulated on the first :meth:`atoms` call, and the
-    form matrix :attr:`L` only when a p != 2 solve first passes over it.
+    objective of atom sets read the forms from the tables (:meth:`forms`),
+    and the form matrix :attr:`L` is assembled only when a p != 2 solve
+    first passes over it.  Labels and bulk row counts are kept per (rung,
+    angle), ``_labels`` and ``_counts``; no table holds one per form.
     The radius ladder ``radii`` is the bulk rungs ``r_bulk`` followed by
     the far rungs ``r_far``, with their trapezoid weights in log r in
     ``rung_dt``.  The plain Gagliardo seminorm is the scheme of the
@@ -440,11 +445,12 @@ class EnergyScheme:
         Forms, in the row order of :attr:`L`: near (angle-major), then bulk
         in (rung, angle, node) order, then tail.  Labels: 2 * rung + angle
         parity over the bulk and far rungs, then the remainder beyond
-        h_max; these are the columns of ``outside_w``.  Then come the near
-        label and the tail label.  A tail form has base 0: its weight is
-        its node's row of ``outside_w`` at the factors of (s, p).
-        ``rem_hw`` is the last octave's largest deviation from the tail
-        limit, per node, which brackets the remainder.
+        h_max; these are the columns of ``outside_w``.  The bulk forms of
+        (rung j, angle k) are one run of ``_counts[j, k]`` rows with label
+        ``_labels[j, k]``.  A tail form has base 0: its weight is its
+        node's row of ``outside_w`` at the factors of (s, p).  ``rem_hw``
+        is the last octave's largest deviation from the tail limit, per
+        node, which brackets the remainder.
 
         For rung j and angle k, x - r_j w_k lies in the cell of the node
         x + m_jk with corner factors phi_jk at every node x, so the bulk
@@ -488,7 +494,8 @@ class EnergyScheme:
         self._phi = phi
         self._box_lo = np.stack([ins.argmax(axis=1) for ins in insides], axis=2)
         self._box_len = np.stack([ins.sum(axis=1) for ins in insides], axis=2)
-        counts = self._box_len.prod(axis=2)
+        self._counts = counts = self._box_len.prod(axis=2)
+        self._labels = 2 * np.arange(n_bulk)[:, None] + np.arange(n_ang) % 2
 
         # near forms: a(x, w) |D_w v(x)|^p
         self._near_idx, self._near_coef = self._gradient_stencil()
@@ -595,10 +602,9 @@ class EnergyScheme:
         offsets = np.take_along_axis(offsets, order, axis=2)
         coefs = np.take_along_axis(coefs, order, axis=2)
         widths = np.count_nonzero(coefs, axis=2)
-        counts = self._box_len.prod(axis=2)
 
         pos = near.nnz
-        nnz = pos + int((counts * widths).sum()) + n_nodes
+        nnz = pos + int((self._counts * widths).sum()) + n_nodes
         data = np.empty(nnz)
         indices = np.empty(nnz, dtype=np.int32)
         indptr = np.empty(n_rows + 1, dtype=np.int32)
@@ -628,29 +634,7 @@ class EnergyScheme:
         """The near forms as one CSR matrix, the gradient stencil without its
         zero slots, built on first use: only :attr:`L` and :meth:`_gram`
         read it."""
-        from scipy import sparse
-
-        keep = self._near_coef != 0.0
-        return sparse.csr_matrix(
-            (self._near_coef[keep], self._near_idx[keep],
-             np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).astype(np.int32)),
-            shape=(self.near_rows.stop, self.nodes.shape[0]),
-        )
-
-    @cached_property
-    def label(self) -> np.ndarray:
-        """The label of every form (see :meth:`_build_operator`), tabulated
-        on first use: only :meth:`atoms` reads it."""
-        n_bulk, n_ang = self._shift.shape[:2]
-        n_out = self.outside_w.shape[1]
-        label = np.empty(self.base.shape[0], dtype=np.int32)
-        label[self.near_rows] = n_out
-        label[self.near_rows.stop:self.tail_rows.start] = np.repeat(
-            (2 * np.arange(n_bulk)[:, None] + np.arange(n_ang) % 2).astype(np.int32).ravel(),
-            self._box_len.prod(axis=2).ravel(),
-        )
-        label[self.tail_rows] = n_out + 1
-        return label
+        return _stencil_csr(self._near_idx, self._near_coef, self.nodes.shape[0])
 
     def _gradient_stencil(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows of D_w v(x_i), angle-major: one-sided slopes toward -w.
@@ -717,7 +701,7 @@ class EnergyScheme:
             np.clip(self._shift[:, :, None, :] + corners + (N - 1), 0, 2 * N), 3, 0
         )
         phi = self._phi.reshape(self._phi.shape + (1,) * n)
-        counts = self._box_len.prod(axis=2).sum(axis=1)
+        counts = self._counts.sum(axis=1)
         block = max(1, _SLICE_ROWS // (n_ang * v.size))
         row = self.near_rows.stop
         for j in range(0, n_bulk, block):
@@ -767,17 +751,15 @@ class EnergyScheme:
         n_bulk = self.r_bulk.shape[0]
         n_out = self.outside_w.shape[1]
         # per label, its rows' base * |form|^p summed in row order, as a
-        # bincount over all rows of L would
-        sums = np.zeros(n_out + 2)
-        labels = 2 * np.arange(n_bulk)[:, None] + np.arange(n_ang) % 2
-        counts = self._box_len.prod(axis=2)
+        # bincount over all rows of L would; the near sum comes last
+        sums = np.zeros(n_out + 1)
         for rungs, rows, forms in self._bulk_forms(u.values):
             np.abs(forms, out=forms)
             forms **= p
             forms *= self.base[rows]
             first = 2 * rungs.start
             sums[first:2 * rungs.stop] = np.bincount(
-                np.repeat(labels[rungs].ravel() - first, counts[rungs].ravel()),
+                np.repeat(self._labels[rungs].ravel() - first, self._counts[rungs].ravel()),
                 forms, minlength=2 * (rungs.stop - rungs.start),
             )
         near_forms = np.abs(self._near_forms(uflat))
@@ -935,7 +917,7 @@ class EnergyScheme:
         diag = 2.0 * w[self.tail_rows]
         bulk = w[self.near_rows.stop:self.tail_rows.start]
         # the first bulk row of each (rung, angle), then the end of the last
-        start = np.concatenate([[0], np.cumsum(self._box_len.prod(axis=2).ravel())])
+        start = np.concatenate([[0], np.cumsum(self._counts.ravel())])
 
         # node and cross terms, over blocks of nodes; ``done`` counts the
         # rows of each jk at the nodes of the earlier blocks
@@ -981,19 +963,19 @@ class EnergyScheme:
     # -- (s, p) factors and atoms for the solvers ---------------------------
 
     def label_factors(self, s: float, p: float) -> np.ndarray:
-        """The factor at (s, p) of every label.
+        """The factor at (s, p) of every label, then the near factor.
 
-        A row of ``L`` weighs its base times the factor of its label, and
-        the tail row of x weighs ``outside_w[x] @ factor[:n_out]`` over the
-        ``n_out`` columns of ``outside_w``.  A rung's factor is its
-        trapezoid weight in log r times r^(-sp), the same for both angle
-        parities.  The remainder's is h_max^(-sp) / (sp), the r-integral
-        beyond the far ladder.  The near label's is h_min^(p(1-s)) /
-        (p(1-s)), the r-integral of the surrogate below h_min.  The tail
-        label's is 0.
+        A bulk row of ``L`` weighs its base times the factor of its label,
+        a near row its base times ``factor[n_out]``, and the tail row of x
+        ``outside_w[x] @ factor[:n_out]`` over the ``n_out`` columns of
+        ``outside_w``.  A rung's factor is its trapezoid weight in log r
+        times r^(-sp), the same for both angle parities.  The remainder's
+        is h_max^(-sp) / (sp), the r-integral beyond the far ladder.  The
+        near factor is h_min^(p(1-s)) / (p(1-s)), the r-integral of the
+        surrogate below h_min.
         """
         n_out = self.outside_w.shape[1]
-        factor = np.zeros(n_out + 2)
+        factor = np.zeros(n_out + 1)
         rung = self.rung_dt * self.radii ** (-s * p)
         factor[0:n_out - 1:2] = rung
         factor[1:n_out - 1:2] = rung
@@ -1003,10 +985,18 @@ class EnergyScheme:
 
     def atoms(self, fp: FractionalParams) -> AtomSet:
         """The quadrature at (s, p) as powered linear forms; :attr:`L` is
-        left to the atom set to ask for."""
+        left to the atom set to ask for.  A near weight is its base times
+        the near factor, a bulk weight its base times the factor of its
+        (rung, angle), repeated over that run of rows, and the tail
+        weights are ``outside_w @ factor``."""
+        n_out = self.outside_w.shape[1]
         factor = self.label_factors(fp.s, fp.p)
-        W = self.base * factor[self.label]
-        W[self.tail_rows] = self.outside_w @ factor[:self.outside_w.shape[1]]
+        W = self.base.copy()
+        W[self.near_rows] *= factor[n_out]
+        W[self.near_rows.stop:self.tail_rows.start] *= np.repeat(
+            factor[self._labels].ravel(), self._counts.ravel()
+        )
+        W[self.tail_rows] = self.outside_w @ factor[:n_out]
         return AtomSet(W, None, fp.p, scheme=self)
 
 

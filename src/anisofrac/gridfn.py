@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "FractionalParams",
     "lp_norm",
     "lp_distance",
+    "check_finite",
     "parse_box",
     "write_csv",
     "read_csv",
@@ -225,6 +226,14 @@ def lp_distance(u: GridFunction, v: GridFunction, p: float) -> float:
     if u.grid != v.grid:
         raise ValueError("the two functions live on different grids")
     return lp_norm(GridFunction(u.grid, u.values - v.values, boundary_flag=False), p)
+
+
+def check_finite(what: str, **values: Optional[float]) -> None:
+    """Raise ``ValueError`` naming the first value that is not finite, in
+    the order given, as ``<what> <name> is <value>``; ``None`` is skipped."""
+    for name, v in values.items():
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"{what} {name} is {v!r}: the inputs overflow double precision")
 
 
 def _format_box(box: Sequence[tuple[float, float]]) -> str:

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .energy import AtomSet, check_kernel_grid
-from .gridfn import Grid, GridFunction, lp_distance, lp_norm
+from .gridfn import Grid, GridFunction, check_finite, lp_distance, lp_norm
 from .kernel import Kernel, builtin
 from .limits import LimitDensity, _orders, limit_density
 from .variational import (
@@ -85,8 +85,8 @@ class EffectiveCoefficients:
         return self.A_bar - self.A_star
 
     def __post_init__(self):
-        for name in ("A_star", "A_star_formula", "A_bar"):
-            _check_finite(name, getattr(self, name))
+        check_finite("effective coefficient", A_star=self.A_star,
+                     A_star_formula=self.A_star_formula, A_bar=self.A_bar)
         if self.A_star > self.A_bar * (1.0 + 1e-9):
             raise RuntimeError(
                 f"cell coefficient {self.A_star!r} exceeds the plain average {self.A_bar!r}"
@@ -154,13 +154,6 @@ def cell_problem_1d(c: PeriodicCoefficient, xi: float) -> float:
     return f
 
 
-def _check_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(
-            f"effective coefficient {name} is {value!r}: the inputs overflow double precision"
-        )
-
-
 def effective_coefficients(c: PeriodicCoefficient) -> EffectiveCoefficients:
     """A* from the cell problem at xi = 1; its closed form and A_bar from
     one sample of A on the ``_AVG_SAMPLES`` cell midpoints.
@@ -171,7 +164,7 @@ def effective_coefficients(c: PeriodicCoefficient) -> EffectiveCoefficients:
     """
     A = c.sample((np.arange(_AVG_SAMPLES) + 0.5) / _AVG_SAMPLES)
     A_bar = float(A.mean())
-    _check_finite("A_bar", A_bar)
+    check_finite("effective coefficient", A_bar=A_bar)
     q = c.p - 1.0
     # a mean of A^(-1/q) that underflows to 0 powers to inf, which
     # EffectiveCoefficients rejects

@@ -280,7 +280,7 @@ def verify_hypotheses(k: Kernel, sample_budget: int, seed: int = 0) -> Hypothese
     return HypothesesReport(
         h1_violation=h1_violation,
         h2_violation=h2_violation,
-        h3_slope=h3_slope if h3_slope != math.inf else float("inf"),
+        h3_slope=h3_slope,
         h3_residual=h3_residual,
         bounds_violation=bounds_violation,
         h1_passed=h1_passed,

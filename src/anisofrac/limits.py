@@ -24,7 +24,7 @@ from numpy.polynomial.legendre import leggauss
 
 from ._sphere import sphere_measure, sphere_rule
 from .energy import get_scheme
-from .gridfn import FractionalParams, GridFunction
+from .gridfn import FractionalParams, GridFunction, check_finite
 from .kernel import Kernel
 
 __all__ = [
@@ -185,12 +185,9 @@ class TableRow:
     converged: bool = True
 
     def __post_init__(self):
-        for name in ("param", "value", "extrapolated", "reference", "rel_error"):
-            v = getattr(self, name)
-            if v is not None and not math.isfinite(v):
-                raise ValueError(
-                    f"sweep {name} is {v!r}: the inputs overflow double precision"
-                )
+        check_finite("sweep", param=self.param, value=self.value,
+                     extrapolated=self.extrapolated, reference=self.reference,
+                     rel_error=self.rel_error)
 
 
 @dataclass(frozen=True)

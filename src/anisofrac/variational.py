@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .energy import AtomSet, check_kernel_grid, get_scheme
-from .gridfn import FractionalParams, Grid, GridFunction, lp_distance
+from .gridfn import FractionalParams, Grid, GridFunction, check_finite, lp_distance
 from .kernel import Kernel
 from .limits import (
     ConvergenceTable,
@@ -130,18 +130,12 @@ class SolveResult:
     objective_trace: tuple[float, ...] = field(repr=False, default=())
 
     def __post_init__(self):
-        _check_finite(objective=self.objective, residual=self.residual)
+        check_finite("solve", objective=self.objective, residual=self.residual)
         for a, b in zip(self.objective_trace, self.objective_trace[1:]):
             if b > a:
                 raise IncreasingObjectiveError(
                     f"descent produced an increasing objective ({a!r} -> {b!r})"
                 )
-
-
-def _check_finite(**values: float) -> None:
-    for name, v in values.items():
-        if not math.isfinite(v):
-            raise ValueError(f"solve {name} is {v!r}: the inputs overflow double precision")
 
 
 def _free_mask(grid: Grid) -> np.ndarray:
@@ -249,7 +243,7 @@ def _solve_dirichlet(atoms: AtomSet, scale: float, source: GridFunction) -> Solv
     )
     # an iterate that overflowed is named by its objective, not by the
     # minimizer's values
-    _check_finite(objective=objective, residual=residual)
+    check_finite("solve", objective=objective, residual=residual)
     return SolveResult(GridFunction(grid, v.reshape(grid.shape)), objective, residual, *rest)
 
 

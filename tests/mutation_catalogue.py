@@ -1,8 +1,8 @@
 """Mutation catalogue: named one-line defects, and which test catches each.
 
 Run from the root of a checkout (pytest does not collect this file, and
-it is not part of the tier-1 suite: one pass took about 13 minutes on
-two cores, 5 of them the time-out of armijo-zero):
+it is not part of the tier-1 suite: one pass of all entries took about
+5 minutes on two cores, and no entry reached the time-out):
 
     python3 tests/mutation_catalogue.py [--rev HEAD] [NAME ...]
 
@@ -110,6 +110,10 @@ CATALOGUE = [
            "return (self._near_coef * v[self._near_idx]).sum(axis=1)",
            "return (self._near_coef[:, :1] * v[self._near_idx[:, :1]]).sum(axis=1)",
            "the numpy near forms drop the neighbour slots of the gradient stencil"),
+    Mutant("bulk-runs-angle-major", E,
+           "factor[self._labels].ravel(), self._counts.ravel()",
+           "factor[self._labels].T.ravel(), self._counts.T.ravel()",
+           "atoms() lays the (rung, angle) runs of bulk weights out angle-major"),
 ]
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.M)

@@ -300,12 +300,21 @@ def test_bulk_rows_are_shifted_differences():
         P, inside = _shifted_points(scheme, j)
         diff = u.values.ravel()[:, None] - interp(P)
         expected.append(diff.T[inside.T])  # (angle, node) order
+        for k in range(n_ang):
+            # one run of rows per (rung, angle), labelled by rung and angle parity
+            assert scheme._labels[j, k] == 2 * j + k % 2
+            assert scheme._counts[j, k] == inside[:, k].sum()
         labels.append(np.repeat(2 * j + np.arange(n_ang) % 2, inside.sum(axis=0)))
     expected = np.concatenate(expected)
     assert ell[bulk].shape == expected.shape
     assert np.abs(ell[bulk] - expected).max() <= 1e-13 * np.abs(u.values).max()
-    # labels: rung and angle parity, in the same layout
-    assert np.array_equal(scheme.label[bulk], np.concatenate(labels))
+    # weights: base times the factor of the row's label, in the same layout,
+    # at an (s, p) whose rung factors differ
+    fp = FractionalParams(0.3, 2.5)
+    factor = scheme.label_factors(fp.s, fp.p)
+    assert np.unique(factor[:2 * n_bulk]).size == n_bulk
+    assert np.array_equal(scheme.atoms(fp).W[bulk],
+                          scheme.base[bulk] * factor[np.concatenate(labels)])
 
 
 @pytest.mark.parametrize(
@@ -333,6 +342,9 @@ def test_bulk_rows_are_their_stencil(kernel_name, params, box, N):
     at = np.stack(np.unravel_index(np.arange(scheme.nodes.shape[0]), g.shape), axis=1)
     corners = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
     assert np.count_nonzero(L.data == 0.0) == 0
+    fp = FractionalParams(0.3, 2.5)
+    factor = scheme.label_factors(fp.s, fp.p)
+    W = scheme.atoms(fp).W
     row = scheme.near_rows.stop
     for j in range(n_bulk):
         _, inside = _shifted_points(scheme, j)
@@ -353,7 +365,9 @@ def test_bulk_rows_are_their_stencil(kernel_name, params, box, N):
             rows = slice(row, row + x.size)
             assert np.array_equal(scheme.base[rows],
                                   scheme.w_x[x] * scheme.w_dirs[k] * ms[x, k])
-            assert (scheme.label[rows] == 2 * j + k % 2).all()
+            assert scheme._labels[j, k] == 2 * j + k % 2
+            assert scheme._counts[j, k] == x.size
+            assert np.array_equal(W[rows], scheme.base[rows] * factor[2 * j + k % 2])
             row += x.size
     assert row == scheme.tail_rows.start
     # a report's forms, read from the stencil tables without L, are the
@@ -471,7 +485,7 @@ def test_reports_and_sweeps_leave_L_unassembled():
     ms_sweep(kern, u, 2.0, s_list=[0.1, 0.05])
     scheme = get_scheme(kern, u.grid)
     assert get_scheme.cache_info().currsize == 1
-    assert "L" not in vars(scheme) and "label" not in vars(scheme)
+    assert "L" not in vars(scheme)
     one = GridFunction(u.grid, np.ones(u.grid.shape), boundary_flag=False)
     assert solve_nonlocal(NonlocalProblem(kern=kern, fp=FractionalParams(0.5, 2.0),
                                           source=one)).converged
