@@ -118,8 +118,10 @@ def cell_problem_1d(c: PeriodicCoefficient, xi: float) -> float:
     carries xi, and v[0] is pinned to 0 in place of a zero-mean
     constraint (only differences enter, so the minimum is the same).
     The shared reweighted-Newton engine of :mod:`anisofrac.variational`
-    solves it: one direct solve at p = 2, lagged-weight Newton steps
-    otherwise, at most ``_CELL_MAX_ITER`` steps.  Raises
+    solves it: one Cholesky solve at p = 2, otherwise at most
+    ``_CELL_MAX_ITER`` Newton steps with the curvature weight
+    p max(p-1, 1) W |ell|^(p-2), exact for p >= 2 and the lagged (IRLS)
+    weight below 2, where the exact one overshoots and stalls.  Raises
     :class:`NotConvergedError` when the gradient over all cell nodes, the
     pinned one included, stays above ``_CELL_TOL`` times
     |xi|^(p-1) max(max A, 1).

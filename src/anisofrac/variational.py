@@ -15,12 +15,18 @@ every discrete energy of the package written as an ``AtomSet``: the
 nonlocal and local problems here and the periodic cell problem of
 :mod:`anisofrac.homogenize`.  Its one iterate is the full node vector:
 a mask marks the free nodes, the others keep their fixed values, and
-every Newton direction is zero on them.  For p = 2 it assembles the
-dense symmetric system and solves it directly, and reads the residual
-from the same matrix; otherwise it takes Newton
-steps on the lagged-weight (IRLS) Hessian with a backtracking (Armijo)
-line search on the exact objective, evaluated as a cancellation-free
-difference.
+every Newton direction is zero on them.  Every dense system it solves
+is symmetric positive definite and is solved by an in-place Cholesky
+factorization (:func:`_spd_solve`).  For p = 2 it assembles the dense
+system, solves it once and reads the residual from the same matrix;
+otherwise it takes Newton steps on the curvature weight
+p max(p-1, 1) W |ell|^(p-2), the exact Hessian for p >= 2 and the
+lagged-weight (IRLS) majorizer for p < 2, where the exact weight is
+smaller by the factor p - 1 and its steps overshoot near vanishing
+forms, so the solve stalls.  A backtracking (Armijo) line search on
+the exact objective, evaluated as a cancellation-free difference from
+L v and L d formed once per step, damps each step; the first step from
+zero starts at the exact minimizer on its ray.
 
 The nonlocal discrete gradient is the derivative of the quadrature
 itself: the principal-value singularity never appears because the
@@ -142,6 +148,21 @@ def _free_mask(grid: Grid) -> np.ndarray:
     return ~grid.boundary().ravel()
 
 
+def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with A x = b for a symmetric positive definite C-ordered A, by
+    Cholesky; A is overwritten.
+
+    A.T is the same matrix in Fortran order, which LAPACK factors in
+    place, with no copy.  Raises ``np.linalg.LinAlgError`` when A is not
+    numerically positive definite.
+    """
+    from scipy import linalg
+
+    return linalg.cho_solve(
+        linalg.cho_factor(A.T, overwrite_a=True, check_finite=False), b, check_finite=False
+    )
+
+
 def _solve_atoms(
     atoms: AtomSet,
     scale: float,
@@ -158,12 +179,17 @@ def _solve_atoms(
     ``free`` hold their values from ``fixed`` throughout, and every
     Newton direction is zero on them.  When ``atoms.p`` is 2 the
     objective is the quadratic 1/2 v.Hv - b.v of the dense Hessian H:
-    one direct solve minimizes it, and the gradient over the free nodes
-    is read from the same H, with no pass over the form matrix.
+    one Cholesky solve minimizes it, and the gradient over the free
+    nodes is read from the same H, with no pass over the form matrix.
     Otherwise damped Newton steps start from ``z0`` on the free nodes
-    (zero by default).  Returns the minimizer v, the objective, the
-    sup-norm of the gradient over the free nodes, the iteration count,
-    the convergence flag and the objective trace.
+    (zero by default).  Each step forms L v and L d once, and its Armijo
+    trials read them.  From v = 0 (no ``z0`` and every fixed value 0)
+    the objective on the ray t d is scale t^p E(d) - t b.d, E(d) =
+    sum W |L d|^p, so the first search starts at min(1, t*) with
+    t* = (b.d / (p scale E(d)))^(1/(p-1)), its exact minimizer.  Returns
+    the minimizer v, the objective, the sup-norm of the gradient over
+    the free nodes, the iteration count, the convergence flag and the
+    objective trace.
     """
     v = np.where(free, 0.0, fixed)
 
@@ -174,7 +200,7 @@ def _solve_atoms(
         # still summed over the forms, since 1/2 v.Hv rounds differently
         H = atoms.hessian_dense()
         H *= scale
-        v[free] = np.linalg.solve(H[np.ix_(free, free)], b[free] - (H @ v)[free])
+        v[free] = _spd_solve(H[np.ix_(free, free)], b[free] - (H @ v)[free])
         res = float(np.max(np.abs((H @ v - b)[free]), initial=0.0))
         del H  # the objective's forms need the memory
         f = scale * atoms.objective(v) - float(np.dot(b, v))
@@ -186,6 +212,7 @@ def _solve_atoms(
     # damped Newton: direction from the reweighted form sum W |ell|^{p-2},
     # Armijo backtracking on the exact objective evaluated as a
     # cancellation-free difference
+    on_ray = z0 is None and not np.any(fixed[~free])
     if z0 is not None:
         v[free] = z0
     f = scale * atoms.objective(v) - float(np.dot(b, v))
@@ -202,7 +229,7 @@ def _solve_atoms(
         Hf[np.diag_indices_from(Hf)] += 1e-14 * max(float(Hf.max()), 1.0)
         d = np.zeros(v.size)
         try:
-            d[free] = np.linalg.solve(Hf, -g)
+            d[free] = _spd_solve(Hf, -g)
         except np.linalg.LinAlgError:
             d[free] = -g
         del Hf
@@ -210,14 +237,23 @@ def _solve_atoms(
         if gd >= 0.0:
             d[free] = -g
             gd = float(np.dot(g, d[free]))
+        lv, ld = atoms.forms(v), atoms.forms(d)
+        bd = float(np.dot(b, d))
         t = 1.0
+        if on_ray and it == 1:
+            # t* < 1 exactly when b.d < p scale E(d); a ratio below 1 cannot
+            # overflow when raised to 1/(p-1)
+            curvature = atoms.p * scale * atoms.power_sum(ld)
+            if bd < curvature:
+                t = (bd / curvature) ** (1.0 / (atoms.p - 1.0))
         accepted = False
         for _ in range(60):
-            df = scale * atoms.delta(v, d, t) - t * float(np.dot(b, d))
+            df = scale * atoms.delta(lv, ld, t) - t * bd
             if np.isfinite(df) and df <= 1e-4 * t * gd:
                 accepted = True
                 break
             t *= 0.5
+        del lv, ld
         if not accepted or df > 0.0:
             break
         v[free] += t * d[free]
@@ -250,8 +286,10 @@ def _solve_dirichlet(atoms: AtomSet, scale: float, source: GridFunction) -> Solv
 def solve_nonlocal(prob: NonlocalProblem) -> SolveResult:
     """Minimize the nonlocal Dirichlet energy minus the source term.
 
-    At p = 2 one dense direct solve; otherwise damped Newton on the
-    lagged-weight Hessian.  Non-convergence returns the best iterate
+    At p = 2 one Cholesky solve; otherwise damped Newton steps, each a
+    Cholesky solve with the curvature weight p max(p-1, 1) W |ell|^(p-2):
+    the exact Hessian for p >= 2, the lagged (IRLS) weight below 2, where
+    the exact one overshoots.  Non-convergence returns the best iterate
     with ``converged=False``.  Raises ``ValueError`` when the objective
     or the residual is not finite (the inputs overflow double
     precision), and :class:`IncreasingObjectiveError` when the descent
@@ -322,9 +360,9 @@ def _local_atoms(prob: LocalProblem) -> AtomSet:
 def solve_local(prob: LocalProblem) -> SolveResult:
     """Minimize int A(x, grad v) dx - int f v over pinned grid functions.
 
-    Same engine as :func:`solve_nonlocal`: one direct solve at p = 2,
-    damped Newton otherwise; non-convergence returns the best iterate
-    with ``converged=False``.
+    Same engine as :func:`solve_nonlocal`: one Cholesky solve at p = 2,
+    damped Newton with the curvature weight p max(p-1, 1) otherwise;
+    non-convergence returns the best iterate with ``converged=False``.
     """
     return _solve_dirichlet(_local_atoms(prob), 1.0, prob.source)
 

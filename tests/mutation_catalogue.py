@@ -114,6 +114,14 @@ CATALOGUE = [
            "factor[self._labels].ravel(), self._counts.ravel()",
            "factor[self._labels].T.ravel(), self._counts.T.ravel()",
            "atoms() lays the (rung, angle) runs of bulk weights out angle-major"),
+    Mutant("newton-exact-below-2", E,
+           "w *= self.p * max(self.p - 1.0, 1.0) / 2.0",
+           "w *= self.p * (self.p - 1.0) / 2.0",
+           "Newton steps use the exact curvature p (p-1) also for p < 2"),
+    Mutant("ray-start-with-fixed-values", V,
+           "on_ray = z0 is None and not np.any(fixed[~free])",
+           "on_ray = z0 is None",
+           "the first step starts on the ray from zero although a fixed value is not 0"),
 ]
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.M)

@@ -26,15 +26,15 @@ def test_import_does_not_load_scipy_stats(module):
     assert proc.stdout.strip() == ""
 
 
-def _scipy_sparse_after(code):
-    """The ``scipy.sparse`` modules loaded once ``code`` has run in a child
-    interpreter that sees this checkout's package."""
+def _scipy_after(code, package):
+    """The ``scipy.<package>`` modules loaded once ``code`` has run in a
+    child interpreter that sees this checkout's package."""
     src = os.path.dirname(os.path.dirname(anisofrac.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code += (
         "\nimport sys\n"
-        "print(','.join(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'sparse']))"
+        f"print(','.join(m for m in sys.modules if m.split('.')[:2] == ['scipy', {package!r}]))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
@@ -46,7 +46,13 @@ def _scipy_sparse_after(code):
 @pytest.mark.parametrize("module", ["anisofrac", "anisofrac.cli"])
 def test_import_does_not_load_scipy_sparse(module):
     # scipy.sparse is imported where a sparse matrix is built, not at start-up
-    assert _scipy_sparse_after(f"import {module}") == []
+    assert _scipy_after(f"import {module}", "sparse") == []
+
+
+@pytest.mark.parametrize("module", ["anisofrac", "anisofrac.cli"])
+def test_import_does_not_load_scipy_linalg(module):
+    # scipy.linalg is imported where a dense system is factorized
+    assert _scipy_after(f"import {module}", "linalg") == []
 
 
 _TINY_2D = """[kernel]
@@ -62,7 +68,8 @@ N = 9
 [params]
 """
 
-# (subcommand, params, extra flags, whether the run loads scipy.sparse)
+# (subcommand, params, extra flags, whether the run loads scipy.sparse and
+# scipy.linalg)
 _TINY_RUNS = {
     "energy": ("energy", "p = 2\ns = 0.5\n", ["--breakdown"], False),
     "bbm-sweep": ("bbm-sweep", "p = 2\ns_list = 0.75, 0.875, 0.9375\n", [], False),
@@ -74,22 +81,33 @@ _TINY_RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_TINY_RUNS))
-def test_which_runs_load_scipy_sparse(tmp_path, name):
-    # reports, sweeps and the kernel audit read every form in numpy; only
-    # the solves build a sparse matrix
-    subcommand, params, extra, loads = _TINY_RUNS[name]
+def _tiny_run(tmp_path, name):
+    """Code that runs the tiny 2D config of ``name`` through ``cli.main``."""
+    subcommand, params, extra, _ = _TINY_RUNS[name]
     config = tmp_path / f"{name}.ini"
     config.write_text(_TINY_2D + params)
     argv = [subcommand, "--config", str(config), "--out", str(tmp_path / f"{name}.csv"), *extra]
-    code = (
+    return (
         "import contextlib, io\n"
         "from anisofrac import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main({argv!r}) == 0"
     )
-    loaded = _scipy_sparse_after(code)
-    assert ("scipy.sparse" in loaded) == loads, loaded
+
+
+@pytest.mark.parametrize("name", sorted(_TINY_RUNS))
+def test_which_runs_load_scipy_sparse(tmp_path, name):
+    # reports, sweeps and the kernel audit read every form in numpy; only
+    # the solves build a sparse matrix
+    loaded = _scipy_after(_tiny_run(tmp_path, name), "sparse")
+    assert ("scipy.sparse" in loaded) == _TINY_RUNS[name][3], loaded
+
+
+@pytest.mark.parametrize("name", sorted(_TINY_RUNS))
+def test_which_runs_load_scipy_linalg(tmp_path, name):
+    # only a solve factorizes a dense matrix (its p = 2 Cholesky solve)
+    loaded = _scipy_after(_tiny_run(tmp_path, name), "linalg")
+    assert ("scipy.linalg" in loaded) == _TINY_RUNS[name][3], loaded
 
 
 def _imported_names(tree):
