@@ -295,12 +295,16 @@ class AtomSet:
             total += float(np.dot(self.W[rows], power_delta(a[rows], t * e[rows], self.p)))
         return total
 
-    def power_sum(self, e: np.ndarray) -> float:
-        """sum W |e|^p of the forms e, on slices of ``_SLICE_ROWS`` rows."""
+    def power_sum(self, e: np.ndarray, unit: float) -> float:
+        """sum W |e / unit|^p of the forms e, on slices of ``_SLICE_ROWS`` rows.
+
+        The division runs slice by slice, so a sum whose unscaled terms
+        would overflow is formed without a scaled copy of e.
+        """
         total = 0.0
         for lo in range(0, e.shape[0], _SLICE_ROWS):
             rows = slice(lo, lo + _SLICE_ROWS)
-            total += float(np.dot(self.W[rows], np.abs(e[rows]) ** self.p))
+            total += float(np.dot(self.W[rows], np.abs(e[rows] / unit) ** self.p))
         return total
 
     def reweighted_hessian(self, v: np.ndarray, floor: float) -> np.ndarray:

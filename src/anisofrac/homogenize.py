@@ -182,7 +182,12 @@ def effective_coefficients(c: PeriodicCoefficient) -> EffectiveCoefficients:
 def homogenized_kernel(k: Kernel) -> Kernel:
     """Average the kernel over one x-period: the eps -> 0 kernel at fixed s.
 
-    The average is the midpoint rule over 64 shifts.
+    The average (1/T) int_0^T m(y, h) dy does not depend on x, so x
+    enters only the shape of the result: each map samples the kernel at
+    the period's own 64 midpoints y = T (j + 1/2) / 64 against h alone
+    (the midpoint rule, summed in the order of j) and broadcasts the mean
+    over x.  So the maps are exactly x-independent, and a scheme build
+    samples 64 points per offset, not 64 per offset and node.
     """
     if k.period is None:
         raise ValueError(f"kernel {k.name!r} is not periodic in x")
@@ -193,13 +198,13 @@ def homogenized_kernel(k: Kernel) -> Kernel:
 
     def average(fn):
         def avg(x, h):
-            x = np.asarray(x, dtype=float)
             h = np.asarray(h, dtype=float)
             acc = None
-            for t in shifts:
-                val = np.asarray(fn(x + t, h), dtype=float)
+            for t in shifts[:, None]:
+                val = np.asarray(fn(t, h), dtype=float)
                 acc = val if acc is None else acc + val
-            return acc / _KERNEL_SHIFTS
+            shape = np.broadcast_shapes(np.shape(x), h.shape)[:-1]
+            return np.broadcast_to(acc / _KERNEL_SHIFTS, shape).copy()
 
         return avg
 

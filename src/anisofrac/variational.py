@@ -186,7 +186,9 @@ def _solve_atoms(
     trials read them.  From v = 0 (no ``z0`` and every fixed value 0)
     the objective on the ray t d is scale t^p E(d) - t b.d, E(d) =
     sum W |L d|^p, so the first search starts at min(1, t*) with
-    t* = (b.d / (p scale E(d)))^(1/(p-1)), its exact minimizer.  Returns
+    t* = (b.d / (p scale E(d)))^(1/(p-1)), its exact minimizer.  t* is
+    formed from d / max|d| and scaled back (it scales as 1/|d|), so a
+    large source whose E(d) overflows still starts on its ray.  Returns
     the minimizer v, the objective, the sup-norm of the gradient over
     the free nodes, the iteration count, the convergence flag and the
     objective trace.
@@ -241,11 +243,15 @@ def _solve_atoms(
         bd = float(np.dot(b, d))
         t = 1.0
         if on_ray and it == 1:
-            # t* < 1 exactly when b.d < p scale E(d); a ratio below 1 cannot
-            # overflow when raised to 1/(p-1)
-            curvature = atoms.p * scale * atoms.power_sum(ld)
-            if bd < curvature:
-                t = (bd / curvature) ** (1.0 / (atoms.p - 1.0))
+            # t* scales as 1/|d|: formed from d / max|d|, E stays finite
+            # where E(d) overflows; a root that overflows to inf is no
+            # start below 1
+            norm = float(np.abs(d).max())
+            ratio = (bd / norm) / (atoms.p * scale * atoms.power_sum(ld, norm))
+            with np.errstate(over="ignore"):
+                t_unit = np.power(ratio, 1.0 / (atoms.p - 1.0))
+            if t_unit < norm:
+                t = float(t_unit / norm)
         accepted = False
         for _ in range(60):
             df = scale * atoms.delta(lv, ld, t) - t * bd

@@ -19,7 +19,7 @@ from anisofrac.energy import (
     get_scheme,
 )
 from anisofrac.gridfn import FractionalParams, Grid, GridFunction
-from anisofrac.homogenize import homogenized_kernel
+from anisofrac.homogenize import _KERNEL_SHIFTS, homogenized_kernel
 from anisofrac.kernel import Kernel, builtin
 from anisofrac.limits import LimitDensity
 from anisofrac.variational import LocalProblem, _local_atoms
@@ -214,7 +214,14 @@ def test_tail_of_a_constant_kernel_is_the_closed_form(c):
 def test_1d_build_samples_the_kernel_in_few_calls(averaged):
     # an averaged kernel loops over its shifts in Python on every call, so
     # a build that sampled it once per rung would be many times slower
-    base = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
+    plain = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
+    points = []
+
+    def base_evaluate(x, h):
+        points.append(np.prod(np.broadcast_shapes(np.shape(x), np.shape(h))[:-1]))
+        return plain.evaluate(x, h)
+
+    base = dataclasses.replace(plain, evaluate=base_evaluate)
     kern = homogenized_kernel(base) if averaged else base
     calls = []
 
@@ -222,8 +229,14 @@ def test_1d_build_samples_the_kernel_in_few_calls(averaged):
         calls.append(1)
         return kern.evaluate(x, h)
 
-    EnergyScheme(dataclasses.replace(kern, evaluate=evaluate), Grid(((-1.0, 1.0),), 257))
+    scheme = EnergyScheme(dataclasses.replace(kern, evaluate=evaluate), Grid(((-1.0, 1.0),), 257))
     assert 0 < len(calls) <= 4
+    if averaged:
+        # the average does not depend on x: each of the two writings of a
+        # pair samples the shifts against the offsets alone, never at the
+        # nodes (which would cost 257 times as many points)
+        n_rungs, n_ang = scheme.radii.shape[0], scheme.dirs.shape[0]
+        assert sum(points) <= 2 * _KERNEL_SHIFTS * n_rungs * n_ang
 
 
 def test_boundary_values_must_vanish(grid129):

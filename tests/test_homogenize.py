@@ -193,6 +193,25 @@ def test_homogenized_kernel_average(model_kernel):
     x = np.array([[0.3], [0.9]])
     h = np.array([[0.1], [0.5]])
     assert np.allclose(k_bar.evaluate(x, h), 2.0, atol=1e-12)
+    # the period average does not depend on x: every map gives, at any
+    # x, the bits it gives at x = 0, in the broadcast shape
+    xs = np.array([[-0.95], [-0.3], [0.0], [0.35], [0.7], [1.6]])[:, None, :]
+    hs = np.array([[-0.8], [-0.05], [0.02], [0.5], [1.3]])[None, :, :]
+    ws = np.array([[-1.0], [1.0]])[None, :, :]
+    for k in (
+        model_kernel,
+        builtin("periodic-1d", {"A0": 3.0, "A1": 2.9, "period_len": 0.7}),
+        builtin("matrix-alpha", {"n": 1}),
+        builtin("constant", {"c": 1.5}),
+    ):
+        k_bar = homogenized_kernel(k)
+        for fn, h in ((k_bar.evaluate, hs), (k_bar.radial_limit, ws), (k_bar.tail_limit, ws)):
+            if fn is None:
+                continue
+            at_zero = fn(np.zeros_like(xs), h)
+            assert at_zero.shape == (xs.shape[0], h.shape[1])
+            for x in xs:
+                assert np.array_equal(fn(np.broadcast_to(x, xs.shape), h), at_zero), k.name
 
 
 def test_commute_constant_kernel_distance_zero():

@@ -126,6 +126,26 @@ def test_nonlocal_linearity_in_source(grid129, one129):
     assert np.allclose(r2.minimizer.values, 2.0 * r1.minimizer.values, atol=1e-10)
 
 
+def test_nonlocal_homogeneity_for_a_source_whose_energy_overflows():
+    # the minimizer for c f is c^(1/(p-1)) times that for f; at f = 1e100
+    # the energy of the first Newton direction overflows at p = 3, and the
+    # first step must still start on its ray, not at t = 0
+    k = builtin("constant", {"c": 1.0})
+    fp = FractionalParams(0.5, 3.0)
+    g = Grid(((-1.0, 1.0),), 33)
+
+    def solve(c):
+        f = GridFunction(g, np.full(33, c), boundary_flag=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return solve_nonlocal(NonlocalProblem(kern=k, fp=fp, source=f))
+
+    r1, big = solve(1.0), solve(1e100)
+    assert r1.converged and big.converged
+    u1 = r1.minimizer.values
+    rel = np.abs(big.minimizer.values / 1e50 - u1).max() / np.abs(u1).max()
+    assert rel <= DEFAULT_TOL ** (1.0 / (fp.p - 1.0))
+
+
 def test_boundary_pin_and_free_mask_2d():
     g = Grid(((-1.0, 1.0), (-0.5, 1.5)), 6)
     edge = np.zeros(g.shape, dtype=bool)
