@@ -79,11 +79,13 @@ the Gram's cross table (:meth:`EnergyScheme._stencil`) and the single
 product :func:`_gram_product`.  So a report, a sweep and a kernel audit
 never load it, and a solve loads it at its first Gram.
 
-Cost model: the scheme samples the kernel on a (nodes x rungs x angles)
+Cost model: the scheme samples the kernel on a (rungs x angles x nodes)
 lattice, bulk and far rungs alike, in blocks of whole rungs, and there
 is one bulk form per lattice point whose shifted point stays in the
-box.  In 1D this is ~1e5 forms for N = 257; in 2D it grows like
-N^2 * rungs * angles (1.75M bulk forms at N = 33, whose rows of ``L``
+box.  A rung's samples are an (angle, node) array, the layout of its
+run of bulk rows, so the build reads them through the box mask with no
+transposed copy.  In 1D this is ~1e5 forms for N = 257; in 2D it grows
+like N^2 * rungs * angles (1.75M bulk forms at N = 33, whose rows of ``L``
 hold 8.3M nonzeros, 107 MB), which is why 2D grids are capped at
 N <= 48 (:data:`MAX_2D_NODES`).  A build samples the kernel and keeps one
 base weight per form; it writes no row of ``L``, and neither do
@@ -93,11 +95,11 @@ solve, so perfbench's per-layer trace counts it in ``accel.gradient``.
 A report allocates only temporaries of about ``_SLICE_ROWS`` (rung,
 angle, node) points, one block of rungs at a time; the objective's
 forms are one row-length array.  For the separable-angular kernel on a
-2-vCPU host (numpy, medians of 8, two rounds): at N = 33 a build took
-0.14 s, a report 0.05-0.06 s and the assembly of ``L`` 0.14 s; at N = 44
-they took 0.23-0.27 s, 0.10 s and 0.22-0.25 s.  One build and one
-report trace 24.5 MB at N = 33 and 45 MB at N = 44 (175 and 337 MB when
-the build wrote ``L``).
+2-vCPU host (numpy, BLAS on one thread, medians of 8, four rounds): at
+N = 33 a build took 56-93 ms, a report 37-55 ms and the assembly of
+``L`` 78-118 ms; at N = 44 they took 94-113 ms, 67-72 ms and 136-166 ms.
+One build and one report trace 22 MB at N = 33 and 41 MB at N = 44
+(175 and 337 MB when the build wrote ``L``).
 """
 
 from __future__ import annotations
@@ -483,6 +485,16 @@ class EnergyScheme:
         is written here: reports read the near forms from the stencil
         (:meth:`_near_forms`) and the bulk forms from these tables
         (:meth:`_bulk_forms`), and :attr:`L` assembles the rows.
+
+        The symmetrized kernel is sampled on a (rung, angle, node) lattice,
+        x = node and h = r_j w_k, in blocks of whole rungs.  A rung's
+        samples are then an (angle, node) array in the row-major layout of
+        :meth:`_inside` and of its run of bulk rows: the base weights are
+        w_k w_x msym read through the box mask, and the same array, with
+        its box entries zeroed, sums over the even angles, then over the odd
+        ones, in angle order, into the two columns of the rung.  These pair
+        columns are doubled once at the end (exact).  ``rem_hw`` is
+        contracted with ``w_dirs`` node-major, as a (node, angle) matrix.
         """
         grid = self.grid
         n = grid.dimension
@@ -536,35 +548,36 @@ class EnergyScheme:
         # bulk forms: msym |v(x) - v(x - r w)|^p; the nodes outside the box
         # of (j, k), and all nodes on a far rung, add 2 msym to outside_w
         row = n_near
-        parity = np.arange(n_ang) % 2
-        wxk = self.w_x[:, None] * self.w_dirs[None, :]
+        wkx = self.w_dirs[:, None] * self.w_x[None, :]
         last_octave = self.radii >= self.radii[-1] / 2.0
-        hw = np.zeros((n_nodes, n_ang))
+        hw = np.zeros((n_ang, n_nodes))
         # the kernel is sampled in blocks of whole rungs of about _SLICE_ROWS
         # points: few calls where an evaluation loops in Python (averaged
         # kernels), small temporaries on 2D grids
         rungs = max(1, _SLICE_ROWS // (n_nodes * n_ang))
         for j in range(n_rungs):
             if j % rungs == 0:
-                h = self.radii[j:j + rungs, None, None] * self.dirs[None, :, :]
-                ms = self._msym(self.nodes[:, None, None, :], h[None])
-            m = ms[:, j % rungs]
-            mw = wxk * m
+                h = self.radii[j:j + rungs, None, None, None] * self.dirs[None, :, None]
+                ms = self._msym(self.nodes[None, None], h)
+            m = ms[j % rungs]
             if last_octave[j]:
-                np.maximum(hw, np.abs(m - mu), out=hw)
-            out = 2.0 * mw
+                np.maximum(hw, np.abs(m - mu.T), out=hw)
+            mw = np.multiply(wkx, m, out=m)
             if j < n_bulk:
                 inside = self._inside(j).reshape(n_ang, -1)
-                out.T[inside] = 0.0
                 rows = slice(row, row + int(counts[j].sum()))
-                base[rows] = mw.T[inside]
+                base[rows] = mw[inside]
+                mw[inside] = 0.0
                 row = rows.stop
-            self.outside_w[:, 2 * j] = out[:, parity == 0].sum(axis=1)
-            self.outside_w[:, 2 * j + 1] = out[:, parity == 1].sum(axis=1)
+            self.outside_w[:, 2 * j] = mw[0::2].sum(axis=0)
+            self.outside_w[:, 2 * j + 1] = mw[1::2].sum(axis=0)
+        # every pair without a form counts twice; doubling is exact
+        self.outside_w[:, :-1] *= 2.0
 
         # tail forms: v(x), weighted by outside_w
         base[row:] = 0.0
-        self.rem_hw = hw @ self.w_dirs
+        # contracted node-major, as an (angle, node) product rounds otherwise
+        self.rem_hw = np.ascontiguousarray(hw.T) @ self.w_dirs
 
         self.base = base
         self.near_rows = slice(0, n_near)

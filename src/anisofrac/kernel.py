@@ -116,10 +116,12 @@ def symmetrize(k: Kernel) -> Kernel:
     The swapped point x - h is formed one axis at a time into an
     axis-first buffer, and the kernel receives its (..., n) view.  A
     single broadcast subtraction would run numpy's inner loop over the
-    trailing axis of length n, which on the scheme's node x rung x angle
+    trailing axis of length n, which on the scheme's rung x angle x node
     lattice cost several times the kernel's own evaluation; per axis, the
-    loop runs over the lattice.  Subtraction is elementwise, so every
-    sample has the same bits either way.
+    loop runs over the lattice.  Each axis of x is read from an
+    axis-first contiguous copy of x itself, which is small (the nodes),
+    not from a strided view of x broadcast to the lattice.  Subtraction
+    is elementwise, so every sample has the same bits either way.
     """
 
     ev = k.evaluate
@@ -127,10 +129,11 @@ def symmetrize(k: Kernel) -> Kernel:
     def evaluate(x, h):
         x = np.asarray(x, dtype=float)
         h = np.asarray(h, dtype=float)
-        xb, hb = np.broadcast_arrays(x, h)
-        y = np.empty((xb.shape[-1],) + xb.shape[:-1])
-        for a in range(xb.shape[-1]):
-            np.subtract(xb[..., a], hb[..., a], out=y[a])
+        shape = np.broadcast_shapes(x.shape, h.shape)
+        xa = np.moveaxis(x, -1, 0).copy()
+        y = np.empty((shape[-1],) + shape[:-1])
+        for a in range(shape[-1]):
+            np.subtract(xa[a], h[..., a], out=y[a])
         return 0.5 * (
             np.asarray(ev(x, h), dtype=float)
             + np.asarray(ev(np.moveaxis(y, 0, -1), -h), dtype=float)

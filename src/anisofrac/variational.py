@@ -186,9 +186,11 @@ def _solve_atoms(
     trials read them.  From v = 0 (no ``z0`` and every fixed value 0)
     the objective on the ray t d is scale t^p E(d) - t b.d, E(d) =
     sum W |L d|^p, so the first search starts at min(1, t*) with
-    t* = (b.d / (p scale E(d)))^(1/(p-1)), its exact minimizer.  t* is
-    formed from d / max|d| and scaled back (it scales as 1/|d|), so a
-    large source whose E(d) overflows still starts on its ray.  Returns
+    t* = (b.d / (p scale E(d)))^(1/(p-1)), its exact minimizer.  Every
+    step forms g.d and b.d from d / max|d|, and its Armijo trials scale
+    them back by t max|d|; t* is formed from d / max|d| too and scaled
+    back (it scales as 1/|d|).  So a large source whose b.d or E(d)
+    overflows still starts on its ray and takes its steps.  Returns
     the minimizer v, the objective, the sup-norm of the gradient over
     the free nodes, the iteration count, the convergence flag and the
     objective trace.
@@ -235,27 +237,30 @@ def _solve_atoms(
         except np.linalg.LinAlgError:
             d[free] = -g
         del Hf
-        gd = float(np.dot(g, d[free]))
-        if gd >= 0.0:
+        # g.d and b.d are formed from d / max|d|, and the trials scale them
+        # back by t * max|d|: a huge source makes max|d| huge, and its
+        # unscaled b.d overflows although the step t d does not.  A d that
+        # is no descent direction, d = 0 included (0/0), gives way to -g
+        if not float(np.dot(g, d[free] / np.abs(d).max())) < 0.0:
             d[free] = -g
-            gd = float(np.dot(g, d[free]))
+        norm = float(np.abs(d).max())
+        gd = float(np.dot(g, d[free] / norm))
+        bd = float(np.dot(b, d / norm))
         lv, ld = atoms.forms(v), atoms.forms(d)
-        bd = float(np.dot(b, d))
         t = 1.0
         if on_ray and it == 1:
             # t* scales as 1/|d|: formed from d / max|d|, E stays finite
             # where E(d) overflows; a root that overflows to inf is no
             # start below 1
-            norm = float(np.abs(d).max())
-            ratio = (bd / norm) / (atoms.p * scale * atoms.power_sum(ld, norm))
+            ratio = bd / (atoms.p * scale * atoms.power_sum(ld, norm))
             with np.errstate(over="ignore"):
                 t_unit = np.power(ratio, 1.0 / (atoms.p - 1.0))
             if t_unit < norm:
                 t = float(t_unit / norm)
         accepted = False
         for _ in range(60):
-            df = scale * atoms.delta(lv, ld, t) - t * bd
-            if np.isfinite(df) and df <= 1e-4 * t * gd:
+            df = scale * atoms.delta(lv, ld, t) - (t * norm) * bd
+            if np.isfinite(df) and df <= 1e-4 * (t * norm) * gd:
                 accepted = True
                 break
             t *= 0.5

@@ -87,8 +87,8 @@ CATALOGUE = [
            "err += 0.0 * abs(self.dt * float(np.dot(cb, S - S_half)))",
            "the angular-rule residual is left out"),
     Mutant("armijo-zero", V,
-           "if np.isfinite(df) and df <= 1e-4 * t * gd:",
-           "if np.isfinite(df) and df <= 0.0 * t * gd:",
+           "if np.isfinite(df) and df <= 1e-4 * (t * norm) * gd:",
+           "if np.isfinite(df) and df <= 0.0 * (t * norm) * gd:",
            "the Armijo constant 1e-4 becomes 0"),
     Mutant("h3-dropped", E,
            "err += dev_sum * h_pow / (p * (1.0 - s) + 1.0)",
@@ -133,7 +133,16 @@ CATALOGUE = [
     Mutant("ray-start-unscaled", V,
            "norm = float(np.abs(d).max())",
            "norm = 1.0",
-           "the first step's ray minimizer is formed from E(d) itself, which can overflow"),
+           "b.d, g.d and the first step's ray minimizer are formed from d itself, "
+           "where b.d and E(d) can overflow"),
+    Mutant("outside-pairs-not-doubled", E,
+           "self.outside_w[:, :-1] *= 2.0",
+           "self.outside_w[:, :-1] *= 1.0",
+           "the pairs without a form are counted once in outside_w, not twice"),
+    Mutant("far-deviation-from-weighted", E,
+           "np.maximum(hw, np.abs(m - mu.T), out=hw)",
+           "np.maximum(hw, np.abs(wkx * m - mu.T), out=hw)",
+           "the far deviation hw is read from w_x w_k m, as after m is overwritten in place"),
 ]
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.M)

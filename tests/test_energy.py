@@ -1,5 +1,6 @@
 import dataclasses
 import decimal
+import hashlib
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -75,6 +76,20 @@ def brute_force_seminorm(u_vals, xs_u, s, p, M=2001, L=4.0, m_fn=None):
             (39.0 * L) ** (-s * p) / (s * p)
         )
     return core, far
+
+
+def _x_dependent_kernel():
+    """A 2D weight that varies with the base point x and the offset h."""
+    def evaluate(x, h):
+        x, h = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(h, dtype=float))
+        return 1.0 + 0.4 * np.sin(3.0 * x[..., 0] + x[..., 1]) * np.cos(h[..., 0]) ** 2
+
+    def radial_limit(x, w):
+        x, w = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(w, dtype=float))
+        return 1.0 + 0.4 * np.sin(3.0 * x[..., 0] + x[..., 1])
+
+    return Kernel(evaluate=evaluate, dimension=2, bounds=(0.6, 1.4),
+                  radial_limit=radial_limit, name="x-dependent")
 
 
 def test_zero_function_energy_is_zero(grid129):
@@ -469,6 +484,62 @@ def test_outside_table_folds_the_doubled_rows():
     assert scheme.tail_rows.start - scheme.near_rows.stop == n_inside
 
 
+_FAR_BRACKET_CASES = {
+    # no tail limit: mu is the middle of the bounds
+    "x-dependent N=17": (_x_dependent_kernel, ((-1.0, 1.0), (-0.5, 1.5)), 17),
+    # a declared tail limit, averaged over +-w
+    "separable-angular N=17": (
+        lambda: builtin("separable-angular", {"c0": 1.0, "c1": 0.5}),
+        ((-1.0, 1.0), (-1.0, 1.0)), 17,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAR_BRACKET_CASES))
+def test_far_bracket_width_is_the_last_octave_deviation(name):
+    # rem_hw[x] = sum_k w_k max over the last-octave rungs r of
+    # |msym(x, r w_k) - mu(x, w_k)|, the sum over angles taken node-major
+    make_kernel, box, N = _FAR_BRACKET_CASES[name]
+    kern = make_kernel()
+    scheme = EnergyScheme(kern, Grid(box, N))
+    x, w = scheme.nodes[:, None, :], scheme.dirs[None, :, :]
+    if kern.tail_limit is not None:
+        mu = 0.5 * (kern.tail_limit(x, w) + kern.tail_limit(x, -w))
+    else:
+        mu = np.full((x.shape[0], w.shape[1]), 0.5 * sum(kern.bounds))
+    hw = np.zeros(mu.shape)
+    for r in scheme.radii[scheme.radii >= scheme.radii[-1] / 2.0]:
+        hw = np.maximum(hw, np.abs(scheme._msym(x, r * w) - mu))
+    assert np.count_nonzero(hw) > 0
+    assert np.array_equal(scheme.rem_hw, hw @ scheme.w_dirs)
+
+
+_SAMPLING_BLOCK_CASES = {
+    "x-dependent 2D N=9": (_x_dependent_kernel, ((-1.0, 1.0), (-0.5, 1.5)), 9),
+    "separable-angular 2D N=17": (
+        lambda: builtin("separable-angular", {"c0": 1.0, "c1": 0.5}),
+        ((-1.0, 1.0), (-1.0, 1.0)), 17,
+    ),
+    "periodic-1d N=257": (lambda: builtin("periodic-1d", {"A0": 2.0, "A1": 1.0}),
+                          ((-1.0, 1.0),), 257),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLING_BLOCK_CASES))
+def test_build_tables_do_not_depend_on_the_sampling_block(monkeypatch, name):
+    # a block of whole rungs is sampled per kernel call; below one rung per
+    # block, one rung per call, and at 10**8 every rung in one call
+    make_kernel, box, N = _SAMPLING_BLOCK_CASES[name]
+    kern, grid = make_kernel(), Grid(box, N)
+    digests = set()
+    for rows in (1, 5000, 65_536, 10 ** 8):
+        monkeypatch.setattr(energy, "_SLICE_ROWS", rows)
+        scheme = EnergyScheme(kern, grid)
+        digests.add(tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                          for a in (scheme.base, scheme.outside_w, scheme.rem_hw)))
+    assert len(digests) == 1
+
+
 def test_scheme_build_peak_stays_near_what_it_keeps():
     # 2D separable-angular N=17: the build and the assembly of L write L
     # and its weights once, and the kernel samples and index tables stay
@@ -833,20 +904,6 @@ def test_power_delta_against_exact_arithmetic(p):
     got = energy.power_delta(a, e, p)
     want = np.array([_exact_power_delta(x, y, p) for x, y in zip(a, e)])
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), np.abs(got / want - 1.0).max()
-
-
-def _x_dependent_kernel():
-    """A 2D weight that varies with the base point x and the offset h."""
-    def evaluate(x, h):
-        x, h = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(h, dtype=float))
-        return 1.0 + 0.4 * np.sin(3.0 * x[..., 0] + x[..., 1]) * np.cos(h[..., 0]) ** 2
-
-    def radial_limit(x, w):
-        x, w = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(w, dtype=float))
-        return 1.0 + 0.4 * np.sin(3.0 * x[..., 0] + x[..., 1])
-
-    return Kernel(evaluate=evaluate, dimension=2, bounds=(0.6, 1.4),
-                  radial_limit=radial_limit, name="x-dependent")
 
 
 _STENCIL_GRAM_CASES = {
