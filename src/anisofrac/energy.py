@@ -70,7 +70,10 @@ and there the CSR matrix :attr:`EnergyScheme.L` (one column per node,
 one row per form) is faster: the stencil forms cost about 2x its
 product in 2D and 8-9x in 1D.  The near rows, and atom sets that are
 not a scheme's (local atoms, the cell problem), take one sparse product
-``L^T diag(2 w) L`` each.
+``L^T diag(2 w) L`` each.  The near rows' product is written into the
+scheme's dense Gram; that of the other sets is their Gram, kept in CSR:
+its forms couple the corners of one cell, so it is banded, and the
+solvers factor its free-node block in band storage.
 
 ``scipy.sparse`` is imported only where a sparse matrix is built or
 multiplied: a stencil's CSR (:func:`_stencil_csr`, for the near rows'
@@ -309,9 +312,9 @@ class AtomSet:
             total += float(np.dot(self.W[rows], np.abs(e[rows] / unit) ** self.p))
         return total
 
-    def reweighted_hessian(self, v: np.ndarray, floor: float) -> np.ndarray:
-        """Dense SPD model (c/2) sum W max(|ell|, f)^{p-2} * 2 ell ell^T,
-        c = p max(p-1, 1).
+    def reweighted_hessian(self, v: np.ndarray, floor: float) -> np.ndarray | sparse.csr_matrix:
+        """SPD model (c/2) sum W max(|ell|, f)^{p-2} * 2 ell ell^T,
+        c = p max(p-1, 1), in the form of :meth:`_gram`.
 
         The floor f is ``floor`` times max(max |ell|, 1), so one product
         L v serves both.  For p >= 2 this is the exact Hessian, c = p (p-1),
@@ -329,14 +332,25 @@ class AtomSet:
         w *= self.p * max(self.p - 1.0, 1.0) / 2.0
         return self._gram(w)
 
-    def hessian_dense(self) -> np.ndarray:
+    def hessian_dense(self) -> np.ndarray | sparse.csr_matrix:
+        """The p = 2 Hessian L^T diag(2 W) L, in the form of :meth:`_gram`.
+
+        It is dense only for a scheme's atoms; the name stays because
+        perfbench's tracer wraps it (``perfbench/tracing.py``).
+        """
         if self.p != 2.0:
-            raise ValueError("dense assembly is the p = 2 path")
+            raise ValueError("the Gram of W is the Hessian only at p = 2")
         return self._gram(self.W)
 
-    def _gram(self, w: np.ndarray) -> np.ndarray:
-        """Dense L^T diag(2 w) L: from the bulk stencil for a scheme's atoms,
-        else the single sparse product (:func:`_gram_product`)."""
+    def _gram(self, w: np.ndarray) -> np.ndarray | sparse.csr_matrix:
+        """L^T diag(2 w) L: dense from the bulk stencil for a scheme's atoms,
+        else the CSR of the single sparse product (:func:`_gram_product`).
+
+        The form picks the factorization (:func:`anisofrac.variational._spd_solve`):
+        the scheme's Gram couples a node with every node in reach of its
+        rungs, while the other sets' forms (local atoms, the cell
+        problem) couple the corners of one cell, so their Gram is banded.
+        """
         if self.scheme is not None:
             return self.scheme._gram(w)
         return _gram_product(self.L, w)
@@ -355,20 +369,21 @@ def _stencil_csr(idx, coef, n_cols: int) -> sparse.csr_matrix:
     )
 
 
-def _gram_product(L: sparse.csr_matrix, w: np.ndarray) -> np.ndarray:
-    """Dense L^T diag(2 w) L as one sparse product of L^T and L scaled.
+def _gram_product(L: sparse.csr_matrix, w: np.ndarray) -> sparse.csr_matrix:
+    """L^T diag(2 w) L as one sparse product of L^T and L scaled, in CSR.
 
     ``scaled`` shares the index arrays of L; its data is each row's data
-    of L times 2 w.  The product is CSC, whose dense form defaults to
-    Fortran order; it is asked for in C order, which the row-block adds
-    of :meth:`EnergyScheme._gram` and the solvers' slices run faster on.
+    of L times 2 w.  The product of the CSC L^T and ``scaled`` is CSC; it
+    is returned in CSR, whose rows the solvers' free-node block takes and
+    whose dense form is in C order, which the row-block adds of
+    :meth:`EnergyScheme._gram` run faster on.
     """
     from scipy import sparse
 
     data = np.repeat(2.0 * w, np.diff(L.indptr))
     data *= L.data
     scaled = sparse.csr_matrix((data, L.indices, L.indptr), shape=L.shape)
-    return (L.T @ scaled).toarray(order="C")
+    return (L.T @ scaled).tocsr()
 
 
 class _StencilTables(NamedTuple):
@@ -943,7 +958,14 @@ class EnergyScheme:
         tab = self._stencil
         n_nodes = self.nodes.shape[0]
         n_jk = tab.phiphi.shape[0]
-        G = _gram_product(self._near_L, w[self.near_rows])
+        # G is written out after the box mask is taken, once the product's
+        # temporaries are freed: written out first, it raised the ru_maxrss
+        # of a 2D N=33 then N=44 solve by 2.2 MB (heap layout: the arrays
+        # are the same)
+        near = _gram_product(self._near_L, w[self.near_rows])
+        inside = self._inside(slice(None)).reshape(n_jk, n_nodes)
+        G = near.toarray()
+        del near
         diag = 2.0 * w[self.tail_rows]
         bulk = w[self.near_rows.stop:self.tail_rows.start]
         # the first bulk row of each (rung, angle), then the end of the last
@@ -951,7 +973,6 @@ class EnergyScheme:
 
         # node and cross terms, over blocks of nodes; ``done`` counts the
         # rows of each jk at the nodes of the earlier blocks
-        inside = self._inside(slice(None)).reshape(n_jk, n_nodes)
         done = np.zeros(n_jk, dtype=np.int64)
         size = max(1, _GRAM_ROWS // n_jk)
         for lo in range(0, n_nodes, size):

@@ -198,6 +198,24 @@ def test_monotone_refinement(hat129):
         assert abs(r2.value - r1.value) <= r1.error_bound, s
 
 
+def test_angular_refinement_stays_inside_the_bound():
+    # the same ladder with 4 angles and with 64: the gap is the angular
+    # rule's error, which the bound's angular residual term covers
+    g = Grid(((-1.0, 1.0), (-1.0, 1.0)), 17)
+    u = GridFunction.from_callable(g, lambda x, y: bump_profile(np.hypot(x, y) / 0.8))
+    k = builtin("separable-angular", {"c0": 1.0, "c1": 0.5})
+    coarse, fine = (
+        EnergyScheme(k, g, QuadratureSettings(points_per_octave=32, h_min_fraction=1 / 64,
+                                              angular_points=m))
+        for m in (4, 64)
+    )
+    for s in (0.1, 0.5, 0.9):
+        fp = FractionalParams(s, 2.0)
+        r4 = coarse.report(u, fp, (1.0 - s) / fp.p)
+        r64 = fine.report(u, fp, (1.0 - s) / fp.p)
+        assert abs(r4.value - r64.value) <= r4.error_bound, s
+
+
 def _far_field_cases():
     g1 = Grid(((-1.0, 1.0),), 129)
     g2 = Grid(((-1.0, 1.0), (-1.0, 1.0)), 17)
@@ -823,8 +841,9 @@ def test_one_block_gram_is_the_single_product(case):
     data = np.repeat(2.0 * atoms.W, np.diff(L.indptr)) * L.data
     scaled = sparse.csr_matrix((data, L.indices, L.indptr), shape=L.shape)
     got = atoms.hessian_dense()
-    assert np.array_equal(got, (L.T @ scaled).toarray())
-    assert got.flags.c_contiguous
+    # kept sparse, the free-node block's banded Cholesky reads it
+    assert got.format == "csr"
+    assert (got != L.T @ scaled).nnz == 0
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

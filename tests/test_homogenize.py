@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,21 @@ def test_cell_problem_full_gradient_converges(model_kernel, monkeypatch, p):
     assert np.abs(atoms.gradient(v)[:n]).max() <= tol * scale
     if p == 2.0:
         assert iterations == 1
+
+
+def test_cell_problem_allocates_no_dense_hessian(model_kernel):
+    # p = 3 takes Newton steps; a dense Hessian of the n = 513 cell nodes
+    # would take n^2 * 8 bytes per step
+    n = homogenize._CELL_COUNT + 1
+    c = coefficient_from_kernel(model_kernel, 3.0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cell_problem_1d(c, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4, peak
 
 
 def test_cell_problem_nonconvergence_raises(model_kernel, monkeypatch):

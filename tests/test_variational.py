@@ -2,8 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from anisofrac import homogenize, variational
+from anisofrac import energy, homogenize, variational
 from anisofrac.energy import AtomSet, get_scheme
 from anisofrac.gridfn import FractionalParams, Grid, GridFunction, lp_norm
 from anisofrac.kernel import builtin
@@ -560,3 +561,88 @@ def test_newton_steps_free_the_dense_hessian():
         tracemalloc.stop()
     assert it == 3
     assert peak < 2.5 * h_bytes, peak / h_bytes
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_sparse_hessian_takes_the_scale(p):
+    # every package caller of a sparse Gram passes scale 1: scale E - b.v
+    # and E - (b / scale).v have one minimizer, reached by the same steps
+    g = Grid(((-1.0, 1.0),), 65)
+    one = GridFunction(g, np.ones(65), boundary_flag=False)
+    density = LimitDensity(builtin("periodic-1d", {"A0": 2.0, "A1": 1.0}), p)
+    atoms = _local_atoms(LocalProblem(source=one, density=density))
+    assert sparse.issparse(atoms.reweighted_hessian(np.ones(65), 1e-10))
+    b, free, scale, tol = g.trapezoid_weights(), _free_mask(g), 3.0, 1e-11
+    v1, _, _, it1, ok1, _ = _solve_atoms(atoms, 1.0, b / scale, free, np.zeros(65), tol, 100)
+    v3, _, _, it3, ok3, _ = _solve_atoms(atoms, scale, b, free, np.zeros(65), scale * tol, 100)
+    assert ok1 and ok3
+    assert it3 == it1
+    assert np.abs(v3 - v1).max() <= 1e-12 * np.abs(v1).max()
+
+
+def _engine_run(monkeypatch, case: str):
+    """(minimizer, iterations) of one engine solve, and whether each of its
+    Cholesky solves got a sparse matrix."""
+    name, p = case.split(" p=")
+    p = float(p)
+    sparse_calls = []
+    real_solve = variational._spd_solve
+
+    def spd_solve(A, b, *shift):
+        sparse_calls.append(sparse.issparse(A))
+        return real_solve(A, b, *shift)
+
+    monkeypatch.setattr(variational, "_spd_solve", spd_solve)
+    kern = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
+    if name == "cell":
+        runs = []
+        engine = homogenize._solve_atoms
+        monkeypatch.setattr(homogenize, "_solve_atoms",
+                            lambda *a: runs.append(engine(*a)) or runs[-1])
+        homogenize.cell_problem_1d(homogenize.coefficient_from_kernel(kern, p), 1.0)
+        (v, _, _, it, _, _), = runs
+        return v, it, sparse_calls
+    if name == "local 2D":
+        kern = builtin("separable-angular", {"c0": 1.0, "c1": 0.5})
+        g = Grid(((-1.0, 1.0), (-1.0, 1.0)), 17)
+    else:
+        g = Grid(((-1.0, 1.0),), 129)
+    one = GridFunction(g, np.ones(g.shape), boundary_flag=False)
+    res = solve_local(LocalProblem(source=one, density=LimitDensity(kern, p)))
+    assert res.converged
+    return res.minimizer.values, res.iterations, sparse_calls
+
+
+@pytest.mark.parametrize("case", [
+    "local 1D p=1.5", "local 1D p=2", "local 1D p=3", "local 2D p=2",
+    "cell p=1.5", "cell p=2", "cell p=3",
+])
+def test_banded_solves_match_the_dense_reference(monkeypatch, case):
+    # the band factorization of the sparse Gram against the dense one of
+    # the same matrix: the same steps, the minimizer to rounding
+    v, it, sparse_calls = _engine_run(monkeypatch, case)
+    assert sparse_calls and all(sparse_calls)
+    real_product = energy._gram_product
+    monkeypatch.setattr(energy, "_gram_product", lambda L, w: real_product(L, w).toarray())
+    v_ref, it_ref, dense_calls = _engine_run(monkeypatch, case)
+    assert not any(dense_calls)
+    assert it == it_ref
+    assert np.abs(v - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_1d_local_solve_allocates_no_dense_hessian(p):
+    # N = 4097: a dense Hessian and its free-node block take 134 MB each;
+    # the banded solve needs the atoms, the sparse Gram and a 2-row band
+    g = Grid(((-1.0, 1.0),), 4097)
+    one = GridFunction(g, np.ones(4097), boundary_flag=False)
+    prob = LocalProblem(source=one, density=LimitDensity(builtin("constant", {"c": 1.5}), p))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        res = solve_local(prob)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak < 4e6, peak
