@@ -60,8 +60,8 @@ Then come a sum by label, in row order, and one product with
 weights of one (s, p) to the solvers.  Their Hessian is the Gram matrix
 ``L^T diag(2 w) L``, which the scheme assembles from the same stencil
 tables, without a sparse product over the bulk rows: a diagonal, a
-node-corner cross term gathered from one sparse x dense product, and
-per-cell corner blocks (:meth:`EnergyScheme._gram`).  Their objective
+node-corner cross term read as windows of one sparse x dense product,
+and per-cell corner blocks (:meth:`EnergyScheme._gram`).  Their objective
 reads every form, near, bulk and tail, into one array
 (:meth:`EnergyScheme.forms`).  So a p = 2 solve, one Gram and one dense
 solve, never needs the forms as a matrix.  The gradient ``L^T (...)``
@@ -83,10 +83,10 @@ product :func:`_gram_product`.  So a report, a sweep and a kernel audit
 never load it, and a solve loads it at its first Gram.
 
 Cost model: the scheme samples the kernel on a (rungs x angles x nodes)
-lattice, bulk and far rungs alike, in blocks of whole rungs, and there
-is one bulk form per lattice point whose shifted point stays in the
-box.  A rung's samples are an (angle, node) array, the layout of its
-run of bulk rows, so the build reads them through the box mask with no
+lattice, bulk and far rungs alike, and there is one bulk form per
+lattice point whose shifted point stays in the box.  The build loops
+over blocks of whole rungs (two at 1D N = 257, a rung each at 2D N = 33),
+read through the box mask in the layout of their bulk rows, with no
 transposed copy.  In 1D this is ~1e5 forms for N = 257; in 2D it grows
 like N^2 * rungs * angles (1.75M bulk forms at N = 33, whose rows of ``L``
 hold 8.3M nonzeros, 107 MB), which is why 2D grids are capped at
@@ -387,11 +387,10 @@ def _gram_product(L: sparse.csr_matrix, w: np.ndarray) -> sparse.csr_matrix:
 
 
 class _StencilTables(NamedTuple):
-    """Index tables of :meth:`EnergyScheme._gram` (see :meth:`EnergyScheme._stencil`)."""
+    """Index tables of :meth:`EnergyScheme._gram` (see :meth:`EnergyScheme._stencil`);
+    a node's cross term is a window of ``cross @ omega``."""
 
-    cross: sparse.csr_matrix  # 2 phi, (displacement, (rung, angle))
-    node_d: np.ndarray  # per node, its displacement number minus that of 0
-    center: int  # displacement number of d = 0
+    cross: sparse.csr_matrix  # 2 phi, (displacement row-major, (rung, angle))
     phiphi: np.ndarray  # 2 phi phi^T, ((rung, angle), corner pair)
     corner_node: list  # per corner c, the node y + c of each node y, or -1
 
@@ -502,14 +501,14 @@ class EnergyScheme:
         (:meth:`_bulk_forms`), and :attr:`L` assembles the rows.
 
         The symmetrized kernel is sampled on a (rung, angle, node) lattice,
-        x = node and h = r_j w_k, in blocks of whole rungs.  A rung's
-        samples are then an (angle, node) array in the row-major layout of
-        :meth:`_inside` and of its run of bulk rows: the base weights are
-        w_k w_x msym read through the box mask, and the same array, with
-        its box entries zeroed, sums over the even angles, then over the odd
-        ones, in angle order, into the two columns of the rung.  These pair
-        columns are doubled once at the end (exact).  ``rem_hw`` is
-        contracted with ``w_dirs`` node-major, as a (node, angle) matrix.
+        x = node and h = r_j w_k, and the loop runs once per block of whole
+        rungs (127 at 1D N = 257, one at 2D N = 33), in the layout of
+        :meth:`_inside` and of their bulk rows: the base weights are w_k
+        w_x msym read through the mask of the block's bulk rungs, and the
+        same array, box entries zeroed, sums per rung over the even angles,
+        then the odd ones, in angle order, into the rung's two columns,
+        doubled once at the end (exact).  ``rem_hw`` is contracted with
+        ``w_dirs`` node-major, as a (node, angle) matrix.
         """
         grid = self.grid
         n = grid.dimension
@@ -564,28 +563,26 @@ class EnergyScheme:
         # of (j, k), and all nodes on a far rung, add 2 msym to outside_w
         row = n_near
         wkx = self.w_dirs[:, None] * self.w_x[None, :]
-        last_octave = self.radii >= self.radii[-1] / 2.0
+        first_last = int(np.count_nonzero(self.radii < self.radii[-1] / 2.0))
         hw = np.zeros((n_ang, n_nodes))
-        # the kernel is sampled in blocks of whole rungs of about _SLICE_ROWS
-        # points: few calls where an evaluation loops in Python (averaged
-        # kernels), small temporaries on 2D grids
+        # about _SLICE_ROWS samples a block: few calls in 1D, small temporaries in 2D
         rungs = max(1, _SLICE_ROWS // (n_nodes * n_ang))
-        for j in range(n_rungs):
-            if j % rungs == 0:
-                h = self.radii[j:j + rungs, None, None, None] * self.dirs[None, :, None]
-                ms = self._msym(self.nodes[None, None], h)
-            m = ms[j % rungs]
-            if last_octave[j]:
+        for j in range(0, n_rungs, rungs):
+            stop = min(j + rungs, n_rungs)
+            h = self.radii[j:stop, None, None, None] * self.dirs[None, :, None]
+            ms = self._msym(self.nodes[None, None], h)
+            for m in ms[max(first_last - j, 0):]:  # the block's last-octave rungs
                 np.maximum(hw, np.abs(m - mu.T), out=hw)
-            mw = np.multiply(wkx, m, out=m)
-            if j < n_bulk:
-                inside = self._inside(j).reshape(n_ang, -1)
-                rows = slice(row, row + int(counts[j].sum()))
-                base[rows] = mw[inside]
-                mw[inside] = 0.0
+            mw = np.multiply(wkx, ms, out=ms)
+            nb = min(stop, n_bulk) - j  # bulk rungs of the block
+            if nb > 0:
+                inside = self._inside(slice(j, j + nb)).reshape(nb, n_ang, -1)
+                rows = slice(row, row + int(counts[j:j + nb].sum()))
+                base[rows] = mw[:nb][inside]
+                mw[:nb][inside] = 0.0
                 row = rows.stop
-            self.outside_w[:, 2 * j] = mw[0::2].sum(axis=0)
-            self.outside_w[:, 2 * j + 1] = mw[1::2].sum(axis=0)
+            self.outside_w[:, 2 * j:2 * stop:2] = mw[:, 0::2].sum(axis=1).T
+            self.outside_w[:, 2 * j + 1:2 * stop:2] = mw[:, 1::2].sum(axis=1).T
         # every pair without a form counts twice; doubling is exact
         self.outside_w[:, :-1] *= 2.0
 
@@ -927,8 +924,6 @@ class EnergyScheme:
             corner_node.append(np.where((y < N).all(axis=1), y @ strides, -1))
         return _StencilTables(
             cross=cross,
-            node_d=at @ span,
-            center=(N - 1) * int(span.sum()),
             phiphi=2.0 * (self._phi[:, :, :, None] * self._phi[:, :, None, :]).reshape(n_jk, -1),
             corner_node=corner_node,
         )
@@ -943,7 +938,8 @@ class EnergyScheme:
 
             node     diag(sum_jk 2 omega), with the tail rows' 2 w
             cross    G[x, x + d] += T[d, x] and its transpose, where
-                     T = S omega and S[d, jk] = 2 phi_jk,c for d = m_jk + c
+                     T = S omega and S[d, jk] = 2 phi_jk,c for d = m_jk + c;
+                     row x is the window at N - 1 - x of T, (2N - 1,)^n x m
             corner   per cell, sum_jk 2 omega phi_jk phi_jk^T over the
                      rows that interpolate in it, like a mass matrix
 
@@ -975,6 +971,8 @@ class EnergyScheme:
         # rows of each jk at the nodes of the earlier blocks
         done = np.zeros(n_jk, dtype=np.int64)
         size = max(1, _GRAM_ROWS // n_jk)
+        n, N = self.grid.dimension, self.grid.nodes_per_axis
+        lead = [N - 1 - a for a in np.unravel_index(np.arange(n_nodes), self.grid.shape)]
         for lo in range(0, n_nodes, size):
             X = slice(lo, min(lo + size, n_nodes))
             m = X.stop - lo
@@ -985,10 +983,9 @@ class EnergyScheme:
                                + np.arange(run.sum())]
             done += run
             diag[X] += 2.0 * omega.sum(axis=0)
-            T = tab.cross @ omega
-            cross = T.ravel()[
-                np.add.outer((tab.center - tab.node_d[X]) * m + np.arange(m), tab.node_d * m)
-            ]
+            T = (tab.cross @ omega).reshape((2 * N - 1,) * n + (m,))
+            view = np.lib.stride_tricks.sliding_window_view(T, (N,) * n, axis=tuple(range(n)))
+            cross = view[tuple(a[X] for a in lead) + (np.arange(m),)].reshape(m, n_nodes)
             G[X] += cross
             G[:, X] += cross.T
         del inside

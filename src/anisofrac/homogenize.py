@@ -183,11 +183,14 @@ def homogenized_kernel(k: Kernel) -> Kernel:
     """Average the kernel over one x-period: the eps -> 0 kernel at fixed s.
 
     The average (1/T) int_0^T m(y, h) dy does not depend on x, so x
-    enters only the shape of the result: each map samples the kernel at
-    the period's own 64 midpoints y = T (j + 1/2) / 64 against h alone
-    (the midpoint rule, summed in the order of j) and broadcasts the mean
-    over x.  So the maps are exactly x-independent, and a scheme build
-    samples 64 points per offset, not 64 per offset and node.
+    enters only the shape of the result: each map calls the kernel's map
+    once, at the period's own 64 midpoints y = T (j + 1/2) / 64 on a
+    leading axis against h alone (the midpoint rule, summed in the order
+    of j: numpy's ``sum`` runs pairwise over some shapes), and broadcasts
+    the mean over x.  So the maps are exactly x-independent, and a scheme
+    build samples 64 points per offset, not 64 per offset and node.  The
+    call holds 64 times the points of h: package callers pass at most one
+    block of a build's (rung, angle) offsets, 254 at 1D N = 257.
     """
     if k.period is None:
         raise ValueError(f"kernel {k.name!r} is not periodic in x")
@@ -199,12 +202,11 @@ def homogenized_kernel(k: Kernel) -> Kernel:
     def average(fn):
         def avg(x, h):
             h = np.asarray(h, dtype=float)
-            acc = None
-            for t in shifts[:, None]:
-                val = np.asarray(fn(t, h), dtype=float)
-                acc = val if acc is None else acc + val
+            t = shifts.reshape((-1,) + (1,) * h.ndim)
+            vals = np.asarray(fn(t, h[None]), dtype=float)
+            total = np.cumsum(vals, axis=0)[-1]
             shape = np.broadcast_shapes(np.shape(x), h.shape)[:-1]
-            return np.broadcast_to(acc / _KERNEL_SHIFTS, shape).copy()
+            return np.broadcast_to(total / _KERNEL_SHIFTS, shape).copy()
 
         return avg
 

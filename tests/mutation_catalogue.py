@@ -132,8 +132,8 @@ CATALOGUE = [
            "on_ray = z0 is None",
            "the first step starts on the ray from zero although a fixed value is not 0"),
     Mutant("kernel-average-reads-x", H,
-           "val = np.asarray(fn(t, h), dtype=float)",
-           "val = np.asarray(fn(x + t, h), dtype=float)",
+           "vals = np.asarray(fn(t, h[None]), dtype=float)",
+           "vals = np.asarray(fn(np.asarray(x, dtype=float)[None] + t, h[None]), dtype=float)",
            "the period average samples the kernel at every x + t, not at the shifts alone"),
     Mutant("ray-start-unscaled", V,
            "norm = float(np.abs(d).max())",
@@ -156,6 +156,15 @@ CATALOGUE = [
            "        H *= scale",
            "        H *= scale if isinstance(H, np.ndarray) else 1.0",
            "the p = 2 solve multiplies a dense H by scale but not a sparse one"),
+    Mutant("average-summed-pairwise", H,
+           "total = np.cumsum(vals, axis=0)[-1]",
+           "total = vals.sum(axis=0)",
+           "the period average sums its shifts pairwise, not in their order, "
+           "which rounds otherwise than the per-shift sum at some shapes"),
+    Mutant("parity-sums-over-rungs", E,
+           "self.outside_w[:, 2 * j:2 * stop:2] = mw[:, 0::2].sum(axis=1).T",
+           "self.outside_w[:, 2 * j:2 * stop:2] = mw[:, 0::2].sum(axis=0).T",
+           "a block of several rungs sums its even angles over the rungs, not per rung"),
 ]
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.M)

@@ -245,8 +245,8 @@ def test_tail_of_a_constant_kernel_is_the_closed_form(c):
 
 @pytest.mark.parametrize("averaged", [False, True], ids=["periodic-1d", "homogenized"])
 def test_1d_build_samples_the_kernel_in_few_calls(averaged):
-    # an averaged kernel loops over its shifts in Python on every call, so
-    # a build that sampled it once per rung would be many times slower
+    # a build samples the kernel once per block of rungs, not once per
+    # rung, and an averaged kernel calls its base kernel once per call
     plain = builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})
     points = []
 
@@ -267,9 +267,11 @@ def test_1d_build_samples_the_kernel_in_few_calls(averaged):
     if averaged:
         # the average does not depend on x: each of the two writings of a
         # pair samples the shifts against the offsets alone, never at the
-        # nodes (which would cost 257 times as many points)
+        # nodes (which would cost 257 times as many points), in one call of
+        # the base kernel per call of the average
         n_rungs, n_ang = scheme.radii.shape[0], scheme.dirs.shape[0]
         assert sum(points) <= 2 * _KERNEL_SHIFTS * n_rungs * n_ang
+        assert len(points) <= len(calls)
 
 
 def test_boundary_values_must_vanish(grid129):
@@ -540,13 +542,22 @@ _SAMPLING_BLOCK_CASES = {
     ),
     "periodic-1d N=257": (lambda: builtin("periodic-1d", {"A0": 2.0, "A1": 1.0}),
                           ((-1.0, 1.0),), 257),
+    "avg(periodic-1d) N=257": (
+        lambda: homogenized_kernel(builtin("periodic-1d", {"A0": 2.0, "A1": 1.0})),
+        ((-1.0, 1.0),), 257,
+    ),
+    "matrix-alpha n=1 N=129": (lambda: builtin("matrix-alpha", {"n": 1}), ((-1.0, 1.0),), 129),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_SAMPLING_BLOCK_CASES))
 def test_build_tables_do_not_depend_on_the_sampling_block(monkeypatch, name):
     # a block of whole rungs is sampled per kernel call; below one rung per
-    # block, one rung per call, and at 10**8 every rung in one call
+    # block, one rung per call, and at 10**8 every rung in one call.  In 1D
+    # a block of several rungs can hold the last bulk rungs and the first
+    # far ones (at N = 257 the default block of 127 rungs holds all 97 bulk
+    # rungs; at N = 129, 5000 points make blocks of 19 rungs, and rungs
+    # 76-94 hold bulk rung 88, the last)
     make_kernel, box, N = _SAMPLING_BLOCK_CASES[name]
     kern, grid = make_kernel(), Grid(box, N)
     digests = set()

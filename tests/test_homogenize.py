@@ -204,16 +204,35 @@ def test_effective_coefficients_ignore_the_period(model_kernel):
         assert getattr(res, name) == pytest.approx(getattr(base, name), rel=1e-12), name
 
 
+def _per_shift_average(fn, period, x, h):
+    """The period average of one map, one call per shift, summed in shift order."""
+    n = homogenize._KERNEL_SHIFTS
+    acc = None
+    for t in (period * (np.arange(n) + 0.5) / n)[:, None]:
+        val = np.asarray(fn(t, h), dtype=float)
+        acc = val if acc is None else acc + val
+    shape = np.broadcast_shapes(np.shape(x), np.shape(h))[:-1]
+    return np.broadcast_to(acc / n, shape)
+
+
 def test_homogenized_kernel_average(model_kernel):
     k_bar = homogenized_kernel(model_kernel)
     x = np.array([[0.3], [0.9]])
     h = np.array([[0.1], [0.5]])
     assert np.allclose(k_bar.evaluate(x, h), 2.0, atol=1e-12)
-    # the period average does not depend on x: every map gives, at any
-    # x, the bits it gives at x = 0, in the broadcast shape
     xs = np.array([[-0.95], [-0.3], [0.0], [0.35], [0.7], [1.6]])[:, None, :]
     hs = np.array([[-0.8], [-0.05], [0.02], [0.5], [1.3]])[None, :, :]
     ws = np.array([[-1.0], [1.0]])[None, :, :]
+    # (x, h) at a single offset, whose shapes numpy's sum adds pairwise,
+    # and in the layouts of a scheme build: a block of (rung, angle)
+    # offsets against the nodes, and the directions against the nodes
+    nodes = np.linspace(-1.0, 1.0, 9)[:, None]
+    layouts = [
+        (np.array([0.3]), np.array([-1.0])),
+        (np.array([[0.3]]), np.array([[1.0]])),
+        (nodes[None, None], (0.01 * 2.0 ** np.arange(6))[:, None, None, None] * ws[..., None]),
+        (nodes[:, None, :], ws),
+    ]
     for k in (
         model_kernel,
         builtin("periodic-1d", {"A0": 3.0, "A1": 2.9, "period_len": 0.7}),
@@ -221,13 +240,23 @@ def test_homogenized_kernel_average(model_kernel):
         builtin("constant", {"c": 1.5}),
     ):
         k_bar = homogenized_kernel(k)
-        for fn, h in ((k_bar.evaluate, hs), (k_bar.radial_limit, ws), (k_bar.tail_limit, ws)):
+        for avg, fn, h in (
+            (k_bar.evaluate, k.evaluate, hs),
+            (k_bar.radial_limit, k.radial_limit, ws),
+            (k_bar.tail_limit, k.tail_limit, ws),
+        ):
             if fn is None:
                 continue
-            at_zero = fn(np.zeros_like(xs), h)
+            # the period average does not depend on x: every map gives, at
+            # any x, the bits it gives at x = 0, in the broadcast shape
+            at_zero = avg(np.zeros_like(xs), h)
             assert at_zero.shape == (xs.shape[0], h.shape[1])
             for x in xs:
-                assert np.array_equal(fn(np.broadcast_to(x, xs.shape), h), at_zero), k.name
+                assert np.array_equal(avg(np.broadcast_to(x, xs.shape), h), at_zero), k.name
+            # and it is the per-shift sum, bit for bit
+            for x, h in layouts:
+                want = _per_shift_average(fn, k.period[0], x, h)
+                assert np.array_equal(avg(x, h), want), (k.name, x.shape, h.shape)
 
 
 def test_commute_constant_kernel_distance_zero():

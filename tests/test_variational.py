@@ -543,8 +543,9 @@ def test_local_forms_of_coordinate_functions(case):
 
 
 def test_newton_steps_free_the_dense_hessian():
-    # a step keeps one dense matrix at a time: H is freed once its
-    # free-node block is taken, and that block once the step is solved
+    # local atoms: a step's Gram is a banded CSR, factored in band
+    # storage, so its peak stays below that of one dense matrix at a time
+    # (the dense steps of a scheme's atoms are bounded below)
     g = Grid(((-1.0, 1.0),), 801)
     one = GridFunction(g, np.ones(801), boundary_flag=False)
     atoms = _local_atoms(
@@ -561,6 +562,30 @@ def test_newton_steps_free_the_dense_hessian():
         tracemalloc.stop()
     assert it == 3
     assert peak < 2.5 * h_bytes, peak / h_bytes
+
+
+def test_nonlocal_newton_steps_free_the_dense_hessian():
+    # a scheme's Gram is dense: a step holds it with the stencil Gram's
+    # block temporaries (the product T, (2N - 1) x N, and the cross term
+    # read from it), then its free-node block, each freed once used.  1D
+    # N=801 at p = 3: two steps peak at 4.88 H; keeping H, or its free
+    # block, alive into the next step's Gram raises it to 5.87 H
+    g = Grid(((-1.0, 1.0),), 801)
+    scheme = energy.EnergyScheme(builtin("periodic-1d", {"A0": 2.0, "A1": 1.0}), g)
+    atoms = scheme.atoms(FractionalParams(0.5, 3.0))
+    b, free = g.trapezoid_weights(), _free_mask(g)
+    # a first step assembles L and the Gram's tables and imports the solver
+    _solve_atoms(atoms, 1.0, b, free, np.zeros(801), 1e-300, 1)
+    h_bytes = 801 * 801 * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        *_, it, _, _ = _solve_atoms(atoms, 1.0, b, free, np.zeros(801), 1e-300, 2)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert it == 2
+    assert peak < 5.4 * h_bytes, peak / h_bytes
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
