@@ -305,6 +305,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OverflowError:
+        print("error: the inputs overflow double precision", file=sys.stderr)
+        return EXIT_CONFIG
     except Exception as exc:
         msg = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)

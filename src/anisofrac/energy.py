@@ -61,7 +61,8 @@ weights of one (s, p) to the solvers.  Their Hessian is the Gram matrix
 ``L^T diag(2 w) L``, which the scheme assembles from the same stencil
 tables, without a sparse product over the bulk rows: a diagonal, a
 node-corner cross term read as windows of one sparse x dense product,
-and per-cell corner blocks (:meth:`EnergyScheme._gram`).  Their objective
+and per-cell corner blocks, each corner pair added along one diagonal
+of the Gram (:meth:`EnergyScheme._gram`).  Their objective
 reads every form, near, bulk and tail, into one array
 (:meth:`EnergyScheme.forms`).  So a p = 2 solve, one Gram and one dense
 solve, never needs the forms as a matrix.  The gradient ``L^T (...)``
@@ -110,7 +111,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -384,15 +385,6 @@ def _gram_product(L: sparse.csr_matrix, w: np.ndarray) -> sparse.csr_matrix:
     data *= L.data
     scaled = sparse.csr_matrix((data, L.indices, L.indptr), shape=L.shape)
     return (L.T @ scaled).tocsr()
-
-
-class _StencilTables(NamedTuple):
-    """Index tables of :meth:`EnergyScheme._gram` (see :meth:`EnergyScheme._stencil`);
-    a node's cross term is a window of ``cross @ omega``."""
-
-    cross: sparse.csr_matrix  # 2 phi, (displacement row-major, (rung, angle))
-    phiphi: np.ndarray  # 2 phi phi^T, ((rung, angle), corner pair)
-    corner_node: list  # per corner c, the node y + c of each node y, or -1
 
 
 def _resolve_geometry(grid: Grid, settings: QuadratureSettings):
@@ -895,38 +887,26 @@ class EnergyScheme:
     # -- the Gram Hessian of the atoms ---------------------------------------
 
     @cached_property
-    def _stencil(self) -> _StencilTables:
-        """The w-independent tables of :meth:`_gram`, built on its first call;
-        the bulk row layout is not among them (:meth:`_inside` owns it)."""
+    def _stencil(self) -> tuple[sparse.csr_matrix, np.ndarray]:
+        """S and 2 phi phi^T, the w-independent tables of :meth:`_gram`, built
+        on its first call; the bulk row layout is not among them."""
         from scipy import sparse
 
         n, N = self.grid.dimension, self.grid.nodes_per_axis
         n_bulk, n_ang = self._shift.shape[:2]
         n_jk = n_bulk * n_ang
         corners = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
-        at = np.stack(np.unravel_index(np.arange(self.nodes.shape[0]), self.grid.shape), axis=1)
-        # cross: displacements d = m_jk + c of the nonzero corners that stay
-        # in [-(N-1), N-1]^n, numbered row-major; S carries 2 phi
+        # displacements d = m_jk + c of the nonzero corners that stay in
+        # [-(N-1), N-1]^n, numbered row-major
         span = (2 * N - 1) ** np.arange(n - 1, -1, -1)
         d = self._shift.reshape(n_jk, 1, n) + corners
         phi = self._phi.reshape(n_jk, -1)
         jk, c = np.nonzero((np.abs(d) < N).all(axis=2) & (phi != 0.0))
-        cross = sparse.csr_matrix(
+        S = sparse.csr_matrix(
             (2.0 * phi[jk, c], ((d[jk, c] + N - 1) @ span, jk)),
             shape=((2 * N - 1) ** n, n_jk),
         )
-        # corner: the cell of a row is the node x + m_jk; a corner of it
-        # past the last node (-1 here) has factor 0
-        strides = N ** np.arange(n - 1, -1, -1)
-        corner_node = []
-        for c in corners:
-            y = at + c
-            corner_node.append(np.where((y < N).all(axis=1), y @ strides, -1))
-        return _StencilTables(
-            cross=cross,
-            phiphi=2.0 * (self._phi[:, :, :, None] * self._phi[:, :, None, :]).reshape(n_jk, -1),
-            corner_node=corner_node,
-        )
+        return S, 2.0 * (phi[:, :, None] * phi[:, None, :]).reshape(n_jk, -1)
 
     def _gram(self, w: np.ndarray) -> np.ndarray:
         """Dense L^T diag(2 w) L for row weights w, from the bulk stencil.
@@ -940,20 +920,21 @@ class EnergyScheme:
             cross    G[x, x + d] += T[d, x] and its transpose, where
                      T = S omega and S[d, jk] = 2 phi_jk,c for d = m_jk + c;
                      row x is the window at N - 1 - x of T, (2N - 1,)^n x m
-            corner   per cell, sum_jk 2 omega phi_jk phi_jk^T over the
-                     rows that interpolate in it, like a mass matrix
+            corner   per cell y, E[y] = sum_jk 2 omega phi_jk phi_jk^T over
+                     its rows, like a mass matrix; G[y + c_a, y + c_b] +=
+                     E[y, (a, b)] runs along one diagonal of G per (a, b)
 
         The cell of a row is the node x + m_jk, and a corner past the last
-        node has factor 0.  ``G`` starts as the near rows' single product
-        (:func:`_gram_product`).  Both bulk loops go in blocks of about
-        ``_GRAM_ROWS`` (rung-angle, node) pairs and scatter the bulk weights
-        through the box masks of :meth:`_inside`: the rows of jk at a block
-        of nodes are one run of its rows, and its cells are its box shifted
-        by m_jk, in the order of its rows.
+        node line has factor 0: where y + c wraps, the diagonal adds +-0.
+        ``G`` starts as the near rows' single product (:func:`_gram_product`).
+        Both bulk loops go in blocks of about ``_GRAM_ROWS`` (rung-angle,
+        node) pairs and scatter the bulk weights through the box masks of
+        :meth:`_inside`: the rows of jk at a block of nodes are one run of
+        its rows, and its cells are its box shifted by m_jk, in row order.
         """
-        tab = self._stencil
+        S, phiphi = self._stencil
         n_nodes = self.nodes.shape[0]
-        n_jk = tab.phiphi.shape[0]
+        n_jk = phiphi.shape[0]
         # G is written out after the box mask is taken, once the product's
         # temporaries are freed: written out first, it raised the ru_maxrss
         # of a 2D N=33 then N=44 solve by 2.2 MB (heap layout: the arrays
@@ -983,7 +964,7 @@ class EnergyScheme:
                                + np.arange(run.sum())]
             done += run
             diag[X] += 2.0 * omega.sum(axis=0)
-            T = (tab.cross @ omega).reshape((2 * N - 1,) * n + (m,))
+            T = (S @ omega).reshape((2 * N - 1,) * n + (m,))
             view = np.lib.stride_tricks.sliding_window_view(T, (N,) * n, axis=tuple(range(n)))
             cross = view[tuple(a[X] for a in lead) + (np.arange(m),)].reshape(m, n_nodes)
             G[X] += cross
@@ -994,18 +975,21 @@ class EnergyScheme:
         # of the row of jk whose cell is the node y, and E += V^T (2 phi phi^T)
         cells = self._inside(slice(None), cell=True).reshape(n_jk, n_nodes)
         group = max(1, _GRAM_ROWS // n_nodes)
-        E = np.zeros((n_nodes, tab.phiphi.shape[1]))
+        E = np.zeros((n_nodes, phiphi.shape[1]))
         for g0 in range(0, n_jk, group):
             J = slice(g0, min(g0 + group, n_jk))
             V = np.zeros((J.stop - g0, n_nodes))
             V[cells[J]] = bulk[start[J.start]:start[J.stop]]
-            E += V.T @ tab.phiphi[J]
-        n_corners = len(tab.corner_node)
-        for ca, ya in enumerate(tab.corner_node):
-            for cb, yb in enumerate(tab.corner_node):
-                both = (ya >= 0) & (yb >= 0)
-                G[ya[both], yb[both]] += E[both, ca * n_corners + cb]
-        G[np.diag_indices(n_nodes)] += diag
+            E += V.T @ phiphi[J]
+        # column (a, b) of E runs along the diagonal of G from (o_a, o_b),
+        # o_c the flat offset of corner c
+        offset = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1) @ N ** np.arange(n - 1, -1, -1)
+        flat = G.reshape(-1)
+        for a, o_a in enumerate(offset):
+            for b, o_b in enumerate(offset):
+                k = n_nodes - max(o_a, o_b)
+                flat[o_a * n_nodes + o_b::n_nodes + 1][:k] += E[:k, a * offset.size + b]
+        flat[::n_nodes + 1] += diag
         return G
 
     # -- (s, p) factors and atoms for the solvers ---------------------------

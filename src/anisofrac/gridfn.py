@@ -53,6 +53,8 @@ class Grid:
                 raise ValueError(f"box interval ({a}, {b}) must be finite")
             if not b > a:
                 raise ValueError(f"degenerate box interval ({a}, {b})")
+            if not math.isfinite(b - a):
+                raise ValueError(f"box interval ({a}, {b}) must have a finite width")
 
     @property
     def dimension(self) -> int:
@@ -116,7 +118,7 @@ class Grid:
 
     @property
     def diameter(self) -> float:
-        return math.sqrt(sum((b - a) ** 2 for a, b in self.box))
+        return math.hypot(*(b - a for a, b in self.box))
 
 
 def _lattice(axes: Sequence[np.ndarray]) -> np.ndarray:

@@ -13,10 +13,8 @@ directory, applies the entry (its old text must occur exactly once), and
 runs the tier-1 suite there with ``-x`` and a 300 s time-out.  It prints
 one row per entry: what stopped the run and the first failing test.
 It exits 1 when the unmutated suite fails or an entry it ran survived,
-else 0: a kill by a pin or by the time-out does not fail the run.  A
-full run exits 1 as long as ``h3-dropped`` survives (no test yet tells
-the H3 term of the error bound from its absence); CI runs a smoke set
-of entries that are all killed.
+else 0: a kill by a pin or by the time-out does not fail the run.  CI
+runs a smoke set of entries, each killed by a test that is not a pin.
 The tier-1 ``test_mutation_catalogue.py`` checks that every entry still
 applies to the tree; a mutant fails it by construction, so the runs
 leave it out.
@@ -165,6 +163,11 @@ CATALOGUE = [
            "self.outside_w[:, 2 * j:2 * stop:2] = mw[:, 0::2].sum(axis=1).T",
            "self.outside_w[:, 2 * j:2 * stop:2] = mw[:, 0::2].sum(axis=0).T",
            "a block of several rungs sums its even angles over the rungs, not per rung"),
+    Mutant("gram-corner-strides-reversed", E,
+           "& 1) @ N ** np.arange(n - 1, -1, -1)",
+           "& 1) @ N ** np.arange(n)",
+           "the stencil Gram's corner diagonals take the corner offsets with the axis "
+           "strides reversed"),
 ]
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.M)

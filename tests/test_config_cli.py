@@ -652,6 +652,36 @@ def test_cli_nonfinite_result_exit_2(tmp_path, capsys, subcommand, params):
     assert len(err) == 1 and err[0].endswith("the inputs overflow double precision")
 
 
+@pytest.mark.parametrize("subcommand, box, rc", [
+    ("energy", "-1e200:1e200", 2),
+    ("bbm-sweep", "-1e200:1e200", 0),
+    ("ms-sweep", "-1e200:1e200", 2),
+    ("solve-nonlocal", "-1e200:1e200", 2),
+    ("energy", "-1e200:1e200;0:1", 0),
+    ("energy", "-1.7e308:1.7e308", 2),
+])
+def test_cli_huge_box_is_no_internal_error(tmp_path, capsys, subcommand, box, rc):
+    # a finite box whose size overflows a Python float power of the
+    # scheme (OverflowError) exits 2, not 4, unless its table stays
+    # finite; a box whose width is inf is rejected at its config line
+    n = box.count(";") + 1
+    text = (f"[kernel]\nname = constant\nn = {n}\n\n[grid]\nn = {n}\nbox = {box}\nN = 5\n\n"
+            "[params]\ns = 0.5\nf = 1\n")
+    cfg = _write(tmp_path, "b.ini", text)
+    out = tmp_path / "b.csv"
+    assert cli.main([subcommand, "--config", cfg, "--out", str(out)]) == rc
+    err = capsys.readouterr().err.splitlines()
+    if rc == 0:
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert rows and all(np.isfinite(float(v)) for row in rows for v in row if v)
+    elif "1.7e308" in box:
+        assert not out.exists()
+        assert err[-1] == "  line 7: box interval (-1.7e+308, 1.7e+308) must have a finite width"
+    else:
+        assert not out.exists()
+        assert len(err) == 1 and err[0].endswith("the inputs overflow double precision")
+
+
 def test_cli_bare_number_is_a_constant_source(tmp_path):
     outputs = []
     for name, f in (("bare", "2"), ("const", "const(2)")):

@@ -216,6 +216,33 @@ def test_angular_refinement_stays_inside_the_bound():
         assert abs(r4.value - r64.value) <= r4.error_bound, s
 
 
+@pytest.mark.parametrize("alpha", [1.0, -1.5])
+@pytest.mark.parametrize("s", [0.9, 0.99])
+def test_near_kernel_deviation_stays_inside_the_bound(alpha, s):
+    # below h_min the scheme weighs |D_w u|^p by the radial limit a(x, w)
+    # in place of m(x, r w); the gap, integrated exactly in r, is what the
+    # H3 term of the bound covers, and near s = 1 it is most of the bound
+    p = 2.0
+    g = Grid(((-1.0, 1.0),), 33)
+    u = GridFunction.from_callable(g, lambda x: hat_profile(x / 0.8))
+    k = builtin("matrix-alpha", {"n": 1, "alpha": alpha, "m0": 1.0, "m1": 0.5})
+    scheme = EnergyScheme(k, g)
+    x = g.nodes()[:, 0]
+    h = g.spacing[0]
+    padded = np.pad(u.values, 1)  # zero ghosts
+    t, wt = np.polynomial.legendre.leggauss(32)
+    r = 0.5 * scheme.h_min * (t + 1.0)
+    gap = 0.0
+    for w, slope in ((1.0, (padded[1:-1] - padded[:-2]) / h),  # slopes toward -w
+                     (-1.0, (padded[1:-1] - padded[2:]) / h)):
+        m = k.evaluate(x[:, None, None], w * r[None, :, None])
+        a = k.radial_limit(x[:, None], np.full((x.size, 1), w))
+        dev = np.abs(m - a[:, None]) * r ** (p * (1.0 - s) - 1.0)
+        gap += np.dot(g.trapezoid_weights() * np.abs(slope) ** p,
+                      0.5 * scheme.h_min * dev @ wt)
+    assert 0.0 < gap <= scheme.report(u, FractionalParams(s, p), 1.0).error_bound
+
+
 def _far_field_cases():
     g1 = Grid(((-1.0, 1.0),), 129)
     g2 = Grid(((-1.0, 1.0), (-1.0, 1.0)), 17)
@@ -1005,6 +1032,32 @@ def test_near_axis_angles_snap_onto_the_node_line():
     hi = lo + scheme._box_len - 1
     rows = (scheme._box_len > 0).all(axis=2)
     assert (lo[rows] >= 0).all() and (hi[rows] <= N - 1).all()
+
+
+@pytest.mark.parametrize("make_kernel, box, N, reaching", [
+    (lambda: builtin("periodic-1d", {"A0": 2.0, "A1": 1.0}), ((-1.0, 1.0),), 33, 6),
+    (lambda: builtin("periodic-1d", {"A0": 2.0, "A1": 1.0}), ((-1.0, 1.0),), 257, 9),
+    (lambda: builtin("separable-angular", {"c0": 1.0, "c1": 0.5}), ((-1.0, 1.0),) * 2, 9, 204),
+    (lambda: builtin("separable-angular", {"c0": 1.0, "c1": 0.5}), ((-1.0, 1.0),) * 2, 17, 232),
+    (lambda: builtin("separable-angular", {"c0": 1.0, "c1": 0.5}), ((-1.0, 1.0),) * 2, 33, 274),
+    (lambda: builtin("separable-angular", {"c0": 1.0, "c1": 0.5}),
+     ((-1.0, 3.0), (0.0, 1.0)), 25, 280),
+], ids=["1d-N33", "1d-N257", "2d-N9", "2d-N17", "2d-N33", "2d-box-N25"])
+def test_cells_on_the_last_node_line_have_no_corner_past_it(make_kernel, box, N, reaching):
+    # the stencil Gram adds its corner term along diagonals of G, where a
+    # corner past the last node line wraps onto another node: the factors
+    # of such corners must be 0 for every (rung, angle) whose cells reach
+    # that line
+    scheme = EnergyScheme(make_kernel(), Grid(box, N))
+    n = len(box)
+    rows = (scheme._box_len > 0).all(axis=2)
+    last = scheme._box_lo + scheme._shift + scheme._box_len - 1 == N - 1
+    last &= rows[:, :, None]
+    assert np.count_nonzero(last) == reaching
+    corners = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    for axis in range(n):
+        past = corners[:, axis] == 1
+        assert (scheme._phi[last[:, :, axis]][:, past] == 0.0).all(), axis
 
 
 def test_delta_makes_no_row_length_copies(monkeypatch):
